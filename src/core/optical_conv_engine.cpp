@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -32,7 +33,10 @@
 //    inject_stuck_faults, measured_usable_range) happen sequentially in
 //    construction order, and hot-loop draws (laser RIN, photodiode noise)
 //    happen in sequential pixel order — pre-generated into a buffer before
-//    tiles fan out when engine_threads > 1.
+//    tiles fan out when engine_threads > 1;
+//  * bank tuning draws nothing, so it alone fans out during setup; its sums
+//    (calibration error, heater power, ring area) are reduced afterwards on
+//    the calling thread in the sequential (g, k, ring) order.
 namespace pcnna::core {
 namespace {
 
@@ -356,42 +360,99 @@ void size_bank_soa(const LayerPlan& plan, EngineScratch& s) {
   s.baseline.assign(G * K, 0.0);
 }
 
-/// Program one bank with its weight slice (channel_offset = c * m * m for
-/// the per-channel allocation, 0 for full-kernel) and flatten the
-/// calibrated response into the transposed SoA arrays. Identical value
-/// sequence to the reference engine's per-bank programming block.
-void program_bank_soa(phot::WeightBank& bank, const LayerPlan& plan,
-                      std::size_t g, std::size_t k,
-                      std::size_t channel_offset, const nn::Tensor& weights,
-                      double w_absmax, double denom, bool quantize,
-                      const elec::Dac& weight_dac, const AnalogChain& chain,
-                      EngineScratch& s, CalibrationError& cal_err) {
-  const GroupSlice& slice = plan.groups[g];
+/// Banks each bank-programming worker tunes per batch on the full-kernel
+/// path. Bounds how many fabricated banks a layer holds at once (c5 of
+/// LeNet-5 has 600 banks of 80 rings) while keeping the fork/join cost
+/// small against a bank's calibration.
+constexpr std::size_t kBanksPerWorker = 4;
+
+/// Per-layer constants of bank programming, shared read-only by all
+/// workers. Bank b of a layer is group b / K, kernel b % K.
+struct ProgramCtx {
+  const LayerPlan* plan = nullptr;
+  const nn::Tensor* weights = nullptr;
+  std::size_t channel_offset = 0; ///< per-channel allocation: c * m * m
+  double w_absmax = 1.0;
+  double denom = 1.0;
+  bool quantize = false;
+  const elec::Dac* weight_dac = nullptr;
+  const AnalogChain* chain = nullptr;
+};
+
+/// Tune bank b to its weight slice and flatten the response into the
+/// transposed SoA arrays, with one probe sweep. Stages the bank's targets
+/// and splits in its own rows `targets`/`splits` (width entries each).
+/// Writes only bank b's rows and SoA entries, so it is safe to run
+/// concurrently for distinct banks. Identical value sequence to the
+/// reference engine's per-bank programming block.
+void program_bank_soa(phot::WeightBank& bank, std::size_t b,
+                      const ProgramCtx& c, double* targets,
+                      phot::WeightBank::ChannelSplit* splits,
+                      EngineScratch& s) {
+  const std::size_t K = c.plan->layer.K;
+  const std::size_t g = b / K;
+  const std::size_t k = b % K;
+  const GroupSlice& slice = c.plan->groups[g];
   const std::size_t width = slice.size();
-  const std::size_t K = plan.layer.K;
-  const std::size_t n_kernel = plan.layer.kernel_size();
+  const std::size_t n_kernel = c.plan->layer.kernel_size();
+  const nn::Tensor& weights = *c.weights;
 
-  s.targets.resize(width);
   for (std::size_t i = 0; i < width; ++i) {
-    double w = weights[k * n_kernel + channel_offset + slice.begin + i] /
-               w_absmax * denom;
-    if (quantize) w = quantize_weight(weight_dac, w);
-    s.targets[i] = w;
+    double w = weights[k * n_kernel + c.channel_offset + slice.begin + i] /
+               c.w_absmax * c.denom;
+    if (c.quantize) w = quantize_weight(*c.weight_dac, w);
+    targets[i] = w;
   }
-  const std::vector<double> achieved = bank.calibrate(s.targets);
-  for (std::size_t i = 0; i < width; ++i)
-    cal_err.add(std::abs(achieved[i] - s.targets[i]));
+  bank.tune(std::span<const double>(targets, width));
 
-  s.splits.resize(width);
-  bank.channel_splits_into(s.splits);
+  bank.channel_splits_into(std::span(splits, width));
   double base = 0.0;
-  for (const auto& split : s.splits)
-    base += chain.dark_power * (split.drop - split.thru);
-  s.baseline[g * K + k] = chain.resp * base;
+  for (std::size_t i = 0; i < width; ++i)
+    base += c.chain->dark_power * (splits[i].drop - splits[i].thru);
+  s.baseline[g * K + k] = c.chain->resp * base;
   const std::size_t gb = s.group_base[g];
   for (std::size_t i = 0; i < width; ++i) {
-    s.drop_t[gb + i * K + k] = s.splits[i].drop;
-    s.thru_t[gb + i * K + k] = s.splits[i].thru;
+    s.drop_t[gb + i * K + k] = splits[i].drop;
+    s.thru_t[gb + i * K + k] = splits[i].thru;
+  }
+}
+
+/// Program banks[j] as bank first + j of the layer across `workers`
+/// workers (contiguous ThreadPool::chunk_begin ranges), then fold the
+/// calibration errors into `cal_err` on the calling thread in (bank, ring)
+/// order. The achieved weight of ring i is split.drop - split.thru,
+/// bitwise what calibrate() returns. Tuning draws no random numbers and
+/// every bank writes disjoint rows and SoA entries, so the result is
+/// bitwise independent of `workers`. The staging is sized here, before the
+/// fan-out, so pool threads never allocate.
+void program_banks(std::span<phot::WeightBank> banks, std::size_t first,
+                   const ProgramCtx& ctx, std::size_t workers,
+                   ThreadPool* pool, EngineScratch& s,
+                   CalibrationError& cal_err) {
+  const std::size_t n = banks.size();
+  const std::size_t stride = ctx.plan->group_size;
+  s.targets.resize(n * stride);
+  s.splits.resize(n * stride);
+
+  auto range = [&](std::size_t w) {
+    if (w >= workers) return; // pool wider than this layer's bank count
+    for (std::size_t j = ThreadPool::chunk_begin(n, w, workers);
+         j < ThreadPool::chunk_begin(n, w + 1, workers); ++j)
+      program_bank_soa(banks[j], first + j, ctx, &s.targets[j * stride],
+                       &s.splits[j * stride], s);
+  };
+  if (workers == 1) {
+    range(0);
+  } else {
+    pool->run(range);
+  }
+
+  const std::size_t K = ctx.plan->layer.K;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t width = ctx.plan->groups[(first + j) / K].size();
+    for (std::size_t i = j * stride; i < j * stride + width; ++i)
+      cal_err.add(std::abs((s.splits[i].drop - s.splits[i].thru) -
+                           s.targets[i]));
   }
 }
 
@@ -514,10 +575,10 @@ double measured_usable_range(phot::WeightBank& bank) {
   PCNNA_CHECK(channels >= 1);
   const std::size_t mid = channels / 2;
   const std::vector<double> hi(channels, 1.0);
-  bank.calibrate(hi);
+  bank.tune(hi);
   const double w_hi = bank.effective_weight(mid);
   const std::vector<double> lo(channels, -1.0);
-  bank.calibrate(lo);
+  bank.tune(lo);
   const double w_lo = bank.effective_weight(mid);
   return std::min(w_hi, -w_lo);
 }
@@ -541,8 +602,7 @@ std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
   // engine's lifetime; layers whose pixel count clamps the effective worker
   // count below that leave the surplus workers idle for the sweep (see
   // sweep_pixels) instead of respawning threads per layer.
-  if (n > 1 && !pool_)
-    pool_ = std::make_unique<ThreadPool>(config_.engine_threads);
+  ensure_pool(n);
   scratch_.workers.resize(n);
   for (EngineScratch::Worker& w : scratch_.workers) {
     w.powers.resize(group_size);
@@ -553,6 +613,18 @@ std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
     w.adc_conversions = 0;
   }
   return n;
+}
+
+std::size_t OpticalConvEngine::bank_workers(std::size_t banks) {
+  const std::size_t n =
+      std::max<std::size_t>(1, std::min(config_.engine_threads, banks));
+  ensure_pool(n);
+  return n;
+}
+
+void OpticalConvEngine::ensure_pool(std::size_t workers) {
+  if (workers > 1 && !pool_)
+    pool_ = std::make_unique<ThreadPool>(config_.engine_threads);
 }
 
 nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
@@ -668,17 +740,31 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
 
   // --- Program every bank segment once (weights are fixed for the layer),
   // flattening calibrated responses straight into transposed SoA form.
+  // Banks are fabricated and fault-injected here, in (g, k) order, a
+  // bounded batch at a time; each batch is tuned across the pool and its
+  // totals are reduced in the same order.
   const std::size_t G = plan.groups.size();
+  const std::size_t n_banks = G * K;
   size_bank_soa(plan, scratch_);
+  const std::size_t bank_threads = bank_workers(n_banks);
+  const std::size_t batch_cap = bank_threads * kBanksPerWorker;
+  const ProgramCtx prog{&plan, &weights, /*channel_offset=*/0, w_absmax,
+                        denom, config_.enable_quantization, &weight_dac,
+                        &chain};
   CalibrationError cal_err;
-  for (std::size_t g = 0; g < G; ++g) {
-    const phot::WdmGrid grid(plan.groups[g].size());
-    for (std::size_t k = 0; k < K; ++k) {
-      phot::WeightBank bank(grid, config_.bank, rng_);
-      inject_stuck_faults(config_, bank, rng_, stats);
-      program_bank_soa(bank, plan, g, k, /*channel_offset=*/0, weights,
-                       w_absmax, denom, config_.enable_quantization,
-                       weight_dac, chain, scratch_, cal_err);
+  std::vector<phot::WeightBank> batch;
+  batch.reserve(std::min(batch_cap, n_banks));
+  for (std::size_t first = 0; first < n_banks; first += batch_cap) {
+    const std::size_t last = std::min(first + batch_cap, n_banks);
+    batch.clear();
+    for (std::size_t b = first; b < last; ++b) {
+      batch.emplace_back(phot::WdmGrid(plan.groups[b / K].size()),
+                         config_.bank, rng_);
+      inject_stuck_faults(config_, batch.back(), rng_, stats);
+    }
+    program_banks(batch, first, prog, bank_threads, pool_.get(), scratch_,
+                  cal_err);
+    for (const phot::WeightBank& bank : batch) {
       ++stats.banks_built;
       stats.total_heater_power += bank.total_heater_power();
       stats.total_ring_area += bank.total_area();
@@ -760,19 +846,19 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
   const double denom = 0.95 * usable;
   const double recover = x_scale * w_absmax / denom;
 
-  // Persistent banks (K per group slice of the m*m block), retuned per
-  // channel pass — the physical rings live across recalibrations.
+  // Persistent banks (K per group slice of the m*m block) in (g, k) order,
+  // retuned per channel pass — the physical rings live across
+  // recalibrations.
   const std::size_t G = plan.groups.size();
-  std::vector<std::vector<phot::WeightBank>> banks(G);
-  for (std::size_t g = 0; g < G; ++g) {
-    const phot::WdmGrid grid(plan.groups[g].size());
-    banks[g].reserve(K);
-    for (std::size_t k = 0; k < K; ++k) {
-      banks[g].emplace_back(grid, config_.bank, rng_);
-      inject_stuck_faults(config_, banks[g].back(), rng_, stats);
-      ++stats.banks_built;
-      stats.total_ring_area += banks[g].back().total_area();
-    }
+  const std::size_t n_banks = G * K;
+  std::vector<phot::WeightBank> banks;
+  banks.reserve(n_banks);
+  for (std::size_t b = 0; b < n_banks; ++b) {
+    banks.emplace_back(phot::WdmGrid(plan.groups[b / K].size()), config_.bank,
+                       rng_);
+    inject_stuck_faults(config_, banks.back(), rng_, stats);
+    ++stats.banks_built;
+    stats.total_ring_area += banks.back().total_area();
   }
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
@@ -797,17 +883,16 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
       make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
                      /*accumulate=*/true, bias, out, scratch_);
 
-  // Channel-major execution: retune, then sweep all locations.
+  // Channel-major execution: retune every bank across the pool, then sweep
+  // all locations.
+  const std::size_t bank_threads = bank_workers(n_banks);
+  ProgramCtx prog{&plan, &weights, /*channel_offset=*/0, w_absmax, denom,
+                  config_.enable_quantization, &weight_dac, &chain};
   CalibrationError cal_err;
   for (std::size_t c = 0; c < layer.nc; ++c) {
-    for (std::size_t g = 0; g < G; ++g) {
-      for (std::size_t k = 0; k < K; ++k) {
-        program_bank_soa(banks[g][k], plan, g, k,
-                         /*channel_offset=*/c * per_channel, weights,
-                         w_absmax, denom, config_.enable_quantization,
-                         weight_dac, chain, scratch_, cal_err);
-      }
-    }
+    prog.channel_offset = c * per_channel;
+    program_banks(banks, /*first=*/0, prog, bank_threads, pool_.get(),
+                  scratch_, cal_err);
 
     ctx.patch_offset = c * per_channel;
     sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
@@ -823,9 +908,8 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
         out.at(0, k, oy, ox) = out.at(0, k, oy, ox) * recover + b;
   }
 
-  for (const auto& group : banks)
-    for (const auto& bank : group)
-      stats.total_heater_power += bank.total_heater_power();
+  for (const phot::WeightBank& bank : banks)
+    stats.total_heater_power += bank.total_heater_power();
 
   for (const EngineScratch::Worker& w : scratch_.workers) {
     stats.optical_passes += w.optical_passes;
@@ -897,7 +981,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
 
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
-  std::vector<double> powers;
+  std::vector<double> powers, targets;
+  std::vector<phot::WeightBank::ChannelSplit> splits;
   for (std::size_t begin = 0; begin < in; begin += group_size) {
     const std::size_t end = std::min(begin + group_size, in);
     const std::size_t width = end - begin;
@@ -911,23 +996,25 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
       powers[i] = mzm.modulate(laser.emit(bw, rng_) * chain.bcast, x);
     }
 
+    targets.resize(width);
+    splits.resize(width);
     for (std::size_t o = 0; o < out_n; ++o) {
       phot::WeightBank bank(grid, config_.bank, rng_);
       inject_stuck_faults(config_, bank, rng_, st);
-      std::vector<double> targets(width);
       for (std::size_t i = 0; i < width; ++i) {
         double w = weights[o * in + begin + i] / w_absmax * denom;
         if (config_.enable_quantization) w = quantize_weight(weight_dac, w);
         targets[i] = w;
       }
-      const std::vector<double> achieved = bank.calibrate(targets);
+      // One probe sweep: the achieved weight is drop - thru.
+      bank.tune(targets);
+      bank.channel_splits_into(splits);
       for (std::size_t i = 0; i < width; ++i)
-        cal_err.add(std::abs(achieved[i] - targets[i]));
+        cal_err.add(std::abs((splits[i].drop - splits[i].thru) - targets[i]));
       ++st.banks_built;
       st.total_heater_power += bank.total_heater_power();
       st.total_ring_area += bank.total_area();
 
-      const auto splits = bank.channel_splits();
       double p_drop = 0.0, p_thru = 0.0, base = 0.0;
       for (std::size_t i = 0; i < width; ++i) {
         p_drop += powers[i] * splits[i].drop;

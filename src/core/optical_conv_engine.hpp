@@ -29,13 +29,25 @@
 //    flattened into transposed drop/through arrays so the per-pixel MAC is
 //    a branch-free linear pass over contiguous memory with K independent
 //    accumulation chains;
-//  * optional deterministic intra-image parallelism — kernel locations are
-//    partitioned into fixed tiles across PcnnaConfig::engine_threads
-//    workers. Outputs are bit-identical for every thread count: per-pixel
-//    accumulation order is unchanged, and with noise enabled the per-pixel
-//    RNG draws are pre-generated in sequential pixel order before the tiles
-//    fan out (tests/test_engine_hot_path.cpp proves A/B bit-identity
-//    against the frozen pre-rewrite engine in engine_reference.hpp).
+//  * one probe sweep per bank program — WeightBank::tune() sets the heaters
+//    and a single channel_splits_into() sweep yields both the SoA response
+//    and the achieved weights (drop - thru) for the calibration error;
+//  * optional deterministic intra-image parallelism over
+//    PcnnaConfig::engine_threads workers, in two phases:
+//    - bank programming: banks are fabricated and fault-injected on the
+//      calling thread in (g, k) order, in bounded batches, and each batch is
+//      tuned across the pool (tuning draws no random numbers; every bank
+//      writes its own SoA slice). Heater power, ring area, and calibration
+//      error are reduced afterwards on the calling thread in (g, k, ring)
+//      order. Pool threads never allocate: their staging is sized first;
+//    - pixel sweep: kernel locations are partitioned into fixed tiles.
+//      Per-pixel accumulation order is unchanged, and with noise enabled the
+//      per-pixel RNG draws are pre-generated in sequential pixel order
+//      before the tiles fan out.
+//    Outputs, EngineStats, and the post-call RNG state are bit-identical for
+//    every thread count (tests/test_engine_hot_path.cpp proves A/B
+//    bit-identity against the frozen pre-rewrite engine in
+//    engine_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -109,7 +121,7 @@ double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels,
 /// probe as above, but against `bank`'s current physical state — stuck
 /// rings (WeightBank::fail_ring, inject_stuck_faults) and accumulated
 /// fabrication disorder included — instead of constructing a pristine one.
-/// Draws nothing; the probe is two calibrations plus weight queries. The
+/// Draws nothing; the probe is two tunings plus weight queries. The
 /// bank's programmed weights are clobbered (it ends at the all-negative
 /// extreme); recalibrate afterwards if the bank is still in service.
 double measured_usable_range(phot::WeightBank& bank);
@@ -142,7 +154,12 @@ struct EngineScratch {
   /// pixel order (see docs/architecture.md for the determinism argument).
   std::vector<double> noise_z;
 
-  // --- calibration staging (layer setup only) ---
+  // --- bank-programming staging (layer setup only) ---
+  /// Weight targets and probed splits of the banks being programmed, one
+  /// row of plan.group_size entries per bank. Sized on the calling thread
+  /// before the workers fan out, so pool threads never allocate; the
+  /// calibration error is reduced from them in (bank, ring) order after
+  /// the workers join.
   std::vector<double> targets;
   std::vector<phot::WeightBank::ChannelSplit> splits;
 
@@ -213,6 +230,16 @@ class OpticalConvEngine {
   /// accumulators) match it.
   std::size_t prepare_workers(std::size_t pixels, bool fixed_draw_count,
                               std::size_t group_size, std::size_t K);
+
+  /// Worker count for programming a layer's `banks` weight banks:
+  /// min(engine_threads, banks), independent of the pixel sweep's clamp.
+  /// Creates the pool when that count exceeds one.
+  std::size_t bank_workers(std::size_t banks);
+
+  /// Create the pool, sized to engine_threads, the first time a phase runs
+  /// `workers` > 1. Never from the constructor: a fleet builds many engines
+  /// whose threads would mostly sit idle.
+  void ensure_pool(std::size_t workers);
 
   PcnnaConfig config_;
   Rng rng_;

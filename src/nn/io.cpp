@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -62,9 +63,22 @@ Tensor load_tensor(const std::string& path) {
   shape.c = read_u64(in);
   shape.h = read_u64(in);
   shape.w = read_u64(in);
-  PCNNA_CHECK_MSG(shape.elements() > 0 && shape.elements() < (1ull << 34),
-                  "'" << path << "': implausible shape");
-  std::vector<double> data(shape.elements());
+  // Bound every running product before it is formed: Shape4::elements()
+  // wraps modulo 2^64, so n = 2^63 + 1, c = 2 would otherwise pass as 2.
+  constexpr std::uint64_t kMaxElements = 1ull << 34;
+  const std::pair<const char*, std::uint64_t> dims[] = {
+      {"n", shape.n}, {"c", shape.c}, {"h", shape.h}, {"w", shape.w}};
+  std::uint64_t elements = 1;
+  for (const auto& [field, extent] : dims) {
+    PCNNA_CHECK_MSG(extent > 0, "'" << path << "': implausible shape: field "
+                                    << field << " is 0");
+    PCNNA_CHECK_MSG(extent <= (kMaxElements - 1) / elements,
+                    "'" << path << "': implausible shape: field " << field
+                        << " = " << extent << " takes the element count to"
+                        << " 2^34 or more");
+    elements *= extent;
+  }
+  std::vector<double> data(elements);
   for (double& v : data) {
     const std::uint64_t bits = read_u64(in);
     std::memcpy(&v, &bits, 8);

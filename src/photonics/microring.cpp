@@ -23,6 +23,8 @@ MicroringResonator::MicroringResonator(MicroringConfig config, Rng& rng)
   const double offset =
       config.fab_sigma > 0.0 ? rng.normal(0.0, config.fab_sigma) : 0.0;
   natural_resonance_ = config.design_wavelength + offset;
+  const double half_width = 0.5 * linewidth();
+  half_width_sq_ = half_width * half_width;
 }
 
 double MicroringResonator::set_thermal_shift(double shift) {
@@ -38,14 +40,6 @@ double MicroringResonator::set_thermal_shift(double shift) {
   const double step = max_shift / levels;
   applied_shift_ = std::round(clamped / step) * step;
   return applied_shift_;
-}
-
-double MicroringResonator::drop_fraction(double wavelength) const {
-  const double half_width = 0.5 * linewidth();
-  const double delta = wavelength - resonance();
-  const double lorentz =
-      (half_width * half_width) / (delta * delta + half_width * half_width);
-  return config_.max_drop * lorentz;
 }
 
 double MicroringResonator::through_fraction(double wavelength) const {

@@ -68,8 +68,15 @@ class MicroringResonator {
   /// Heater electrical power for the current shift [W].
   double heater_power() const { return applied_shift_ / config_.thermal_efficiency; }
 
-  /// Drop-port power fraction at `wavelength` (Lorentzian).
-  double drop_fraction(double wavelength) const;
+  /// Drop-port power fraction at `wavelength` (Lorentzian). Inline, with the
+  /// squared half width precomputed: the weight bank's probe sweeps call it
+  /// O(channels^2) times per calibration, and each call is then a single
+  /// division.
+  double drop_fraction(double wavelength) const {
+    const double delta = wavelength - resonance();
+    const double lorentz = half_width_sq_ / (delta * delta + half_width_sq_);
+    return config_.max_drop * lorentz;
+  }
 
   /// Through-port power fraction at `wavelength`:
   /// (1 - insertion loss) * (1 - drop_fraction).
@@ -83,6 +90,8 @@ class MicroringResonator {
   double natural_resonance_;
   double applied_shift_ = 0.0;
   double loss_factor_;
+  /// (0.5 * linewidth())^2, fixed at construction like the config.
+  double half_width_sq_;
   bool stuck_ = false;
 };
 

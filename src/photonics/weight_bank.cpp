@@ -62,7 +62,7 @@ void WeightBank::apply_drop_target(std::size_t i, double drop_target) {
   ring.set_thermal_shift(shift);
 }
 
-std::vector<double> WeightBank::calibrate(std::span<const double> weights) {
+void WeightBank::tune(std::span<const double> weights) {
   PCNNA_CHECK_MSG(weights.size() == rings_.size(),
                   "got " << weights.size() << " weights for " << rings_.size()
                          << " rings");
@@ -88,16 +88,17 @@ std::vector<double> WeightBank::calibrate(std::span<const double> weights) {
       }
     }
   }
+}
+
+std::vector<double> WeightBank::calibrate(std::span<const double> weights) {
+  tune(weights);
   return effective_weights();
 }
 
 double WeightBank::effective_weight(std::size_t ch) const {
   PCNNA_CHECK(ch < rings_.size());
-  WdmSignal probe(rings_.size());
-  probe[ch] = 1.0;
-  double drop = 0.0, thru = 0.0;
-  propagate(probe, drop, thru);
-  return drop - thru;
+  const ChannelSplit split = probe(ch);
+  return split.drop - split.thru;
 }
 
 std::vector<double> WeightBank::effective_weights() const {
@@ -116,14 +117,33 @@ void WeightBank::channel_splits_into(std::span<ChannelSplit> out) const {
   PCNNA_CHECK_MSG(out.size() == rings_.size(),
                   "split buffer has " << out.size() << " entries, bank has "
                                       << rings_.size());
-  WdmSignal probe(rings_.size());
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    probe[i] = 1.0;
-    double drop = 0.0, thru = 0.0;
-    propagate(probe, drop, thru);
-    out[i] = ChannelSplit{drop, thru};
-    probe[i] = 0.0;
+  for (std::size_t i = 0; i < rings_.size(); ++i) out[i] = probe(i);
+}
+
+WeightBank::ChannelSplit WeightBank::trace_channel(std::size_t c, double p,
+                                                   ChannelSplit acc) const {
+  const double lambda = grid_.wavelength(c);
+  if (config_.model_crosstalk) {
+    // The channel traverses every ring on the bus in order.
+    for (const MicroringResonator& ring : rings_) {
+      const double d = ring.drop_fraction(lambda);
+      acc.drop += p * d;
+      p *= through_loss_factor_ * (1.0 - d);
+    }
+  } else {
+    // Idealized: only the channel's own ring interacts with it.
+    const double d = rings_[c].drop_fraction(lambda);
+    acc.drop += p * d;
+    p *= through_loss_factor_ * (1.0 - d);
   }
+  acc.thru += p;
+  return acc;
+}
+
+WeightBank::ChannelSplit WeightBank::probe(std::size_t ch) const {
+  // Zero-started accumulators, exactly as propagate() on a bundle whose
+  // only nonzero channel is `ch`.
+  return trace_channel(ch, 1.0, ChannelSplit{});
 }
 
 void WeightBank::propagate(const WdmSignal& in, double& drop_total,
@@ -131,27 +151,13 @@ void WeightBank::propagate(const WdmSignal& in, double& drop_total,
   PCNNA_CHECK_MSG(in.channels() == rings_.size(),
                   "signal has " << in.channels() << " channels, bank has "
                                 << rings_.size());
-  drop_total = 0.0;
-  through_total = 0.0;
+  ChannelSplit acc;
   for (std::size_t c = 0; c < in.channels(); ++c) {
-    double p = in[c];
-    if (p <= 0.0) continue;
-    const double lambda = grid_.wavelength(c);
-    if (config_.model_crosstalk) {
-      // The channel traverses every ring on the bus in order.
-      for (const MicroringResonator& ring : rings_) {
-        const double d = ring.drop_fraction(lambda);
-        drop_total += p * d;
-        p *= through_loss_factor_ * (1.0 - d);
-      }
-    } else {
-      // Idealized: only the channel's own ring interacts with it.
-      const double d = rings_[c].drop_fraction(lambda);
-      drop_total += p * d;
-      p *= through_loss_factor_ * (1.0 - d);
-    }
-    through_total += p;
+    if (in[c] <= 0.0) continue;
+    acc = trace_channel(c, in[c], acc);
   }
+  drop_total = acc.drop;
+  through_total = acc.thru;
 }
 
 double WeightBank::ideal_weighted_power(const WdmSignal& in) const {

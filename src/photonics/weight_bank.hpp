@@ -9,8 +9,9 @@
 //
 // Programming a weight means thermally detuning the ring so the Lorentzian
 // drop fraction hits d_i = (w_i + t) / (1 + t) (t = through-path loss
-// factor); calibrate() inverts the Lorentzian, applies the quantized heater
-// drive, and optionally iterates to cancel inter-channel crosstalk.
+// factor); tune() inverts the Lorentzian, applies the quantized heater
+// drive, and optionally iterates to cancel inter-channel crosstalk;
+// calibrate() is tune() followed by a read-back of the achieved weights.
 #pragma once
 
 #include <cstddef>
@@ -49,16 +50,28 @@ class WeightBank {
   /// Most negative weight the bank can represent (> -1 for finite detuning).
   double min_weight() const;
 
-  /// Program the bank. `weights` must have one entry per channel, each in
-  /// [min_weight(), max_weight()] — out-of-range targets are clamped.
-  /// Returns the achieved effective weights (measured through the physical
-  /// model, including tuning quantization and residual crosstalk).
+  /// Program the bank without reading the result back. `weights` must have
+  /// one entry per channel, each in [-1, 1]; targets outside
+  /// [min_weight(), max_weight()] are clamped. Each ring's heater drive is
+  /// set from the inverted Lorentzian, then (with crosstalk modeled)
+  /// calibration_iterations fixed-point passes nudge every ring by its
+  /// measured weight error. Draws no random numbers and allocates nothing,
+  /// so distinct banks may be tuned concurrently. Callers that snapshot the
+  /// response anyway follow it with one channel_splits_into(): the achieved
+  /// weight of channel i is splits[i].drop - splits[i].thru, bitwise what
+  /// effective_weight(i) returns.
+  void tune(std::span<const double> weights);
+
+  /// tune(), then return the achieved effective weights (measured through
+  /// the physical model, including tuning quantization and residual
+  /// crosstalk).
   std::vector<double> calibrate(std::span<const double> weights);
 
-  /// Weight targets from the last calibrate() call (after clamping).
+  /// Weight targets from the last tune() call (after clamping).
   std::span<const double> target_weights() const { return targets_; }
 
-  /// Measured effective weight of channel `ch` (unit-power probe).
+  /// Measured effective weight of channel `ch` (unit-power probe):
+  /// drop - thru of propagate() on a one-hot bundle, bit for bit.
   double effective_weight(std::size_t ch) const;
 
   /// Measured effective weights of all channels.
@@ -69,8 +82,8 @@ class WeightBank {
   /// is linear in the input powers, so
   ///   P_drop  = sum_i in[i] * split[i].drop,
   ///   P_thru  = sum_i in[i] * split[i].thru.
-  /// Callers on hot paths cache this after calibrate() instead of invoking
-  /// the O(channels^2) propagate() per sample.
+  /// Callers on hot paths cache this after tune() instead of invoking the
+  /// O(channels^2) propagate() per sample.
   struct ChannelSplit {
     double drop = 0.0;
     double thru = 0.0;
@@ -114,6 +127,15 @@ class WeightBank {
  private:
   /// Solve drop fraction -> detuning and apply it to ring `i`.
   void apply_drop_target(std::size_t i, double drop_target);
+
+  /// Pass power `p` on channel `c` down the bus and return `acc` with what
+  /// the rings drop added to .drop and what survives the bus added to
+  /// .thru: the per-channel body of propagate().
+  ChannelSplit trace_channel(std::size_t c, double p, ChannelSplit acc) const;
+
+  /// Splits of a unit-power probe on channel `ch` alone: propagate() of a
+  /// one-hot bundle without building the bundle.
+  ChannelSplit probe(std::size_t ch) const;
 
   WdmGrid grid_;
   WeightBankConfig config_;

@@ -808,7 +808,7 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
     programmed[p] = r.model;
     result.schedule.push_back({r.id, p, r.arrival, start, completion, warmup,
                                r.tenant, r.priority, r.deadline, r.model,
-                               swap, swapped, r.attempts});
+                               swap, swapped, r.attempts, /*stages=*/{}});
     if (telemetry) telemetry->on_dispatch(swapped, /*pipelined=*/false);
     if (fault_active) {
       cancelled.push_back(0);

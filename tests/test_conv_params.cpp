@@ -51,7 +51,9 @@ TEST(ConvParams, WeightCounts) {
   const std::uint64_t conv4 = layers[3].weight_count();
   EXPECT_EQ(384u * 3u * 3u * 384u, conv4);
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (i != 3) EXPECT_LT(layers[i].weight_count(), conv4) << layers[i].name;
+    if (i != 3) {
+      EXPECT_LT(layers[i].weight_count(), conv4) << layers[i].name;
+    }
   }
 }
 

@@ -64,26 +64,32 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b) {
 }
 
 /// Run the frozen reference and the rewritten engine on the same layer with
-/// engine_threads in {1, 2, 4}; every variant must be bit-identical.
+/// engine_threads in {1, 2, 4}; every variant must be bit-identical. Each
+/// engine runs the layer twice without a reseed, so the second call also
+/// pins the RNG state the first one left behind.
 void expect_ab_identity(PcnnaConfig cfg, const nn::ConvLayerParams& layer,
                         bool signed_input = false) {
   const LayerData d = make_data(layer, 42, signed_input);
   ReferenceConvEngine reference(cfg);
-  EngineStats ref_stats;
-  const nn::Tensor expected =
-      reference.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &ref_stats);
+  EngineStats ref_stats[2];
+  nn::Tensor expected[2];
+  for (int call = 0; call < 2; ++call)
+    expected[call] = reference.conv2d(d.input, d.weights, d.bias, layer.s,
+                                      layer.p, &ref_stats[call]);
 
   for (std::size_t threads : {1u, 2u, 4u}) {
     PcnnaConfig tcfg = cfg;
     tcfg.engine_threads = threads;
     OpticalConvEngine engine(tcfg);
-    EngineStats stats;
-    const nn::Tensor got =
-        engine.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &stats);
-    EXPECT_TRUE(expected == got)
-        << "threads=" << threads
-        << " max|diff|=" << nn::max_abs_diff(expected, got);
-    expect_stats_equal(ref_stats, stats);
+    for (int call = 0; call < 2; ++call) {
+      EngineStats stats;
+      const nn::Tensor got =
+          engine.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &stats);
+      EXPECT_TRUE(expected[call] == got)
+          << "threads=" << threads << " call=" << call
+          << " max|diff|=" << nn::max_abs_diff(expected[call], got);
+      expect_stats_equal(ref_stats[call], stats);
+    }
   }
 }
 
@@ -141,6 +147,24 @@ TEST(EngineAbIdentity, WideReceptiveFieldSplitsIntoGroups) {
   cfg.max_wavelengths = 48;
   const nn::ConvLayerParams wide{"wide", 6, 4, 1, 1, 8, 3};
   expect_ab_identity(cfg, wide);
+}
+
+// Many banks, with disorder: 3 groups x 40 kernels = 120 banks per
+// full-kernel layer, so bank programming runs several fabricate-then-tune
+// batches at every thread count, with fabrication draws and stuck faults
+// interleaved between banks. The per-channel allocation retunes its 40
+// persistent banks across the pool once per input channel.
+TEST(EngineAbIdentity, ManyBanksWithDisorderAndFaults) {
+  const nn::ConvLayerParams many{"many", 7, 5, 0, 1, 6, 40};
+  for (RingAllocation allocation :
+       {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
+    PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+    cfg.max_wavelengths = 64;
+    cfg.bank.ring.fab_sigma = 0.05e-9;
+    cfg.stuck_ring_rate = 0.05;
+    cfg.allocation = allocation;
+    expect_ab_identity(cfg, many);
+  }
 }
 
 // Shot noise with zero dark current makes the photodiode draw count

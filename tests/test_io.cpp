@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "nn/conv_ref.hpp"
@@ -73,6 +75,45 @@ TEST(TensorIo, TruncatedPayloadThrows) {
     out.write(content.data(), static_cast<std::streamsize>(content.size() / 2));
   }
   EXPECT_THROW(nn::load_tensor(path), Error);
+  std::remove(path.c_str());
+}
+
+/// Write a PCNT version-1 header with the given extents, followed by
+/// `payload` zero doubles.
+void write_header(const std::string& path, std::uint64_t n, std::uint64_t c,
+                  std::uint64_t h, std::uint64_t w, std::size_t payload) {
+  std::ofstream out(path, std::ios::binary);
+  out.write("PCNT", 4);
+  const auto put = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.put(static_cast<char>(v >> (8 * i)));
+  };
+  for (std::uint64_t v : {std::uint64_t{1}, n, c, h, w}) put(v);
+  for (std::size_t i = 0; i < payload; ++i) put(0);
+}
+
+/// load_tensor(path) must throw an Error naming the file and `field`.
+void expect_shape_error(const std::string& path, const std::string& field) {
+  try {
+    nn::load_tensor(path);
+    ADD_FAILURE() << "accepted the shape; expected an error on " << field;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos, what.find(path)) << what;
+    EXPECT_NE(std::string::npos, what.find("field " + field)) << what;
+  }
+}
+
+TEST(TensorIo, OverflowingShapeThrowsNamingFileAndField) {
+  const std::string path = tmp_path("overflow.pcnt");
+  // n * c = 2^64 + 2 wraps to 2, and two doubles of payload follow, so a
+  // check on the wrapped element count alone accepts the file.
+  write_header(path, (std::uint64_t{1} << 63) + 1, 2, 1, 1, 2);
+  expect_shape_error(path, "n");
+  // Every extent is plausible, but their product reaches 2^34.
+  write_header(path, std::uint64_t{1} << 17, std::uint64_t{1} << 17, 1, 1, 0);
+  expect_shape_error(path, "c");
+  write_header(path, 1, 1, 0, 4, 0);
+  expect_shape_error(path, "h");
   std::remove(path.c_str());
 }
 

@@ -74,8 +74,9 @@ void expect_contiguous_cover(const std::vector<StageRange>& ranges,
   EXPECT_EQ(costs.size(), ranges.back().op_end);
   for (std::size_t j = 0; j < ranges.size(); ++j) {
     EXPECT_LT(ranges[j].op_begin, ranges[j].op_end) << "stage " << j;
-    if (j > 0)
+    if (j > 0) {
       EXPECT_EQ(ranges[j - 1].op_end, ranges[j].op_begin) << "stage " << j;
+    }
     std::size_t sum = 0;
     for (std::size_t i = ranges[j].op_begin; i < ranges[j].op_end; ++i)
       sum += costs[i];
@@ -164,7 +165,7 @@ TEST(StagePartitionerTest, BalanceBoundOnUniformLayers) {
   // bottleneck-to-lightest ratio is exactly 1.
   nn::Network net("uniform", nn::Shape4{1, 16, 8, 8});
   for (int i = 0; i < 3; ++i)
-    net.add_conv({"c" + std::to_string(i), 8, 3, 1, 1, 16, 16});
+    net.add_conv({std::string("c").append(std::to_string(i)), 8, 3, 1, 1, 16, 16});
   const StagePartitioner part(PcnnaConfig::paper_defaults());
   const std::vector<StageRange> ranges = part.partition(net, 3);
   std::size_t lo = ranges[0].cost, hi = ranges[0].cost;

@@ -100,7 +100,9 @@ TEST(Trace, DramStreamsConcurrentlyFromTimeZero) {
   const TraceSimulator sim(PcnnaConfig::paper_defaults());
   const LayerTrace trace = sim.trace_layer(alexnet_layer(0));
   for (const auto& e : trace.events) {
-    if (e.kind == TraceEventKind::kDramRead) EXPECT_DOUBLE_EQ(0.0, e.start);
+    if (e.kind == TraceEventKind::kDramRead) {
+      EXPECT_DOUBLE_EQ(0.0, e.start);
+    }
   }
 }
 

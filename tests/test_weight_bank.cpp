@@ -115,6 +115,55 @@ TEST(WeightBank, PropagateIsLinearInInputs) {
   EXPECT_NEAR(thru, thru2, 1e-15);
 }
 
+// The engine programs each bank with tune() and one channel_splits_into()
+// sweep, reading the achieved weights back as drop - thru. Both identities
+// that makes legal are pinned bitwise, with crosstalk modeled and not.
+TEST(WeightBank, TuneThenSplitsReproducesCalibrateBitwise) {
+  const std::vector<double> targets = {0.5,  -0.5, 0.9,  -0.9,
+                                       0.05, 0.25, -0.75, 0.0};
+  for (bool crosstalk : {true, false}) {
+    phot::WeightBankConfig cfg = default_cfg();
+    cfg.model_crosstalk = crosstalk;
+    cfg.ring.fab_sigma = 0.05 * u::nm;
+    Rng rng_a(15), rng_b(15);
+    phot::WeightBank calibrated(phot::WdmGrid(8), cfg, rng_a);
+    phot::WeightBank tuned(phot::WdmGrid(8), cfg, rng_b);
+
+    const std::vector<double> achieved = calibrated.calibrate(targets);
+    tuned.tune(targets);
+    std::vector<phot::WeightBank::ChannelSplit> splits(8);
+    tuned.channel_splits_into(splits);
+    for (std::size_t i = 0; i < targets.size(); ++i)
+      EXPECT_EQ(achieved[i], splits[i].drop - splits[i].thru)
+          << "crosstalk=" << crosstalk << " ring " << i;
+    EXPECT_EQ(calibrated.total_heater_power(), tuned.total_heater_power())
+        << "crosstalk=" << crosstalk;
+  }
+}
+
+TEST(WeightBank, EffectiveWeightIsOneHotPropagateBitwise) {
+  for (bool crosstalk : {true, false}) {
+    phot::WeightBankConfig cfg = default_cfg();
+    cfg.model_crosstalk = crosstalk;
+    cfg.ring.fab_sigma = 0.05 * u::nm;
+    Rng rng(16);
+    phot::WeightBank bank(phot::WdmGrid(6), cfg, rng);
+    bank.calibrate(std::vector<double>{0.4, -0.3, 0.9, -0.9, 0.1, -0.6});
+
+    const auto splits = bank.channel_splits();
+    for (std::size_t ch = 0; ch < 6; ++ch) {
+      phot::WdmSignal one_hot(6);
+      one_hot[ch] = 1.0;
+      double drop = 0.0, thru = 0.0;
+      bank.propagate(one_hot, drop, thru);
+      EXPECT_EQ(drop - thru, bank.effective_weight(ch))
+          << "crosstalk=" << crosstalk << " channel " << ch;
+      EXPECT_EQ(drop, splits[ch].drop) << "channel " << ch;
+      EXPECT_EQ(thru, splits[ch].thru) << "channel " << ch;
+    }
+  }
+}
+
 TEST(WeightBank, CrosstalkShiftsOpenLoopWeights) {
   // With iterative calibration disabled (open loop), the crosstalk model
   // leaves a measurable weight error that the isolated model does not.
