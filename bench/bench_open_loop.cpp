@@ -98,6 +98,11 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   double p99_low = 0.0, p99_high = 0.0;
+  const auto utilization = [](const runtime::OpenLoopReport& r) {
+    std::vector<double> u;
+    for (const runtime::PcuBreakdown& b : r.per_pcu) u.push_back(b.utilization);
+    return u;
+  };
   for (int step = 1; step <= 12; ++step) {
     const double load = 0.1 * static_cast<double>(step);
     const runtime::ArrivalSchedule arrivals = runtime::poisson_arrivals(
@@ -108,7 +113,7 @@ int main(int argc, char** argv) {
     if (step == 12) p99_high = r.latency.p99;
 
     double util_sum = 0.0;
-    for (double u : r.utilization_per_pcu) util_sum += u;
+    for (double u : utilization(r)) util_sum += u;
     const double util_mean = util_sum / static_cast<double>(kPcus);
 
     sink.row({format_fixed(load, 1) + " x",
@@ -136,7 +141,7 @@ int main(int argc, char** argv) {
       if (again.makespan != r.makespan || again.latency.p99 != r.latency.p99 ||
           again.latency.p999 != r.latency.p999 ||
           again.mean_queue_depth != r.mean_queue_depth ||
-          again.utilization_per_pcu != r.utilization_per_pcu) {
+          utilization(again) != utilization(r)) {
         std::cout << "FAIL: re-simulated load point is not bit-identical\n";
         ok = false;
       }

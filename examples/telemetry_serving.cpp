@@ -76,7 +76,7 @@ int main() {
     runtime::BatchRunnerOptions o = options;
     o.telemetry = telemetry;
     runtime::BatchRunner runner(config, net, weights, o);
-    return runner.run_open_loop(inputs, arrivals, slos, report);
+    return runner.run_open_loop(inputs, arrivals, report, slos);
   };
 
   // --- 1. Observation, not perturbation. ---

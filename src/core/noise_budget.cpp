@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "common/mathutil.hpp"
 #include "common/units.hpp"
-#include "photonics/waveguide.hpp"
+#include "core/optical_conv_engine.hpp"
 
 namespace pcnna::core {
 
@@ -28,18 +28,16 @@ NoiseBudget NoiseBudgetModel::pass_budget(std::size_t channels_per_pass,
   PCNNA_CHECK(channels_per_pass > 0 && passes > 0 && fanout > 0);
   NoiseBudget b;
 
-  // --- signal chain constants (mirror OpticalConvEngine::make_chain) ---
-  const phot::Waveguide wg(config_.waveguide);
-  const double p0 = config_.laser.power;
-  const double bcast = wg.broadcast_factor(fanout);
-  const double mzm_loss = from_db(-config_.mzm.insertion_loss_db);
-  const double mzm_floor = from_db(-config_.mzm.extinction_ratio_db);
-  const double resp = config_.bank.photodiode.responsivity;
-  b.denom_current = resp * p0 * bcast * mzm_loss * (1.0 - mzm_floor);
+  // The engine's own signal chain constants.
+  const OpticalConvEngine::AnalogChain chain =
+      OpticalConvEngine::make_chain(config_, fanout);
+  const double resp = chain.resp;
+  b.denom_current = chain.denom_current;
 
   // Mean per-channel optical power arriving at the bank.
   const double p_ch =
-      p0 * bcast * mzm_loss * (mzm_floor + (1.0 - mzm_floor) * stats_.x_mean);
+      chain.p0 * chain.bcast * chain.mzm_loss *
+      (chain.mzm_floor + (1.0 - chain.mzm_floor) * stats_.x_mean);
   const double p_total = static_cast<double>(channels_per_pass) * p_ch;
   // Zero-weight rings split the bundle evenly; on average half the power
   // lands on each branch.

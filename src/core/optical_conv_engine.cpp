@@ -38,23 +38,9 @@
 //    (calibration error, heater power, ring area) are reduced afterwards on
 //    the calling thread in the sequential (g, k, ring) order.
 namespace pcnna::core {
-namespace {
 
-/// Precomputed constants of the analog signal chain shared by every bank.
-struct AnalogChain {
-  double p0 = 0.0;        ///< laser CW power [W]
-  double bcast = 1.0;     ///< broadcast-tree factor to one bank
-  double mzm_loss = 1.0;  ///< MZM insertion-loss factor
-  double mzm_floor = 0.0; ///< MZM extinction floor (transmission at x = 0)
-  double resp = 1.0;      ///< photodiode responsivity [A/W]
-  /// Current corresponding to one unit of normalized MAC:
-  /// resp * p0 * bcast * mzm_loss * (1 - floor).
-  double denom_current = 1.0;
-  /// Per-channel power at x = 0 (extinction leakage) [W].
-  double dark_power = 0.0;
-};
-
-AnalogChain make_chain(const PcnnaConfig& cfg, std::size_t fanout) {
+OpticalConvEngine::AnalogChain OpticalConvEngine::make_chain(
+    const PcnnaConfig& cfg, std::size_t fanout) {
   const phot::LaserDiode laser(cfg.laser);
   const phot::MachZehnderModulator mzm(cfg.mzm);
   const phot::Waveguide wg(cfg.waveguide);
@@ -69,6 +55,10 @@ AnalogChain make_chain(const PcnnaConfig& cfg, std::size_t fanout) {
   chain.dark_power = chain.p0 * chain.bcast * chain.mzm_loss * chain.mzm_floor;
   return chain;
 }
+
+namespace {
+
+using AnalogChain = OpticalConvEngine::AnalogChain;
 
 /// Quantize a signed weight in [-1, 1] through the kernel-weight DAC.
 double quantize_weight(const elec::Dac& dac, double w) {

@@ -177,6 +177,25 @@ struct EngineScratch {
 
 class OpticalConvEngine {
  public:
+  /// Precomputed constants of the analog signal chain shared by every bank
+  /// of one layer: laser, broadcast tree, MZM, and photodiode. The engine
+  /// and the closed-form NoiseBudgetModel both take them from make_chain.
+  struct AnalogChain {
+    double p0 = 0.0;        ///< laser CW power [W]
+    double bcast = 1.0;     ///< broadcast-tree factor to one bank
+    double mzm_loss = 1.0;  ///< MZM insertion-loss factor
+    double mzm_floor = 0.0; ///< MZM extinction floor (transmission at x = 0)
+    double resp = 1.0;      ///< photodiode responsivity [A/W]
+    /// Current corresponding to one unit of normalized MAC:
+    /// resp * p0 * bcast * mzm_loss * (1 - floor).
+    double denom_current = 1.0;
+    /// Per-channel power at x = 0 (extinction leakage) [W].
+    double dark_power = 0.0;
+  };
+
+  /// The analog chain of `cfg` broadcasting to `fanout` banks.
+  static AnalogChain make_chain(const PcnnaConfig& cfg, std::size_t fanout);
+
   explicit OpticalConvEngine(PcnnaConfig config);
 
   const PcnnaConfig& config() const { return config_; }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -26,6 +27,24 @@ std::uint64_t read_u64(std::ifstream& in) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
   return v;
+}
+
+std::string shape_text(const Shape4& s) {
+  std::ostringstream os;
+  os << '{' << s.n << ", " << s.c << ", " << s.h << ", " << s.w << '}';
+  return os.str();
+}
+
+/// load_tensor(path), checked against the shape the network implies for
+/// `field` (e.g. "fc weight").
+Tensor load_shaped(const std::string& path, const std::string& field,
+                   const Shape4& expected) {
+  Tensor t = load_tensor(path);
+  PCNNA_CHECK_MSG(t.shape() == expected,
+                  "'" << path << "': " << field << " has shape "
+                      << shape_text(t.shape()) << ", but the network needs "
+                      << shape_text(expected));
+  return t;
 }
 
 } // namespace
@@ -105,11 +124,28 @@ NetWeights load_network_weights(const std::string& directory,
   weights.weight.resize(net.ops().size());
   weights.bias.resize(net.ops().size());
   for (std::size_t i = 0; i < net.ops().size(); ++i) {
-    const OpKind kind = net.ops()[i].kind;
-    if (kind != OpKind::kConv && kind != OpKind::kFullyConnected) continue;
+    const LayerOp& op = net.ops()[i];
+    std::string kind;
+    Shape4 weight_shape;
+    Shape4 bias_shape;
+    if (op.kind == OpKind::kConv) {
+      kind = "conv";
+      weight_shape = {op.conv.K, op.conv.nc, op.conv.m, op.conv.m};
+      bias_shape = {1, op.conv.K, 1, 1};
+    } else if (op.kind == OpKind::kFullyConnected) {
+      kind = "fc";
+      weight_shape = {op.fc.out, net.shape_before(i).elements(), 1, 1};
+      bias_shape = {1, op.fc.out, 1, 1};
+    } else {
+      continue;
+    }
     const std::string base = directory + "/" + prefix + "_";
-    weights.weight[i] = load_tensor(base + "w" + std::to_string(i) + ".pcnt");
-    weights.bias[i] = load_tensor(base + "b" + std::to_string(i) + ".pcnt");
+    const std::string index = std::to_string(i);
+    weights.weight[i] = load_shaped(base + "w" + index + ".pcnt",
+                                    kind + " weight of op " + index,
+                                    weight_shape);
+    weights.bias[i] = load_shaped(base + "b" + index + ".pcnt",
+                                  kind + " bias of op " + index, bias_shape);
   }
   return weights;
 }

@@ -25,7 +25,10 @@ Tensor load_tensor(const std::string& path);
 void save_network_weights(const std::string& directory,
                           const std::string& prefix, const NetWeights& weights);
 
-/// Reload weights written by save_network_weights for `net`.
+/// Reload weights written by save_network_weights for `net`. Each tensor is
+/// checked against the shape `net` implies — conv weight {K, nc, m, m} and
+/// bias {1, K, 1, 1}, fc weight {out, inputs, 1, 1} and bias {1, out, 1, 1}
+/// — and a mismatch throws pcnna::Error naming the file and the field.
 NetWeights load_network_weights(const std::string& directory,
                                 const std::string& prefix, const Network& net);
 

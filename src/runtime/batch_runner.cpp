@@ -25,11 +25,12 @@ std::vector<PcuSpec> replicate_spec(core::PcnnaConfig config,
 }
 
 /// BatchRunnerOptions::engine_threads > 0 overrides the intra-image engine
-/// parallelism of every PCU in the fleet (per-spec overrides included).
+/// parallelism of every PCU in the fleet.
 std::vector<PcuSpec> apply_fleet_engine_threads(
     std::vector<PcuSpec> specs, const BatchRunnerOptions& options) {
   if (options.engine_threads > 0)
-    for (PcuSpec& spec : specs) spec.engine_threads = options.engine_threads;
+    for (PcuSpec& spec : specs)
+      spec.config.engine_threads = options.engine_threads;
   return specs;
 }
 
@@ -79,31 +80,27 @@ std::uint32_t BatchRunner::register_model(nn::Network net,
   return pool_.register_model(stored_net, stored_weights);
 }
 
+bool BatchRunner::shards_dynamically() const {
+  return pool_.homogeneous() && !options_.shed_expired &&
+         !options_.faults.enabled() &&
+         options_.dispatch != DispatchPolicy::kPipeline;
+}
+
 std::vector<RequestResult> BatchRunner::serve(
     std::vector<InferenceRequest> requests,
     const std::vector<ScheduledService>& schedule, bool simulate_values) {
-  if (options_.dispatch == DispatchPolicy::kPipeline) {
-    // Pipelined service splits requests into per-stage runs chained across
-    // PCUs by the schedule's StageService spans (requests the schedule
-    // placed off any group run whole, as usual).
-    return pool_.serve_pipelined(std::move(requests), schedule,
-                                 simulate_values);
-  }
-  if (pool_.homogeneous() && !options_.shed_expired &&
-      !options_.faults.enabled()) {
-    // Dynamic sharding: any PCU computes the same bits for a request, so
-    // the fastest host thread simply grabs the next one.
+  if (shards_dynamically()) {
+    // Any PCU computes the same bits for a request, so the fastest host
+    // thread simply grabs the next one.
     const std::size_t batch = requests.size();
     RequestQueue queue;
     for (InferenceRequest& request : requests) queue.push(std::move(request));
     queue.close();
     return pool_.serve_all(queue, batch, simulate_values);
   }
-  // Heterogeneous: the scheduled PCU's device model must produce each
-  // output, so the physical assignment follows the virtual-time schedule.
-  // With shedding or fault injection the schedule also decides *which*
-  // requests run at all, so a homogeneous pool follows it too (shed and
-  // fault-lost ids stay placeholders).
+  // The scheduled PCU's device model must produce each output; the schedule
+  // also decides which requests run at all (shed and fault-lost ids stay
+  // placeholders) and splits pipelined ones into chained stage spans.
   return pool_.serve_scheduled(std::move(requests), schedule, simulate_values);
 }
 
@@ -113,12 +110,10 @@ std::vector<RequestResult> BatchRunner::run(
 
   // Deterministic virtual-time schedule: the closed batch is the
   // degenerate all-at-t=0 arrival process, so the same admission loop
-  // that prices open-loop serving prices it. A homogeneous fleet without a
-  // report skips it (dynamic sharding needs no assignment).
+  // that prices open-loop serving prices it. Dynamic sharding without a
+  // report skips it (it needs no assignment).
   AdmissionResult admission;
-  if (!pool_.homogeneous() || report || options_.shed_expired ||
-      options_.faults.enabled() ||
-      options_.dispatch == DispatchPolicy::kPipeline)
+  if (report || !shards_dynamically())
     admission = simulate_admission_result(closed_batch_arrivals(batch), {}, {});
   const std::vector<ScheduledService>& schedule = admission.schedule;
 
@@ -147,24 +142,25 @@ std::vector<RequestResult> BatchRunner::run(
     r.sequential_rps = r.request_time_serial > 0.0
                            ? 1.0 / r.request_time_serial
                            : 0.0;
+    // Latency and throughput count the served requests only: the schedule
+    // omits requests injected faults destroyed.
+    const std::size_t served = schedule.size();
     double latency_sum = 0.0;
     for (const ScheduledService& s : schedule) {
       latency_sum += s.completion;
       r.max_latency = std::max(r.max_latency, s.completion);
     }
     r.makespan = fill_breakdowns(schedule, r.per_pcu);
-    r.virtual_requests_per_pcu.resize(r.pcus);
-    for (std::size_t p = 0; p < r.pcus; ++p)
-      r.virtual_requests_per_pcu[p] = r.per_pcu[p].requests;
     r.makespan_sequential =
         static_cast<double>(batch) * r.request_time_serial;
     r.throughput_rps =
-        r.makespan > 0.0 ? static_cast<double>(batch) / r.makespan : 0.0;
+        r.makespan > 0.0 ? static_cast<double>(served) / r.makespan : 0.0;
     r.speedup_vs_sequential =
         r.makespan > 0.0 ? r.makespan_sequential / r.makespan : 1.0;
     r.scaling_efficiency =
         r.speedup_vs_sequential / static_cast<double>(r.pcus);
-    r.mean_latency = batch == 0 ? 0.0 : latency_sum / static_cast<double>(batch);
+    r.mean_latency =
+        served == 0 ? 0.0 : latency_sum / static_cast<double>(served);
 
     for (const RequestResult& result : results) r.total_energy += result.energy;
     r.energy_per_request =
@@ -178,20 +174,8 @@ std::vector<RequestResult> BatchRunner::run(
 
 std::vector<RequestResult> BatchRunner::run_open_loop(
     const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-    OpenLoopReport* report) {
-  return run_open_loop(inputs, arrivals, SloSchedule{}, report);
-}
-
-std::vector<RequestResult> BatchRunner::run_open_loop(
-    const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-    const SloSchedule& slos, OpenLoopReport* report) {
-  return run_open_loop(inputs, arrivals, slos, ModelSchedule{}, report);
-}
-
-std::vector<RequestResult> BatchRunner::run_open_loop(
-    const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-    const SloSchedule& slos, const ModelSchedule& models,
-    OpenLoopReport* report) {
+    OpenLoopReport* report, const SloSchedule& slos,
+    const ModelSchedule& models) {
   PCNNA_CHECK_MSG(arrivals.size() == inputs.size(),
                   "open loop needs one arrival per input: "
                       << arrivals.size() << " arrivals for " << inputs.size()
@@ -207,13 +191,10 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
   // On a homogeneous fleet physical serving is identical to the closed
   // batch: arrival times shape only the virtual-time schedule, never the
   // per-request seeds, so the outputs stay bit-identical to
-  // run()/run_one(). A heterogeneous fleet additionally follows the
-  // schedule's PCU assignment, so outputs are still deterministic. With
-  // shedding the schedule is always needed: it decides which requests run.
+  // run()/run_one(). Serving that follows the schedule's PCU assignment
+  // needs the schedule; so do the report and telemetry.
   AdmissionResult admission;
-  if (!pool_.homogeneous() || report || options_.telemetry ||
-      options_.shed_expired || options_.faults.enabled() ||
-      options_.dispatch == DispatchPolicy::kPipeline)
+  if (report || options_.telemetry || !shards_dynamically())
     admission = simulate_admission_result(arrivals, slos, models);
 
   const std::size_t batch = inputs.size();
@@ -241,15 +222,6 @@ std::vector<RequestResult> BatchRunner::run_open_loop(
     if (report) *report = std::move(r);
   }
   return results;
-}
-
-OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals) {
-  return simulate_open_loop(arrivals, SloSchedule{}, ModelSchedule{});
-}
-
-OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
-                                               const SloSchedule& slos) {
-  return simulate_open_loop(arrivals, slos, ModelSchedule{});
 }
 
 OpenLoopReport BatchRunner::simulate_open_loop(const ArrivalSchedule& arrivals,
@@ -422,13 +394,9 @@ OpenLoopReport BatchRunner::summarize_schedule(
     r.per_pcu[p].lost_attempts = admission.fault.per_pcu[p].lost_attempts;
     r.per_pcu[p].lost_time = admission.fault.per_pcu[p].lost_time;
   }
-  r.virtual_requests_per_pcu.resize(r.pcus);
-  r.utilization_per_pcu.resize(r.pcus);
-  for (std::size_t p = 0; p < r.pcus; ++p) {
-    r.virtual_requests_per_pcu[p] = r.per_pcu[p].requests;
-    r.utilization_per_pcu[p] = r.per_pcu[p].utilization;
-    r.model_swaps += r.per_pcu[p].swaps;
-    r.model_swap_time += r.per_pcu[p].swap_time;
+  for (const PcuBreakdown& b : r.per_pcu) {
+    r.model_swaps += b.swaps;
+    r.model_swap_time += b.swap_time;
   }
 
   if (r.makespan > 0.0) {

@@ -3,40 +3,43 @@
 // A BatchRunner owns one model (Network + NetWeights) and a PcuPool —
 // either N identical accelerator replicas (homogeneous constructor) or an
 // arbitrary mixed fleet built from a PcuSpec vector (heterogeneous
-// constructor: per-PCU PcnnaConfig, engine threads, warmup policy,
-// capability tag). Two entry points share the machinery:
+// constructor: per-PCU PcnnaConfig, warmup policy, capability tag). Two
+// entry points share the machinery:
 //
 //  * run() — closed batch: the whole workload is present at t = 0. Returns
 //    outputs in request order plus a fleet-level FleetReport.
 //
 //  * run_open_loop() / simulate_open_loop() — open loop: each request
 //    carries an arrival timestamp (runtime/arrival.hpp generates Poisson,
-//    trace-replay, or uniform schedules), the admission loop charges its
-//    queueing delay in virtual time, and the OpenLoopReport summarizes the
-//    latency distribution (p50/p90/p99/p999), per-PCU utilization, mean
-//    queue depth, and offered vs. achieved throughput. The closed batch is
+//    trace-replay, or uniform schedules) and optionally SLO metadata and a
+//    model target; the admission loop charges its queueing delay in
+//    virtual time, and the OpenLoopReport summarizes the latency
+//    distribution (p50/p90/p99/p999), per-PCU utilization, mean queue
+//    depth, and offered vs. achieved throughput. The closed batch is
 //    exactly the degenerate all-at-t=0 arrival schedule.
 //
 // Two clocks are deliberately separated:
 //
 //  * Host wall-clock decides which physical worker simulates which request.
-//    On a homogeneous fleet this is dynamic sharding (a slow host core
-//    simply grabs fewer requests) and affects nothing but load balancing of
-//    the simulation work itself. On a heterogeneous fleet the physical
-//    assignment instead follows the deterministic virtual-time schedule
-//    (PcuPool::serve_scheduled), because PCUs with different device models
-//    produce different — all valid — output bits, and "which PCU served
-//    request i" must not depend on host timing.
+//    On a homogeneous fleet without shedding, faults, or pipelines this is
+//    dynamic sharding (PcuPool::serve_all: a slow host core simply grabs
+//    fewer requests) and affects nothing but load balancing of the
+//    simulation work itself. Otherwise the physical assignment follows the
+//    deterministic virtual-time schedule (PcuPool::serve_scheduled),
+//    because PCUs with different device models produce different — all
+//    valid — output bits, "which PCU served request i" must not depend on
+//    host timing, and the schedule decides which requests run at all.
 //
 //  * Simulated hardware time is accounted by the deterministic virtual-time
 //    admission loop (PcuPool::simulate_admission): requests are admitted in
 //    arrival order (or by deadline urgency under kEdf) and dispatched by
 //    BatchRunnerOptions::dispatch (earliest-free, least-loaded,
-//    capability-aware, or EDF). With shed_expired the loop load-sheds
-//    requests that cannot meet their deadline; with options.autoscaler the
-//    active fleet grows and shrinks against backlog. All reported
-//    latency / throughput / energy numbers come from this schedule, so
-//    reports are reproducible run to run and machine to machine.
+//    capability-aware, EDF, model affinity, or pipeline). With
+//    shed_expired the loop load-sheds requests that cannot meet their
+//    deadline; with options.autoscaler the active fleet grows and shrinks
+//    against backlog. All reported latency / throughput / energy numbers
+//    come from this schedule, so reports are reproducible run to run and
+//    machine to machine.
 //
 // Every serving-configuration knob on this page is cataloged in
 // docs/configuration.md.
@@ -100,9 +103,9 @@ struct BatchRunnerOptions {
   /// Base seed; per-request engine seeds derive from it (SplitMix64), so
   /// the whole batch is reproducible from this one number.
   std::uint64_t seed = 1;
-  /// Intra-image engine threads per PCU (> 0 overrides
-  /// PcnnaConfig::engine_threads — and any per-spec override — for every
-  /// PCU). Outputs are bit-identical for any value; this trades host cores
+  /// Intra-image engine threads per PCU (> 0 overrides each spec's
+  /// config.engine_threads for every PCU; 0 keeps them). Outputs are
+  /// bit-identical for any value; this trades host cores
   /// between request-level sharding (one worker per PCU) and per-image
   /// latency. The host runs up to num_pcus * engine_threads simulation
   /// threads at once.
@@ -164,14 +167,16 @@ struct FleetReport {
   double makespan_sequential = 0.0;
   /// Whole batch on the fleet (virtual-time schedule).
   double makespan = 0.0;
-  /// requests / makespan.
+  /// Served requests / makespan (requests lost to injected faults are not
+  /// throughput).
   double throughput_rps = 0.0;
   /// makespan_sequential / makespan (sharding x overlap gains).
   double speedup_vs_sequential = 1.0;
   /// speedup normalized by fleet size.
   double scaling_efficiency = 1.0;
 
-  /// Request latency under all-at-once arrival (queueing + service).
+  /// Latency of the served requests under all-at-once arrival (queueing +
+  /// service).
   double mean_latency = 0.0;
   double max_latency = 0.0;
 
@@ -181,9 +186,6 @@ struct FleetReport {
   /// Per-PCU schedule breakdown (requests, busy/warmup time, utilization,
   /// tag), aligned with PCU indices.
   std::vector<PcuBreakdown> per_pcu;
-  /// Requests each virtual PCU served in the deterministic schedule
-  /// (per_pcu[p].requests; kept as a flat vector for existing callers).
-  std::vector<std::size_t> virtual_requests_per_pcu;
 
   /// Host seconds spent actually simulating the batch (informational; on a
   /// multi-core host this is where N worker threads pay off).
@@ -246,12 +248,6 @@ struct OpenLoopReport {
   /// Per-PCU schedule breakdown (requests, busy/warmup time, utilization,
   /// tag), aligned with PCU indices.
   std::vector<PcuBreakdown> per_pcu;
-  /// Per-PCU busy fraction: simulated busy time / makespan, in [0, 1]
-  /// (per_pcu[p].utilization; kept as a flat vector for existing callers).
-  std::vector<double> utilization_per_pcu;
-  /// Requests each virtual PCU served in the deterministic schedule
-  /// (per_pcu[p].requests; kept as a flat vector for existing callers).
-  std::vector<std::size_t> virtual_requests_per_pcu;
 
   double total_energy = 0.0;       ///< [J]
   double energy_per_request = 0.0; ///< [J]
@@ -372,54 +368,37 @@ class BatchRunner {
 
   /// Open-loop serving: request i arrives at `arrivals[i]` (simulated
   /// seconds; validate_arrival_schedule is enforced, and arrivals.size()
-  /// must equal inputs.size()). On a homogeneous fleet the functional
-  /// results are bit-identical to run() / run_one() for the same ids —
-  /// arrival times shape only the virtual-time schedule the OpenLoopReport
-  /// summarizes. On a heterogeneous fleet each output is computed by the
-  /// deterministically scheduled PCU's own device model, so results are
-  /// still bit-reproducible run to run, but can legitimately differ
-  /// between dispatch policies (a different PCU is a different chip).
-  std::vector<RequestResult> run_open_loop(
-      const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-      OpenLoopReport* report = nullptr);
-
-  /// SLO-aware open loop: like run_open_loop, with request i additionally
-  /// carrying slos[i]'s tenant, priority class, and absolute deadline
-  /// (runtime::assign_tenants builds an SloSchedule from a TenantClass
-  /// mix; an empty `slos` means no SLO metadata). With
+  /// must equal inputs.size()), carries slos[i]'s tenant, priority class,
+  /// and absolute deadline (runtime::assign_tenants builds an SloSchedule
+  /// from a TenantClass mix), and targets registered model models[i]. An
+  /// empty `slos` means no SLO metadata and an empty `models` means
+  /// everything runs the primary model; otherwise each must be index-aligned
+  /// with `arrivals`, every model id must be < num_models(), and each input
+  /// must match its model's input shape.
+  ///
+  /// On a homogeneous fleet the functional results are bit-identical to
+  /// run() / run_one() for the same ids — arrival times shape only the
+  /// virtual-time schedule the OpenLoopReport summarizes. On a
+  /// heterogeneous fleet each output is computed by the deterministically
+  /// scheduled PCU's own device model, so results are still
+  /// bit-reproducible run to run, but can legitimately differ between
+  /// dispatch policies (a different PCU is a different chip). With
   /// options().shed_expired the admission loop may reject requests — those
   /// come back as id-only placeholders with RequestResult::shed set, and
   /// the report carries shed counts and per-tenant SLO attainment.
   std::vector<RequestResult> run_open_loop(
       const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-      const SloSchedule& slos, OpenLoopReport* report);
-
-  /// Multi-model open loop: request i additionally targets registered
-  /// model models[i] (an empty `models` means everything runs the primary
-  /// model; every id must be < num_models(), and each input must match
-  /// its model's input shape).
-  std::vector<RequestResult> run_open_loop(
-      const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
-      const SloSchedule& slos, const ModelSchedule& models,
-      OpenLoopReport* report);
+      OpenLoopReport* report = nullptr, const SloSchedule& slos = {},
+      const ModelSchedule& models = {});
 
   /// Timing-only open loop: simulate the admission schedule for `arrivals`
-  /// and return its report without running any functional inference
-  /// (energy is filled from the per-request analytical model of the PCU
-  /// each request was dispatched to). Lets load sweeps use tens of
-  /// thousands of requests cheaply.
-  OpenLoopReport simulate_open_loop(const ArrivalSchedule& arrivals);
-
-  /// Timing-only SLO-aware open loop (see the SloSchedule overload of
-  /// run_open_loop for the `slos` contract).
+  /// (with `slos` and `models` as in run_open_loop) and return its report
+  /// without running any functional inference (energy is filled from the
+  /// per-request analytical model of the PCU each request was dispatched
+  /// to). Lets load sweeps use tens of thousands of requests cheaply.
   OpenLoopReport simulate_open_loop(const ArrivalSchedule& arrivals,
-                                    const SloSchedule& slos);
-
-  /// Timing-only multi-model open loop (see the ModelSchedule overload of
-  /// run_open_loop for the `models` contract).
-  OpenLoopReport simulate_open_loop(const ArrivalSchedule& arrivals,
-                                    const SloSchedule& slos,
-                                    const ModelSchedule& models);
+                                    const SloSchedule& slos = {},
+                                    const ModelSchedule& models = {});
 
   /// Sequential single-PCU baseline: serves request `id` on PCU 0 with the
   /// same per-request seed run() would use — the bit-identity reference.
@@ -447,9 +426,14 @@ class BatchRunner {
       const std::vector<nn::Tensor>& inputs, const ArrivalSchedule& arrivals,
       const SloSchedule& slos, const ModelSchedule& models) const;
 
-  /// Physically serve `requests`: dynamic sharding on a homogeneous pool,
-  /// schedule-driven assignment otherwise — and always schedule-driven
-  /// when shedding may skip requests.
+  /// True when physical serving shards dynamically (PcuPool::serve_all):
+  /// a homogeneous pool whose schedule decides neither which requests run
+  /// (no shedding, no faults) nor how they split (no pipelines). Otherwise
+  /// serving follows the admission schedule, so it must be computed.
+  bool shards_dynamically() const;
+
+  /// Physically serve `requests`: dynamic sharding when
+  /// shards_dynamically(), schedule-driven assignment otherwise.
   std::vector<RequestResult> serve(std::vector<InferenceRequest> requests,
                                    const std::vector<ScheduledService>& schedule,
                                    bool simulate_values);

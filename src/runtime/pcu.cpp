@@ -33,17 +33,26 @@ Pcu::Pcu(std::size_t index, const core::PcnnaConfig& config,
   add_model(net, weights);
 }
 
-std::uint32_t Pcu::add_model(const nn::Network& net,
-                             const nn::NetWeights& weights) {
-  const std::vector<nn::ConvLayerParams> layers = net.conv_layers();
-  const core::TimingModel timing(config_, fidelity_);
-  const core::EnergyModel energy(config_);
-  const core::Scheduler scheduler(config_);
+namespace {
 
-  ModelSlot slot;
-  slot.net = &net;
-  slot.weights = &weights;
+/// Serving constants of ops [op_begin, op_end) of `net` on one device
+/// model — the one home of the per-range timing formula, shared by the
+/// whole-model slot (add_model) and pipeline stages (stage_timings).
+/// `swap`, when given, receives the range's plain recalibration sum.
+StageTimings range_timings(const core::PcnnaConfig& config,
+                           core::TimingFidelity fidelity,
+                           const nn::Network& net, std::size_t op_begin,
+                           std::size_t op_end, double* swap = nullptr) {
+  std::vector<nn::ConvLayerParams> layers;
+  for (std::size_t i = op_begin; i < op_end; ++i)
+    if (net.ops()[i].kind == nn::OpKind::kConv)
+      layers.push_back(net.ops()[i].conv);
 
+  const core::TimingModel timing(config, fidelity);
+  const core::EnergyModel energy(config);
+  const core::Scheduler scheduler(config);
+
+  StageTimings st;
   // Per-layer split into recalibration (hideable behind the previous
   // layer's compute via the shadow bank set) and everything else (floored
   // by the layer's concurrent DRAM stream, which stays exposed).
@@ -54,38 +63,44 @@ std::uint32_t Pcu::add_model(const nn::Network& net,
     recal[i] = t.weight_load_time;
     nonrecal[i] =
         std::max(t.full_system_time - t.weight_load_time, t.dram_time);
-    slot.request_time_serial += t.full_system_time;
+    st.serial += t.full_system_time;
     // Capability metric: sequential bank passes per kernel location this
     // config needs for the layer (1 when the receptive field fits a
     // full-kernel bank; channel-group segments x per-channel passes
     // otherwise).
-    slot.split_passes += scheduler.plan(layers[i]).cycles_per_location;
+    st.split_passes += scheduler.plan(layers[i]).cycles_per_location;
   }
 
-  // Steady-state interval: layer i's optical pass of request r overlaps the
-  // recalibration for layer i+1 — wrapping to layer 0 of request r+1 at the
-  // end of the stack, which is what lifts the Fig. 4 overlap from one layer
-  // to the whole request stream.
+  // Steady-state interval: layer i's optical pass of image r overlaps the
+  // recalibration for layer i+1 — wrapping to the range's first layer of
+  // image r+1 at its end, which is what lifts the Fig. 4 overlap from one
+  // layer to the whole request stream.
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    const double next_recal = recal[(i + 1) % layers.size()];
-    slot.request_interval += std::max(nonrecal[i], next_recal);
+    st.interval += std::max(nonrecal[i], recal[(i + 1) % layers.size()]);
     // Switching the programmed model reprograms every bank with nothing to
     // hide behind: the swap is the plain sum of the recalibrations.
-    slot.swap_time += recal[i];
+    if (swap) *swap += recal[i];
   }
   // A recalibration that was already hidden under its own layer's DRAM
   // stream in the serial schedule can make the sum above exceed the serial
   // time; double buffering can always fall back to the serial schedule, so
   // the interval is capped there.
-  slot.request_interval =
-      std::min(slot.request_interval, slot.request_time_serial);
-  slot.warmup = layers.empty() ? 0.0 : recal.front();
+  st.interval = std::min(st.interval, st.serial);
+  st.pin = layers.empty() ? 0.0 : recal.front();
+  for (const core::EnergyReport& e : energy.network_energy(layers, fidelity))
+    st.energy += e.total();
+  return st;
+}
 
-  for (const core::EnergyReport& e :
-       energy.network_energy(layers, fidelity_)) {
-    slot.request_energy += e.total();
-  }
+} // namespace
 
+std::uint32_t Pcu::add_model(const nn::Network& net,
+                             const nn::NetWeights& weights) {
+  ModelSlot slot;
+  slot.net = &net;
+  slot.weights = &weights;
+  slot.whole = range_timings(config_, fidelity_, net, 0, net.ops().size(),
+                             &slot.swap_time);
   models_.push_back(slot);
   return static_cast<std::uint32_t>(models_.size() - 1);
 }
@@ -100,43 +115,10 @@ const Pcu::ModelSlot& Pcu::timings(std::uint32_t model) const {
 StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,
                                 std::size_t op_end) const {
   const ModelSlot& slot = timings(model);
-  const std::vector<nn::LayerOp>& ops = slot.net->ops();
-  PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= ops.size(),
+  PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= slot.net->ops().size(),
                   "stage range [" << op_begin << ", " << op_end
                                   << ") out of bounds for model " << model);
-  std::vector<nn::ConvLayerParams> layers;
-  for (std::size_t i = op_begin; i < op_end; ++i)
-    if (ops[i].kind == nn::OpKind::kConv) layers.push_back(ops[i].conv);
-
-  const core::TimingModel timing(config_, fidelity_);
-  const core::EnergyModel energy(config_);
-  const core::Scheduler scheduler(config_);
-
-  StageTimings st;
-  // Same split as add_model: recalibration (hideable behind the previous
-  // layer's compute) vs everything else (floored by the DRAM stream).
-  std::vector<double> recal(layers.size(), 0.0);
-  std::vector<double> nonrecal(layers.size(), 0.0);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const core::LayerTiming t = timing.layer_time(layers[i]);
-    recal[i] = t.weight_load_time;
-    nonrecal[i] =
-        std::max(t.full_system_time - t.weight_load_time, t.dram_time);
-    st.serial += t.full_system_time;
-    st.split_passes += scheduler.plan(layers[i]).cycles_per_location;
-  }
-  // Steady-state interval of the stage: the double-buffer overlap wraps
-  // within the range — layer i of image r hides the recalibration for
-  // layer i+1, the range's last layer hides its first layer's for image
-  // r+1. Capped at the serial fallback exactly like the whole-model case.
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    st.interval += std::max(nonrecal[i], recal[(i + 1) % layers.size()]);
-  }
-  st.interval = std::min(st.interval, st.serial);
-  st.pin = layers.empty() ? 0.0 : recal.front();
-  for (const core::EnergyReport& e : energy.network_energy(layers, fidelity_))
-    st.energy += e.total();
-  return st;
+  return range_timings(config_, fidelity_, *slot.net, op_begin, op_end);
 }
 
 StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
@@ -183,8 +165,8 @@ RequestResult Pcu::serve(const InferenceRequest& request,
   result.id = request.id;
   result.pcu_index = index_;
   result.output = std::move(run.output);
-  result.service_time_serial = slot.request_time_serial;
-  result.service_time_overlapped = slot.request_interval;
+  result.service_time_serial = slot.whole.serial;
+  result.service_time_overlapped = slot.whole.interval;
   result.energy = run.total_energy;
   result.model_id = request.model_id;
   result.tenant = request.tenant;
@@ -194,8 +176,8 @@ RequestResult Pcu::serve(const InferenceRequest& request,
     result.work.add(l.engine);
 
   stats_.requests_served += 1;
-  stats_.busy_time_serial += slot.request_time_serial;
-  stats_.busy_time_overlapped += slot.request_interval;
+  stats_.busy_time_serial += slot.whole.serial;
+  stats_.busy_time_overlapped += slot.whole.interval;
   stats_.energy += run.total_energy;
   return result;
 }

@@ -136,8 +136,8 @@ struct RequestResult {
 };
 
 /// Serving constants for one contiguous op range of a model — one pipeline
-/// stage — computed exactly like the whole-model constants but over the
-/// range's conv layers. All simulated seconds / joules.
+/// stage, or the whole model (Pcu keeps that one per registered model). All
+/// simulated seconds / joules.
 struct StageTimings {
   /// Serial time of the range (Σ layer full_system_time).
   double serial = 0.0;
@@ -242,9 +242,10 @@ class Pcu {
                            double energy_so_far, bool simulate_values);
 
   /// Serving constants for the stage [op_begin, op_end) of `model`,
-  /// computed on demand from this PCU's timing/energy/plan models (the
-  /// same math as the whole-model constants, restricted to the range's
-  /// conv layers).
+  /// computed on demand from this PCU's timing/energy/plan models by the
+  /// same formula as the whole-model constants, which are exactly
+  /// stage_timings(model, 0, ops) (serial, interval, pin = warmup, energy,
+  /// split_passes).
   StageTimings stage_timings(std::uint32_t model, std::size_t op_begin,
                              std::size_t op_end) const;
 
@@ -263,20 +264,20 @@ class Pcu {
   /// Simulated time for one request [s], serial schedule
   /// (Σ layer full_system_time).
   double request_time_serial(std::uint32_t model = 0) const {
-    return timings(model).request_time_serial;
+    return timings(model).whole.serial;
   }
 
   /// Simulated steady-state interval between request completions with
   /// double-buffered recalibration [s].
   double request_interval_overlapped(std::uint32_t model = 0) const {
-    return timings(model).request_interval;
+    return timings(model).whole.interval;
   }
 
   /// One-time pipeline fill [s]: the first request's first-layer
   /// recalibration, which nothing earlier can hide. When (and how often)
   /// the admission loop re-charges it is governed by warmup_policy().
   double warmup_time(std::uint32_t model = 0) const {
-    return timings(model).warmup;
+    return timings(model).whole.pin;
   }
 
   /// Weight-bank swap cost [s]: the full serial reprogram (Σ layer
@@ -294,7 +295,7 @@ class Pcu {
   /// Simulated energy per request [J] (analytical layer energies;
   /// value-independent).
   double request_energy(std::uint32_t model = 0) const {
-    return timings(model).request_energy;
+    return timings(model).whole.energy;
   }
 
   /// Capability metric for dispatch: sequential weight-bank passes per
@@ -308,20 +309,18 @@ class Pcu {
   /// not. DispatchPolicy::kCapabilityAware skips PCUs whose count exceeds
   /// the fleet minimum for the request's model.
   std::size_t channel_split_passes(std::uint32_t model = 0) const {
-    return timings(model).split_passes;
+    return timings(model).whole.split_passes;
   }
 
  private:
-  /// Per-model precomputed serving constants plus the borrowed model.
+  /// Per-model precomputed serving constants plus the borrowed model: the
+  /// whole model as one range (stage_timings over every op) and the
+  /// weight-bank swap.
   struct ModelSlot {
     const nn::Network* net = nullptr;
     const nn::NetWeights* weights = nullptr;
-    double request_time_serial = 0.0;
-    double request_interval = 0.0;
-    double warmup = 0.0;
+    StageTimings whole;
     double swap_time = 0.0;
-    double request_energy = 0.0;
-    std::size_t split_passes = 0;
   };
 
   const ModelSlot& timings(std::uint32_t model) const;

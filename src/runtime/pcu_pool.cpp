@@ -31,25 +31,14 @@ const char* dispatch_policy_name(DispatchPolicy policy) {
   throw Error("invalid DispatchPolicy");
 }
 
-namespace {
-
-/// Effective per-PCU config: the spec's engine-thread override applied.
-core::PcnnaConfig effective_config(const PcuSpec& spec) {
-  core::PcnnaConfig config = spec.config;
-  if (spec.engine_threads > 0) config.engine_threads = spec.engine_threads;
-  return config;
-}
-
-} // namespace
-
 PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
                  const nn::Network& net, const nn::NetWeights& weights) {
   PCNNA_CHECK_MSG(!specs.empty(), "a PcuPool needs at least one PCU");
   pcus_.reserve(specs.size());
-  const core::PcnnaConfig reference = effective_config(specs.front());
+  const core::PcnnaConfig& reference = specs.front().config;
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const core::PcnnaConfig config = effective_config(specs[i]);
+    const core::PcnnaConfig& config = specs[i].config;
     // Homogeneity is decided on the *device model* alone: only the config
     // changes what bits a PCU computes for a given request (warmup policy
     // and tag shape scheduling and reporting, never outputs). Engine
@@ -176,18 +165,6 @@ std::size_t PcuPool::build_pipeline(std::uint32_t model,
   return groups_.size() - 1;
 }
 
-PcuPool::PcuPool(std::size_t num_pcus, const core::PcnnaConfig& config,
-                 core::TimingFidelity fidelity, const nn::Network& net,
-                 const nn::NetWeights& weights)
-    : PcuPool(std::vector<PcuSpec>(num_pcus, PcuSpec{config, 0,
-                                                     WarmupPolicy::
-                                                         kRechargeAfterIdle,
-                                                     {}}),
-              fidelity, net, weights) {
-  // num_pcus == 0 is rejected by the delegated constructor's empty-fleet
-  // check.
-}
-
 std::vector<RequestResult> PcuPool::serve_all(RequestQueue& queue,
                                               std::size_t expected_requests,
                                               bool simulate_values) {
@@ -233,63 +210,6 @@ std::vector<RequestResult> PcuPool::serve_all(RequestQueue& queue,
 }
 
 std::vector<RequestResult> PcuPool::serve_scheduled(
-    std::vector<InferenceRequest> requests,
-    const std::vector<ScheduledService>& schedule, bool simulate_values) {
-  PCNNA_CHECK_MSG(schedule.size() <= requests.size(),
-                  "schedule covers " << schedule.size()
-                                     << " requests but only "
-                                     << requests.size() << " were given");
-  // Per-PCU assignment lists in schedule (= admission) order; each request
-  // id must be scheduled at most once and index into `requests`. Ids the
-  // schedule skips (load-shed requests) are simply never served — their
-  // result slot stays an id-only placeholder.
-  std::vector<std::vector<std::size_t>> assigned(pcus_.size());
-  std::vector<unsigned char> seen(requests.size(), 0);
-  for (const ScheduledService& s : schedule) {
-    PCNNA_CHECK_MSG(s.pcu < pcus_.size(),
-                    "scheduled PCU " << s.pcu << " out of range");
-    PCNNA_CHECK_MSG(s.id < requests.size() && !seen[s.id],
-                    "schedule must name each request id at most once (id "
-                        << s.id << ")");
-    seen[s.id] = 1;
-    assigned[s.pcu].push_back(static_cast<std::size_t>(s.id));
-  }
-
-  std::vector<RequestResult> results(requests.size());
-  // Pre-fill every slot with the request's identity metadata: ids the
-  // schedule skips (load-shed requests) stay placeholders, but per-tenant
-  // and per-model accounting must still see who they were.
-  for (std::size_t id = 0; id < results.size(); ++id) {
-    results[id].id = id;
-    results[id].model_id = requests[id].model_id;
-    results[id].tenant = requests[id].tenant;
-  }
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  // One worker per PCU over its own assignment list: the worker owns its
-  // Pcu exclusively, and distinct ids address distinct result slots.
-  auto worker = [&](std::size_t p) {
-    try {
-      for (const std::size_t id : assigned[p])
-        results[id] = pcus_[p].serve(requests[id], simulate_values);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(pcus_.size());
-  for (std::size_t p = 0; p < pcus_.size(); ++p)
-    threads.emplace_back(worker, p);
-  for (std::thread& t : threads) t.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
-std::vector<RequestResult> PcuPool::serve_pipelined(
     std::vector<InferenceRequest> requests,
     const std::vector<ScheduledService>& schedule, bool simulate_values) {
   PCNNA_CHECK_MSG(schedule.size() <= requests.size(),
@@ -346,6 +266,8 @@ std::vector<RequestResult> PcuPool::serve_pipelined(
     });
   }
 
+  // Ids the schedule skips (shed or fault-lost requests) stay placeholders,
+  // but per-tenant and per-model accounting must still see who they were.
   std::vector<RequestResult> results(requests.size());
   for (std::size_t id = 0; id < results.size(); ++id) {
     results[id].id = id;
@@ -1723,14 +1645,6 @@ AdmissionResult PcuPool::simulate_admission(RequestQueue& queue,
   }
   if (telemetry) telemetry->record_admission(result, *this, options);
   return result;
-}
-
-std::vector<ScheduledService> PcuPool::simulate_admission(
-    RequestQueue& queue, bool double_buffer, DispatchPolicy policy) {
-  AdmissionOptions options;
-  options.double_buffer = double_buffer;
-  options.policy = policy;
-  return simulate_admission(queue, options).schedule;
 }
 
 } // namespace pcnna::runtime

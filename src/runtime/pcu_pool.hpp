@@ -1,9 +1,8 @@
 // Fleet of PCUs draining a shared RequestQueue — homogeneous or
 // heterogeneous.
 //
-// A PcuPool is built from a vector of PcuSpec (one per PCU: its own
-// PcnnaConfig, engine-thread override, warmup policy, capability tag), or
-// from the legacy (count, config) form that replicates one spec N times.
+// A PcuPool is built from a vector of PcuSpec, one per PCU: its own
+// PcnnaConfig (engine threads included), warmup policy, and capability tag.
 // PCNNA's throughput is set by per-device budgets — ring counts per weight
 // bank, DAC counts, WDM channel limits — so a realistic fleet mixes
 // big-budget PCUs for wide layers with small cheap ones.
@@ -17,10 +16,12 @@
 //    concurrently. In the homogeneous serve_all mode, workers pull
 //    requests off the queue dynamically (a slow host thread simply grabs
 //    fewer) — safe because every request carries its own engine seed, so
-//    sharding changes only *who* computes a result, never the result. In
-//    the heterogeneous serve_scheduled mode the physical assignment must
-//    follow the deterministic virtual-time schedule instead, because PCUs
-//    with different device models produce different (all valid) outputs.
+//    sharding changes only *who* computes a result, never the result.
+//    serve_scheduled instead follows the deterministic virtual-time
+//    schedule — whole requests and pipeline stage spans alike — because
+//    PCUs with different device models produce different (all valid)
+//    outputs, and because shedding, faults, and pipelines decide which
+//    PCU runs what.
 //
 //  * Timing accounting (simulate_admission): a single-threaded,
 //    deterministic virtual-time loop that replays the request stream
@@ -49,12 +50,9 @@ class Telemetry;
 /// Construction recipe for one PCU of a (possibly heterogeneous) fleet.
 struct PcuSpec {
   /// This PCU's hardware model: ring/WDM budgets, DAC/ADC counts,
-  /// fidelity-limiting impairments — everything core::PcnnaConfig holds.
+  /// fidelity-limiting impairments, and its intra-image engine threads —
+  /// everything core::PcnnaConfig holds.
   core::PcnnaConfig config;
-  /// Intra-image engine threads for this PCU; > 0 overrides
-  /// config.engine_threads (same semantics, bit-identical outputs for any
-  /// value). 0 keeps the config's own setting.
-  std::size_t engine_threads = 0;
   /// Pipeline-fill accounting for this PCU on the double-buffered schedule.
   WarmupPolicy warmup = WarmupPolicy::kRechargeAfterIdle;
   /// Free-form capability label ("big", "edge", ...) surfaced in per-PCU
@@ -251,9 +249,7 @@ struct AutoscalerPolicy {
   double shrink_after_idle = 0.0;
 };
 
-/// Everything that shapes one admission-loop run (the long form of
-/// simulate_admission; the (double_buffer, policy) overload is the
-/// backward-compatible shorthand).
+/// Everything that shapes one admission-loop run of simulate_admission.
 struct AdmissionOptions {
   /// Price service as the double-buffered steady-state interval plus
   /// warmup (true) or the serial request time (false).
@@ -333,13 +329,6 @@ class PcuPool {
   PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
           const nn::Network& net, const nn::NetWeights& weights);
 
-  /// Legacy homogeneous form: `num_pcus` identical replicas of `config`.
-  /// Exactly equivalent to a vector of `num_pcus` default-policy specs —
-  /// reports and outputs are bit-identical between the two forms.
-  PcuPool(std::size_t num_pcus, const core::PcnnaConfig& config,
-          core::TimingFidelity fidelity, const nn::Network& net,
-          const nn::NetWeights& weights);
-
   std::size_t size() const { return pcus_.size(); }
   const Pcu& pcu(std::size_t i) const { return pcus_[i]; }
   Pcu& pcu(std::size_t i) { return pcus_[i]; }
@@ -356,10 +345,10 @@ class PcuPool {
   /// Number of registered models (>= 1).
   std::size_t num_models() const { return min_split_passes_.size(); }
 
-  /// True when every PCU was built from an identical spec (the legacy
-  /// constructor, or a spec vector whose entries all match). Homogeneous
-  /// pools may shard functional work dynamically; heterogeneous ones must
-  /// serve on the scheduled PCU (serve_scheduled).
+  /// True when every PCU was built from the same device model (spec
+  /// configs equal up to engine threads). Homogeneous pools may shard
+  /// functional work dynamically; heterogeneous ones must serve on the
+  /// scheduled PCU (serve_scheduled).
   bool homogeneous() const { return homogeneous_; }
 
   /// Fleet-minimum Pcu::channel_split_passes for one model — the bar a
@@ -413,32 +402,25 @@ class PcuPool {
                                        std::size_t expected_requests,
                                        bool simulate_values);
 
-  /// Serve `requests` on exactly the PCU the virtual-time `schedule`
-  /// assigned to each (one worker thread per PCU, each walking its own
-  /// assignment list in schedule order). Deterministic even on a
-  /// heterogeneous pool: the schedule is deterministic, so the same PCU —
-  /// hence the same device model — produces each output every run.
+  /// Serve `requests` on exactly the PCUs the virtual-time `schedule`
+  /// assigned (one worker thread per PCU). An entry without stage spans
+  /// runs whole on its PCU; an entry with stage spans runs as a chain —
+  /// every stage executes on exactly the PCU its span names, handing the
+  /// activation and the engine RNG state to the next stage
+  /// (Pcu::serve_stage), so stage n of image i really does overlap stage
+  /// n-1 of image i+1 on the host. Each worker walks its own work in
+  /// virtual span-start order (ties in schedule order), which the
+  /// admission loop makes acyclic. Deterministic even on a heterogeneous
+  /// pool: the schedule is deterministic, so the same PCU — hence the same
+  /// device model — produces each output every run.
+  ///
   /// `schedule` must reference request ids in [0, requests.size()), each
-  /// at most once; ids absent from the schedule (load-shed requests) come
-  /// back as empty placeholder results that still carry their id,
-  /// model_id, and tenant (so per-tenant / per-model accounting stays
-  /// correct under shedding). Results come back ordered by request id.
-  /// Rethrows the first worker exception after all threads join.
+  /// at most once; ids absent from the schedule (load-shed or fault-lost
+  /// requests) come back as empty placeholder results that still carry
+  /// their id, model_id, and tenant (so per-tenant / per-model accounting
+  /// stays correct). Results come back ordered by request id. Rethrows the
+  /// first worker exception after all threads join.
   std::vector<RequestResult> serve_scheduled(
-      std::vector<InferenceRequest> requests,
-      const std::vector<ScheduledService>& schedule, bool simulate_values);
-
-  /// serve_scheduled for a schedule containing pipelined entries: each
-  /// ScheduledService with stage spans runs as a chain — every stage
-  /// executes on exactly the PCU its span names, in span-start order per
-  /// PCU, handing the activation and the engine RNG state to the next
-  /// stage (Pcu::serve_stage). One worker thread per PCU: stage n of
-  /// image i really does overlap stage n-1 of image i+1 on the host.
-  /// Entries without stage spans serve exactly as in serve_scheduled, so a
-  /// mixed schedule (pipelined models + fallback data-parallel models) is
-  /// fine. The span chains come from the deterministic admission loop, so
-  /// the dependency order is acyclic and outputs are deterministic.
-  std::vector<RequestResult> serve_pipelined(
       std::vector<InferenceRequest> requests,
       const std::vector<ScheduledService>& schedule, bool simulate_values);
 
@@ -509,12 +491,6 @@ class PcuPool {
   /// injection the schedule covers every request.
   AdmissionResult simulate_admission(RequestQueue& queue,
                                      const AdmissionOptions& options);
-
-  /// Shorthand for the pre-SLO call sites: no shedding, no autoscaler.
-  /// Returns just the schedule — one entry per request.
-  std::vector<ScheduledService> simulate_admission(
-      RequestQueue& queue, bool double_buffer,
-      DispatchPolicy policy = DispatchPolicy::kEarliestFree);
 
  private:
   std::vector<Pcu> pcus_;

@@ -12,10 +12,11 @@
 //  * PCU worker threads (pop / try_pop) drain it concurrently to do the
 //    physical simulation work; ordering between workers is wall-clock
 //    nondeterministic and deliberately irrelevant to results. This is the
-//    homogeneous-fleet path (PcuPool::serve_all) — a heterogeneous fleet
-//    must pin each request to its scheduled PCU instead, so it bypasses
-//    the shared queue entirely (PcuPool::serve_scheduled walks per-PCU
-//    assignment lists).
+//    dynamic-sharding path (PcuPool::serve_all). A run whose schedule
+//    decides placement — a heterogeneous fleet, shedding, faults, or
+//    pipelines — pins each request to its scheduled PCU instead, so it
+//    bypasses the shared queue entirely (PcuPool::serve_scheduled walks
+//    per-PCU work lists).
 //
 //  * The virtual-time admission loop (pop_arrived / next_arrival) replays
 //    the same requests single-threaded against their simulated arrival

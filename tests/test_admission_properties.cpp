@@ -10,6 +10,8 @@
 //  * adversarial EDF tie-breaks: requests tied on (class, deadline,
 //    arrival) are ordered by id and nothing else — push order, model ids
 //    and PCU history must not leak into the order;
+//  * options that should do nothing (shedding with no deadlines, an
+//    autoscaler pinned at the fleet size) leave the schedule bit-identical;
 //  * randomized property sweep: for every dispatch policy x seed x fault
 //    schedule, admission conserves requests (offered == served + shed +
 //    lost), virtual time is monotone on the event-driven path, and no two
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,6 +48,13 @@ using runtime::PriorityClass;
 using runtime::RequestQueue;
 using runtime::ScheduledService;
 
+/// `n` identical paper-default PCU specs.
+std::vector<runtime::PcuSpec> paper_fleet(std::size_t n) {
+  runtime::PcuSpec spec;
+  spec.config = PcnnaConfig::paper_defaults();
+  return std::vector<runtime::PcuSpec>(n, spec);
+}
+
 struct TwoModels {
   nn::Network net;
   nn::NetWeights weights_a;
@@ -69,11 +79,12 @@ AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
 
 /// Bitwise equality over every ScheduledService field — doubles compared
 /// exactly, because determinism means identical bits, not "close".
-void expect_bit_identical(const AdmissionResult& a, const AdmissionResult& b) {
-  ASSERT_EQ(a.schedule.size(), b.schedule.size());
-  for (std::size_t i = 0; i < a.schedule.size(); ++i) {
-    const ScheduledService& x = a.schedule[i];
-    const ScheduledService& y = b.schedule[i];
+void expect_same_schedule(const std::vector<ScheduledService>& a,
+                          const std::vector<ScheduledService>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const ScheduledService& x = a[i];
+    const ScheduledService& y = b[i];
     EXPECT_EQ(x.id, y.id) << "entry " << i;
     EXPECT_EQ(x.pcu, y.pcu) << "entry " << i;
     EXPECT_EQ(x.arrival, y.arrival) << "entry " << i;
@@ -100,6 +111,12 @@ void expect_bit_identical(const AdmissionResult& a, const AdmissionResult& b) {
       EXPECT_EQ(x.stages[j].handoff, y.stages[j].handoff) << i << "/" << j;
     }
   }
+}
+
+/// expect_same_schedule plus bitwise equality of the pipeline, shedding,
+/// and autoscaler outcomes.
+void expect_bit_identical(const AdmissionResult& a, const AdmissionResult& b) {
+  expect_same_schedule(a.schedule, b.schedule);
   EXPECT_EQ(a.pipeline.groups, b.pipeline.groups);
   EXPECT_EQ(a.pipeline.pipelined_requests, b.pipeline.pipelined_requests);
   EXPECT_EQ(a.pipeline.stage_spans, b.pipeline.stage_spans);
@@ -150,7 +167,7 @@ std::vector<InferenceRequest> adversarial_stream(const PcuPool& pool,
 
 TEST(AdmissionDeterminism, EventDrivenScheduleBitIdenticalAcrossRuns) {
   const TwoModels t = make_two_models();
-  PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   const double interval = pool.pcu(0).request_interval_overlapped(0);
@@ -171,7 +188,7 @@ TEST(AdmissionDeterminism, EventDrivenScheduleBitIdenticalAcrossRuns) {
 
 TEST(AdmissionDeterminism, EagerScheduleBitIdenticalAcrossRuns) {
   const TwoModels t = make_two_models();
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   const AdmissionResult a =
@@ -189,7 +206,7 @@ TEST(AdmissionDeterminism, EngineThreadsNeverPerturbsTheSchedule) {
   const auto build = [&](std::size_t threads) {
     PcuSpec spec;
     spec.config = PcnnaConfig::paper_defaults();
-    spec.engine_threads = threads;
+    spec.config.engine_threads = threads;
     return PcuPool(std::vector<PcuSpec>(3, spec), TimingFidelity::kFull,
                    t.net, t.weights_a);
   };
@@ -230,7 +247,7 @@ TEST(AdmissionDeterminism, EngineThreadsNeverPerturbsTheSchedule) {
 // no fault activity at all.
 TEST(AdmissionDeterminism, EmptyFaultScheduleIsBitIdenticalForEveryPolicy) {
   const TwoModels t = make_two_models();
-  PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
 
@@ -262,12 +279,80 @@ TEST(AdmissionDeterminism, EmptyFaultScheduleIsBitIdenticalForEveryPolicy) {
   }
 }
 
+// --- Options that should do nothing change nothing ---
+//
+// Shedding with every deadline at +inf never sheds, and an autoscaler
+// pinned at min_active = max_active = n never scales. Both still route
+// admission through the event-driven mode, so for every policy that means
+// the same thing in both modes each inert option must leave every
+// ScheduledService field bitwise equal to the plain run. kLeastLoaded and
+// kCapabilityAware are left out: the eager loop may commit a request to a
+// busy faster PCU while the event-driven scan only considers free ones — a
+// known divergence that merging the two loops has to resolve. This test
+// guards that merge for the policies that already agree.
+TEST(InertOptions, LeaveTheScheduleBitIdentical) {
+  Rng rng(5);
+  const nn::Network net = nn::lenet5();
+  const nn::NetWeights weights = nn::make_network_weights(net, rng);
+  PcuSpec small;
+  small.config = PcnnaConfig::small_core();
+  std::vector<PcuSpec> mixed = paper_fleet(8);
+  mixed.insert(mixed.end(), 8, small);
+  constexpr std::size_t kCount = 400;
+
+  for (const std::vector<PcuSpec>& specs : {paper_fleet(4), mixed}) {
+    PcuPool pool(specs, TimingFidelity::kFull, net, weights);
+    const std::size_t n = pool.size();
+    double capacity = 0.0;
+    for (std::size_t p = 0; p < n; ++p)
+      capacity += 1.0 / pool.pcu(p).request_interval_overlapped();
+    for (const DispatchPolicy policy :
+         {DispatchPolicy::kEarliestFree, DispatchPolicy::kEdf,
+          DispatchPolicy::kModelAffinity}) {
+      for (const double load : {0.5, 0.9, 1.3}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+          SCOPED_TRACE(std::to_string(n) + " PCUs, " +
+                       runtime::dispatch_policy_name(policy) + ", load " +
+                       std::to_string(load) + ", seed " +
+                       std::to_string(seed));
+          const ArrivalSchedule arrivals =
+              runtime::poisson_arrivals(kCount, load * capacity, seed);
+          const auto stream = [&] {
+            std::vector<InferenceRequest> requests(kCount);
+            for (std::size_t id = 0; id < kCount; ++id) {
+              requests[id].id = id;
+              requests[id].arrival_time = arrivals[id];
+            }
+            return requests;
+          };
+          AdmissionOptions plain;
+          plain.policy = policy;
+          AdmissionOptions shed = plain;
+          shed.shed_expired = true;
+          AdmissionOptions pinned = plain;
+          pinned.autoscaler.enabled = true;
+          pinned.autoscaler.min_active = n;
+          pinned.autoscaler.max_active = n;
+
+          const AdmissionResult a = admit(pool, stream(), plain);
+          ASSERT_EQ(kCount, a.schedule.size());
+          for (const AdmissionOptions& inert : {shed, pinned}) {
+            const AdmissionResult b = admit(pool, stream(), inert);
+            EXPECT_EQ(0u, b.shed.shed);
+            expect_same_schedule(a.schedule, b.schedule);
+          }
+        }
+      }
+    }
+  }
+}
+
 // With a non-empty schedule the whole fault pipeline must itself be a pure
 // function of its inputs: two identical runs agree on every FaultReport
 // field, bit for bit.
 TEST(AdmissionDeterminism, FaultReportBitIdenticalAcrossRuns) {
   const TwoModels t = make_two_models();
-  PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   const double interval = pool.pcu(0).request_interval_overlapped(0);
@@ -314,7 +399,7 @@ TEST(AdmissionDeterminism, FaultReportBitIdenticalAcrossRuns) {
 
 TEST(EdfTieBreak, FullTiesAreBrokenOnlyById) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   const double interval = pool.pcu(0).request_interval_overlapped();
 
@@ -341,7 +426,7 @@ TEST(EdfTieBreak, FullTiesAreBrokenOnlyById) {
 
 TEST(EdfTieBreak, ArrivalBreaksDeadlineTiesBeforeId) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   const double interval = pool.pcu(0).request_interval_overlapped();
 
@@ -377,7 +462,7 @@ TEST(EdfTieBreak, ArrivalBreaksDeadlineTiesBeforeId) {
 
 TEST(EdfTieBreak, ClassOutranksDeadlineAndIdUnderFullAdversity) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   const double interval = pool.pcu(0).request_interval_overlapped();
 
@@ -415,7 +500,7 @@ TEST(EdfTieBreak, ClassOutranksDeadlineAndIdUnderFullAdversity) {
 
 TEST(EdfTieBreak, ModelAffinityUsesTheSameUrgencyOrderOnTies) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   const double interval = pool.pcu(0).request_interval_overlapped(0);
@@ -539,7 +624,7 @@ void check_admission_invariants(const AdmissionResult& r, std::size_t offered,
 
 TEST(AdmissionInvariants, HoldForEveryPolicySeedAndFaultSchedule) {
   const TwoModels t = make_two_models();
-  PcuPool pool(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(4), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   // Model 1 pinned across a 2-stage chain (tiny_cnn has 2 conv ops);
@@ -588,7 +673,7 @@ TEST(AdmissionInvariants, HoldForEveryPolicySeedAndFaultSchedule) {
 
 TEST(AdmissionInvariants, ConservationHoldsOnTheEagerPath) {
   const TwoModels t = make_two_models();
-  PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   // Eager FIFO (no shed, no deferral): start times follow per-PCU queues,
@@ -610,7 +695,7 @@ TEST(AdmissionInvariants, PipelineScheduleBitIdenticalAcrossEngineThreads) {
   const auto build = [&](std::size_t threads) {
     PcuSpec spec;
     spec.config = PcnnaConfig::paper_defaults();
-    spec.engine_threads = threads;
+    spec.config.engine_threads = threads;
     return PcuPool(std::vector<PcuSpec>(4, spec), TimingFidelity::kFull,
                    t.net, t.weights_a);
   };

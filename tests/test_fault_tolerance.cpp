@@ -303,6 +303,36 @@ TEST(FaultTolerance, RetryBudgetExhaustionLosesTheRequest) {
   EXPECT_EQ(1u, report.fault.losses[0].attempts);
 }
 
+// A closed batch's FleetReport counts served requests only. A fault-blind
+// crash of PCU 1 at t = 0 loses every request dispatched to it; those must
+// neither dilute the mean latency nor inflate the throughput.
+TEST(FaultTolerance, FleetReportCountsOnlyServedRequests) {
+  const Served s = make_served(12);
+  BatchRunnerOptions o = options(2);
+  o.faults.health_aware = false;
+  o.faults.schedule = {{0.0, 1, FaultKind::kCrash, 1.0}};
+  BatchRunner runner(PcnnaConfig::paper_defaults(), s.net, s.weights, o);
+
+  runtime::FleetReport fleet;
+  const std::vector<RequestResult> results = runner.run(s.inputs, &fleet);
+  std::size_t failed = 0;
+  for (const RequestResult& r : results) failed += r.failed ? 1 : 0;
+  ASSERT_EQ(6u, failed);
+  ASSERT_EQ(2u, fleet.per_pcu.size());
+  EXPECT_EQ(6u, fleet.per_pcu[0].requests);
+  EXPECT_EQ(0u, fleet.per_pcu[1].requests);
+
+  // The same closed batch through the open-loop report, which has always
+  // summarized the served requests alone.
+  const OpenLoopReport open =
+      runner.simulate_open_loop(runtime::closed_batch_arrivals(12));
+  ASSERT_EQ(6u, open.served_requests);
+  EXPECT_EQ(open.makespan, fleet.makespan);
+  EXPECT_DOUBLE_EQ(open.latency.mean, fleet.mean_latency);
+  EXPECT_DOUBLE_EQ(open.achieved_rps, fleet.throughput_rps);
+  EXPECT_EQ(open.latency.max, fleet.max_latency);
+}
+
 // --- The fault-blind baseline the tolerance stack is measured against. ---
 
 TEST(FaultTolerance, BlindDispatchLosesWhatHealthAwareRecovers) {

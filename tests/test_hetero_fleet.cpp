@@ -3,8 +3,8 @@
 //
 // The load-bearing guarantees pinned here:
 //  * a homogeneous fleet built from a PcuSpec vector is bit-identical to
-//    the legacy (count, config) constructor — outputs and every report
-//    field (the tentpole's backward-compatibility promise);
+//    the homogeneous (config) constructor — outputs and every report
+//    field;
 //  * every dispatch policy is deterministic;
 //  * capability-aware dispatch beats earliest-free on a skewed mixed
 //    fleet, because it refuses to park requests on PCUs whose WDM budget
@@ -63,6 +63,14 @@ BatchRunnerOptions options(std::size_t pcus, bool simulate_values = true) {
   return o;
 }
 
+/// Requests each virtual PCU served, in PCU order.
+std::vector<std::size_t> pcu_requests(
+    const std::vector<runtime::PcuBreakdown>& per_pcu) {
+  std::vector<std::size_t> requests;
+  for (const runtime::PcuBreakdown& b : per_pcu) requests.push_back(b.requests);
+  return requests;
+}
+
 /// A WDM budget tight enough that tiny_cnn's second conv layer
 /// (3x3x4 = 36-wide receptive field) needs extra segmented passes.
 PcnnaConfig tight_wavelength_config() {
@@ -95,8 +103,6 @@ void expect_open_loop_reports_equal(const OpenLoopReport& a,
   EXPECT_EQ(a.queue_wait.mean, b.queue_wait.mean);
   EXPECT_EQ(a.mean_queue_depth, b.mean_queue_depth);
   EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.utilization_per_pcu, b.utilization_per_pcu);
-  EXPECT_EQ(a.virtual_requests_per_pcu, b.virtual_requests_per_pcu);
   ASSERT_EQ(a.per_pcu.size(), b.per_pcu.size());
   for (std::size_t p = 0; p < a.per_pcu.size(); ++p) {
     EXPECT_EQ(a.per_pcu[p].requests, b.per_pcu[p].requests);
@@ -107,9 +113,8 @@ void expect_open_loop_reports_equal(const OpenLoopReport& a,
   }
 }
 
-// The tentpole's backward-compatibility promise: a homogeneous fleet built
-// via the PcuSpec vector produces bit-identical outputs and reports to the
-// legacy (count, config) constructor.
+// A homogeneous fleet built via the PcuSpec vector produces bit-identical
+// outputs and reports to the homogeneous (config) constructor.
 TEST(HeteroFleet, HomogeneousSpecVectorBitIdenticalToLegacyConstructor) {
   const Served s = make_served(8);
   const PcnnaConfig config = PcnnaConfig::paper_defaults();
@@ -139,8 +144,8 @@ TEST(HeteroFleet, HomogeneousSpecVectorBitIdenticalToLegacyConstructor) {
   EXPECT_EQ(legacy_fleet.mean_latency, spec_fleet.mean_latency);
   EXPECT_EQ(legacy_fleet.max_latency, spec_fleet.max_latency);
   EXPECT_EQ(legacy_fleet.total_energy, spec_fleet.total_energy);
-  EXPECT_EQ(legacy_fleet.virtual_requests_per_pcu,
-            spec_fleet.virtual_requests_per_pcu);
+  EXPECT_EQ(pcu_requests(legacy_fleet.per_pcu),
+            pcu_requests(spec_fleet.per_pcu));
 
   // Same promise on the open-loop timing path.
   const ArrivalSchedule arrivals = runtime::poisson_arrivals(500, 2000.0, 4);
@@ -149,15 +154,15 @@ TEST(HeteroFleet, HomogeneousSpecVectorBitIdenticalToLegacyConstructor) {
 }
 
 // Engine threads are a host-simulation knob with bit-identical outputs,
-// so per-spec thread overrides must not demote a fleet to heterogeneous
+// so per-spec thread counts must not demote a fleet to heterogeneous
 // (which would refuse dynamic sharding for no reason).
 TEST(HeteroFleet, EngineThreadOverridesKeepPoolHomogeneous) {
   const Served s = make_served(4);
   std::vector<PcuSpec> specs(2);
   specs[0].config = PcnnaConfig::paper_defaults();
-  specs[0].engine_threads = 1;
+  specs[0].config.engine_threads = 1;
   specs[1].config = PcnnaConfig::paper_defaults();
-  specs[1].engine_threads = 2;
+  specs[1].config.engine_threads = 2;
   BatchRunner fleet(specs, s.net, s.weights, options(/*pcus=*/2));
   EXPECT_TRUE(fleet.pool().homogeneous());
 
@@ -256,10 +261,10 @@ TEST(HeteroFleet, CapabilityAwareBeatsEarliestFreeOnSkewedTrace) {
   const OpenLoopReport cap_report = cap_fleet.simulate_open_loop(arrivals);
 
   // Capability-aware never touches the small PCUs...
-  EXPECT_EQ(0u, cap_report.virtual_requests_per_pcu[2]);
-  EXPECT_EQ(0u, cap_report.virtual_requests_per_pcu[3]);
+  EXPECT_EQ(0u, cap_report.per_pcu[2].requests);
+  EXPECT_EQ(0u, cap_report.per_pcu[3].requests);
   // ...earliest-free does...
-  EXPECT_GT(ef_report.virtual_requests_per_pcu[2], 0u);
+  EXPECT_GT(ef_report.per_pcu[2].requests, 0u);
   // ...and paying the small PCUs' extra passes costs tail latency.
   EXPECT_LT(cap_report.latency.p99, ef_report.latency.p99);
   EXPECT_LT(cap_report.latency.mean, ef_report.latency.mean);
@@ -295,11 +300,11 @@ TEST(HeteroFleet, LeastLoadedPrefersFasterPcuOverLowerIndex) {
   const OpenLoopReport ll_report = ll_fleet.simulate_open_loop(arrivals);
   const OpenLoopReport ef_report = ef_fleet.simulate_open_loop(arrivals);
 
-  EXPECT_EQ(0u, ll_report.virtual_requests_per_pcu[0])
+  EXPECT_EQ(0u, ll_report.per_pcu[0].requests)
       << "least-loaded must never pick the slow PCU while the fast one "
          "completes sooner";
-  EXPECT_EQ(40u, ll_report.virtual_requests_per_pcu[1]);
-  EXPECT_GT(ef_report.virtual_requests_per_pcu[0], 0u)
+  EXPECT_EQ(40u, ll_report.per_pcu[1].requests);
+  EXPECT_GT(ef_report.per_pcu[0].requests, 0u)
       << "earliest-free is blind to speed and serves some requests slowly";
   EXPECT_LT(ll_report.latency.max, ef_report.latency.max);
 }
@@ -385,8 +390,6 @@ TEST(HeteroFleet, PerPcuBreakdownsAreConsistentWithTotals) {
   std::size_t total_requests = 0;
   for (std::size_t p = 0; p < r.per_pcu.size(); ++p) {
     total_requests += r.per_pcu[p].requests;
-    EXPECT_EQ(r.per_pcu[p].requests, r.virtual_requests_per_pcu[p]);
-    EXPECT_EQ(r.per_pcu[p].utilization, r.utilization_per_pcu[p]);
     EXPECT_LE(r.per_pcu[p].warmup_time, r.per_pcu[p].busy_time);
     EXPECT_NEAR(r.per_pcu[p].busy_time, r.per_pcu[p].utilization * r.makespan,
                 1e-12 * r.makespan);
@@ -419,7 +422,7 @@ TEST(HeteroFleet, FunctionalServingFollowsTheVirtualSchedule) {
   // Physical assignment matches the virtual schedule's per-PCU counts.
   std::vector<std::size_t> physical(4, 0);
   for (const RequestResult& result : out_a) physical[result.pcu_index] += 1;
-  EXPECT_EQ(ra.virtual_requests_per_pcu, physical);
+  EXPECT_EQ(pcu_requests(ra.per_pcu), physical);
 
   // Identical runs reproduce both the assignment and every output bit.
   ASSERT_EQ(out_a.size(), out_b.size());

@@ -136,4 +136,33 @@ TEST(TensorIo, NetworkWeightsRoundTripThroughReference) {
   }
 }
 
+// A weight file whose shape disagrees with the network is rejected at load
+// time, naming the file and the field — here an fc weight saved transposed,
+// which has the right element count but the wrong shape.
+TEST(TensorIo, MisshapenNetworkWeightsAreRejected) {
+  Rng rng(8);
+  const nn::Network net = nn::tiny_cnn();
+  const auto weights = nn::make_network_weights(net, rng);
+  const std::string dir = ::testing::TempDir();
+  nn::save_network_weights(dir, "misshapen", weights);
+
+  std::size_t fc = net.ops().size();
+  for (std::size_t i = 0; i < net.ops().size(); ++i)
+    if (net.ops()[i].kind == nn::OpKind::kFullyConnected) fc = i;
+  ASSERT_LT(fc, net.ops().size());
+  const Shape4 good = weights.weight[fc].shape();
+  const std::string path =
+      dir + "/misshapen_w" + std::to_string(fc) + ".pcnt";
+  nn::save_tensor(path, Tensor(Shape4{good.c, good.n, good.h, good.w}));
+
+  try {
+    nn::load_network_weights(dir, "misshapen", net);
+    ADD_FAILURE() << "accepted a transposed fc weight";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos, what.find(path)) << what;
+    EXPECT_NE(std::string::npos, what.find("fc weight")) << what;
+  }
+}
+
 } // namespace

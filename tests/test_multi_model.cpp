@@ -46,6 +46,13 @@ using runtime::RequestSlo;
 using runtime::ScheduledService;
 using runtime::SloSchedule;
 
+/// `n` identical paper-default PCU specs.
+std::vector<runtime::PcuSpec> paper_fleet(std::size_t n) {
+  runtime::PcuSpec spec;
+  spec.config = PcnnaConfig::paper_defaults();
+  return std::vector<runtime::PcuSpec>(n, spec);
+}
+
 struct TwoModels {
   nn::Network net;
   nn::NetWeights weights_a;
@@ -90,7 +97,7 @@ std::size_t count_swaps(const std::vector<ScheduledService>& schedule) {
 
 TEST(MultiModel, RegisterModelExtendsEveryPcuAndSwapStaysWithinInterval) {
   const TwoModels t = make_two_models();
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                t.net, t.weights_a);
   EXPECT_EQ(1u, pool.num_models());
   const std::uint32_t id = pool.register_model(t.net, t.weights_b);
@@ -114,7 +121,7 @@ TEST(MultiModel, RegisterModelExtendsEveryPcuAndSwapStaysWithinInterval) {
 
 TEST(MultiModel, UnknownModelIdIsRejected) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   EXPECT_THROW(admit(pool, {timing_request(0, 0.0, 1)}, {}), Error);
   EXPECT_THROW(pool.pcu(0).swap_time(3), Error);
@@ -124,7 +131,7 @@ TEST(MultiModel, UnknownModelIdIsRejected) {
 
 TEST(SwapAccounting, AlternatingTraceOnOnePcuChargesExactlyNMinusOneSwaps) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
 
@@ -154,7 +161,7 @@ TEST(SwapAccounting, AlternatingTraceOnOnePcuChargesExactlyNMinusOneSwaps) {
 
 TEST(SwapAccounting, RepeatedSameModelNeverSwaps) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
 
@@ -168,7 +175,7 @@ TEST(SwapAccounting, RepeatedSameModelNeverSwaps) {
 
 TEST(SwapAccounting, SerialScheduleChargesNoSwaps) {
   const TwoModels t = make_two_models();
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
 
@@ -191,7 +198,7 @@ TEST(SwapAccounting, SerialScheduleChargesNoSwaps) {
 
 TEST(ModelAffinity, TwoPcusReachZeroSwapSteadyState) {
   const TwoModels t = make_two_models();
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
 
@@ -216,7 +223,7 @@ TEST(ModelAffinity, TwoPcusReachZeroSwapSteadyState) {
 
 TEST(ModelAffinity, FallsBackAndPaysSwapWhenDeadlineWouldBlow) {
   const TwoModels t = make_two_models();
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   const double interval = pool.pcu(0).request_interval_overlapped(1);
@@ -274,7 +281,7 @@ TEST(ModelAffinity, FallsBackAndPaysSwapWhenDeadlineWouldBlow) {
 
 TEST(ModelAffinity, SingleModelMatchesEarliestFreeDispatch) {
   const TwoModels t = make_two_models();
-  PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                t.net, t.weights_a);
   const runtime::ArrivalSchedule arrivals =
       runtime::poisson_arrivals(120, 8.0e5, 21);
@@ -355,8 +362,8 @@ TEST(MultiModel, ShedPlaceholdersCarryModelAndTenant) {
   const ModelSchedule models = {0, 1, 1};
   OpenLoopReport report;
   const std::vector<RequestResult> out =
-      runner.run_open_loop(inputs, runtime::closed_batch_arrivals(3), slos,
-                           models, &report);
+      runner.run_open_loop(inputs, runtime::closed_batch_arrivals(3), &report,
+                           slos, models);
 
   ASSERT_EQ(3u, out.size());
   EXPECT_FALSE(out[0].shed);
@@ -384,7 +391,7 @@ TEST(MultiModel, OutputsRouteToTheRequestedModelBitIdentically) {
   // runner built directly on weights_b (same request seed, same device).
   OpenLoopReport report;
   const std::vector<RequestResult> out = multi.run_open_loop(
-      {input}, runtime::closed_batch_arrivals(1), {}, {1}, &report);
+      {input}, runtime::closed_batch_arrivals(1), &report, {}, {1});
   ASSERT_EQ(1u, out.size());
   ASSERT_FALSE(out[0].output.empty());
   EXPECT_EQ(1u, out[0].model_id);

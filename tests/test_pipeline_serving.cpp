@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/config.hpp"
+#include "nn/models.hpp"
 #include "nn/network.hpp"
 #include "nn/synth.hpp"
 #include "runtime/arrival.hpp"
@@ -68,6 +70,36 @@ BatchRunnerOptions base_options() {
   o.simulate_values = true;
   o.seed = 9;
   return o;
+}
+
+// --- One home for the range timing formula ---
+
+// The whole-model serving constants are the stage formula applied to every
+// op, so stage_timings(m, 0, ops) equals the whole-model accessors bit for
+// bit.
+TEST(StageTimings, WholeRangeEqualsTheWholeModelAccessors) {
+  const nn::NetWeights no_weights; // timing only: nothing is served
+  for (const nn::Network& net :
+       {nn::lenet5(), nn::alexnet(), nn::vgg16(), nn::tiny_cnn()}) {
+    for (const PcnnaConfig& config :
+         {PcnnaConfig::paper_defaults(), PcnnaConfig::small_core()}) {
+      for (const TimingFidelity fidelity :
+           {TimingFidelity::kFull, TimingFidelity::kPaper}) {
+        SCOPED_TRACE(net.name() + (config == PcnnaConfig::paper_defaults()
+                                       ? " paper_defaults "
+                                       : " small_core ") +
+                     core::timing_fidelity_name(fidelity));
+        const runtime::Pcu pcu(0, config, fidelity, net, no_weights);
+        const runtime::StageTimings whole =
+            pcu.stage_timings(0, 0, net.ops().size());
+        EXPECT_EQ(pcu.request_time_serial(), whole.serial);
+        EXPECT_EQ(pcu.request_interval_overlapped(), whole.interval);
+        EXPECT_EQ(pcu.warmup_time(), whole.pin);
+        EXPECT_EQ(pcu.request_energy(), whole.energy);
+        EXPECT_EQ(pcu.channel_split_passes(), whole.split_passes);
+      }
+    }
+  }
 }
 
 // --- Golden bit-identity (satellite) ---

@@ -53,6 +53,13 @@ using runtime::ScheduledService;
 using runtime::SloSchedule;
 using runtime::TenantClass;
 
+/// `n` identical paper-default PCU specs.
+std::vector<runtime::PcuSpec> paper_fleet(std::size_t n) {
+  runtime::PcuSpec spec;
+  spec.config = PcnnaConfig::paper_defaults();
+  return std::vector<runtime::PcuSpec>(n, spec);
+}
+
 struct Served {
   nn::Network net;
   nn::NetWeights weights;
@@ -108,7 +115,7 @@ AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
 // comparison from strict to non-strict.
 TEST(WarmupBoundary, ExactBoundaryIsBackToBackOnBothAdmissionModes) {
   const Served s = make_served(0);
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                s.net, s.weights);
   const double interval = pool.pcu(0).request_interval_overlapped();
   const double warmup = pool.pcu(0).warmup_time();
@@ -142,7 +149,7 @@ TEST(WarmupBoundary, ExactBoundaryIsBackToBackOnBothAdmissionModes) {
 
 TEST(EdfAdmission, StrictClassPrecedenceThenDeadline) {
   const Served s = make_served(0);
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                s.net, s.weights);
   const double interval = pool.pcu(0).request_interval_overlapped();
 
@@ -170,7 +177,7 @@ TEST(EdfAdmission, StrictClassPrecedenceThenDeadline) {
 
 TEST(EdfAdmission, LaterTighterDeadlineArrivalOvertakesQueuedWork) {
   const Served s = make_served(0);
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                s.net, s.weights);
   const double interval = pool.pcu(0).request_interval_overlapped();
   const double warmup = pool.pcu(0).warmup_time();
@@ -199,7 +206,7 @@ TEST(EdfAdmission, LaterTighterDeadlineArrivalOvertakesQueuedWork) {
 
 TEST(EdfAdmission, WithoutDeadlinesMatchesFifoOrder) {
   const Served s = make_served(0);
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                s.net, s.weights);
   const ArrivalSchedule arrivals = runtime::poisson_arrivals(200, 1.0e6, 9);
 
@@ -294,7 +301,7 @@ TEST(LoadShedding, ServedOutputsBitIdenticalAndShedSlotsFlagged) {
                                  warmup + 1.5 * interval});
   OpenLoopReport report;
   const std::vector<RequestResult> out = runner.run_open_loop(
-      s.inputs, runtime::closed_batch_arrivals(3), slos, &report);
+      s.inputs, runtime::closed_batch_arrivals(3), &report, slos);
 
   ASSERT_EQ(3u, out.size());
   EXPECT_FALSE(out[0].shed);
@@ -374,7 +381,7 @@ TEST(Autoscaler, DisabledReportsFullFleetActive) {
 
 TEST(Autoscaler, RejectsInvalidEnvelope) {
   const Served s = make_served(0);
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                s.net, s.weights);
   AdmissionOptions admission;
   admission.autoscaler.enabled = true;
@@ -551,6 +558,78 @@ TEST(ServeScheduled, SubsetScheduleLeavesPlaceholdersAndRejectsDuplicates) {
   for (std::uint64_t id = 0; id < 3; ++id) again.push_back(request_for(id));
   EXPECT_THROW(
       runner.pool().serve_scheduled(std::move(again), dup, true), Error);
+}
+
+// On schedules without stage spans, serve_scheduled runs each PCU's
+// requests in schedule order: exactly a sequential walk that serves entry i
+// on PCU schedule[i].pcu. Pinned bitwise (outputs, energy, PcuStats) for
+// every non-pipeline policy, with and without shedding, at 1 and 2 engine
+// threads, on a mixed fleet.
+TEST(ServeScheduled, WholeRequestsMatchASequentialScheduleWalk) {
+  const Served s = make_served(10);
+  const auto build = [&](std::size_t threads) {
+    runtime::PcuSpec big;
+    big.config = PcnnaConfig::paper_defaults();
+    big.config.engine_threads = threads;
+    runtime::PcuSpec small;
+    small.config = PcnnaConfig::small_core();
+    small.config.engine_threads = threads;
+    return PcuPool({big, big, small}, TimingFidelity::kFull, s.net,
+                   s.weights);
+  };
+  std::size_t total_shed = 0;
+  for (const std::size_t threads : {1u, 2u}) {
+    for (const DispatchPolicy policy : runtime::kAllDispatchPolicies) {
+      if (policy == DispatchPolicy::kPipeline) continue;
+      for (const bool shed : {false, true}) {
+        SCOPED_TRACE(std::string(runtime::dispatch_policy_name(policy)) +
+                     (shed ? " shedding, " : ", ") + std::to_string(threads) +
+                     " engine threads");
+        PcuPool pool = build(threads);
+        PcuPool walk = build(threads);
+        const double interval = pool.pcu(0).request_interval_overlapped();
+        const double warmup = pool.pcu(0).warmup_time();
+        std::vector<InferenceRequest> requests;
+        for (std::uint64_t id = 0; id < s.inputs.size(); ++id) {
+          const double arrival = 0.25 * interval * static_cast<double>(id);
+          InferenceRequest r =
+              timing_request(id, arrival, PriorityClass::kStandard,
+                             arrival + warmup + 1.5 * interval);
+          r.seed = runtime::derive_request_seed(123, id);
+          r.input = s.inputs[id];
+          requests.push_back(std::move(r));
+        }
+        AdmissionOptions o;
+        o.policy = policy;
+        o.shed_expired = shed;
+        const AdmissionResult admission = admit(pool, requests, o);
+        total_shed += admission.shed.shed;
+
+        const std::vector<RequestResult> out =
+            pool.serve_scheduled(requests, admission.schedule, true);
+        std::vector<RequestResult> expected(requests.size());
+        for (const ScheduledService& e : admission.schedule)
+          expected[e.id] = walk.pcu(e.pcu).serve(requests[e.id], true);
+        ASSERT_EQ(expected.size(), out.size());
+        for (std::size_t id = 0; id < out.size(); ++id) {
+          EXPECT_EQ(expected[id].output, out[id].output) << "request " << id;
+          EXPECT_EQ(expected[id].energy, out[id].energy) << "request " << id;
+          EXPECT_EQ(expected[id].pcu_index, out[id].pcu_index)
+              << "request " << id;
+        }
+        for (std::size_t p = 0; p < pool.size(); ++p) {
+          const runtime::PcuStats& a = walk.pcu(p).stats();
+          const runtime::PcuStats& b = pool.pcu(p).stats();
+          EXPECT_EQ(a.requests_served, b.requests_served) << "PCU " << p;
+          EXPECT_EQ(a.busy_time_serial, b.busy_time_serial) << "PCU " << p;
+          EXPECT_EQ(a.busy_time_overlapped, b.busy_time_overlapped)
+              << "PCU " << p;
+          EXPECT_EQ(a.energy, b.energy) << "PCU " << p;
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_shed, 0u) << "the deadlines never exercised shedding";
 }
 
 // --- Report plumbing ---

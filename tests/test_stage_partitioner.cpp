@@ -39,6 +39,13 @@ using core::TimingFidelity;
 using runtime::PcuPool;
 using runtime::PcuSpec;
 
+/// `n` identical paper-default PCU specs.
+std::vector<runtime::PcuSpec> paper_fleet(std::size_t n) {
+  runtime::PcuSpec spec;
+  spec.config = PcnnaConfig::paper_defaults();
+  return std::vector<runtime::PcuSpec>(n, spec);
+}
+
 /// Brute-force minimal bottleneck cost over all contiguous splits of
 /// `costs` into `stages` ranges, each holding >= 1 positive-cost op.
 std::size_t brute_force_bottleneck(const std::vector<std::size_t>& costs,
@@ -249,7 +256,7 @@ PcnnaConfig weak_config() {
 
 TEST(BuildPipeline, ValidatesItsArguments) {
   const Fixture f = make_fixture();
-  PcuPool pool(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(4), TimingFidelity::kFull,
                f.net, f.weights);
   EXPECT_THROW(pool.build_pipeline(1, {0, 1}), Error);  // unregistered model
   EXPECT_THROW(pool.build_pipeline(0, {}), Error);      // empty group
@@ -268,9 +275,9 @@ TEST(BuildPipeline, ValidatesItsArguments) {
 TEST(BuildPipeline, HeaviestStageLandsOnTheStrongestMember) {
   const Fixture f = make_fixture();
   // Mixed chain: one strong PCU among two weak ones.
-  PcuSpec strong{PcnnaConfig::paper_defaults(), 0,
+  PcuSpec strong{PcnnaConfig::paper_defaults(),
                  runtime::WarmupPolicy::kRechargeAfterIdle, "big"};
-  PcuSpec weak{weak_config(), 0, runtime::WarmupPolicy::kRechargeAfterIdle,
+  PcuSpec weak{weak_config(), runtime::WarmupPolicy::kRechargeAfterIdle,
                "small"};
   PcuPool pool({weak, strong, weak}, TimingFidelity::kFull, f.net, f.weights);
   pool.build_pipeline(0, {0, 1, 2});
@@ -291,7 +298,7 @@ TEST(BuildPipeline, HeaviestStageLandsOnTheStrongestMember) {
 
 TEST(PlacePipeline, QuarantineReplacementIsDeterministic) {
   const Fixture f = make_fixture();
-  PcuPool pool(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(4), TimingFidelity::kFull,
                f.net, f.weights);
   pool.build_pipeline(0, {0, 1, 2});
   const runtime::PipelineGroup& placed = pool.pipeline(0);

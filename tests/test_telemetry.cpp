@@ -38,6 +38,13 @@ using runtime::ScheduledService;
 using runtime::SpanKind;
 using runtime::Telemetry;
 
+/// `n` identical paper-default PCU specs.
+std::vector<runtime::PcuSpec> paper_fleet(std::size_t n) {
+  runtime::PcuSpec spec;
+  spec.config = PcnnaConfig::paper_defaults();
+  return std::vector<runtime::PcuSpec>(n, spec);
+}
+
 std::size_t count_of(const std::string& haystack, const std::string& needle) {
   std::size_t n = 0;
   for (std::size_t at = haystack.find(needle); at != std::string::npos;
@@ -191,7 +198,7 @@ AdmissionResult admit(PcuPool& pool, std::vector<InferenceRequest> requests,
 
 TEST(Telemetry, ServiceSpansMirrorTheScheduleExactly) {
   Fixture f;
-  PcuPool pool(2, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(2), TimingFidelity::kFull,
                f.net, f.weights);
   Telemetry telemetry;
   AdmissionOptions o;
@@ -229,7 +236,7 @@ TEST(Telemetry, ServiceSpansMirrorTheScheduleExactly) {
 TEST(Telemetry, ChromeTraceIsDeterministicAndWellFormed) {
   Fixture f;
   const auto run = [&]() {
-    PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+    PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                  f.net, f.weights);
     Telemetry telemetry;
     AdmissionOptions o;
@@ -250,7 +257,7 @@ TEST(Telemetry, ChromeTraceIsDeterministicAndWellFormed) {
 
 TEST(Telemetry, ShedAndQueueSpansLandOnTenantTracks) {
   Fixture f;
-  PcuPool pool(1, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(1), TimingFidelity::kFull,
                f.net, f.weights);
   const double interval = pool.pcu(0).request_interval_overlapped();
   Telemetry telemetry;

@@ -47,6 +47,13 @@ using runtime::RequestResult;
 using runtime::ScheduledService;
 using runtime::Telemetry;
 
+/// `n` identical paper-default PCU specs.
+std::vector<runtime::PcuSpec> paper_fleet(std::size_t n) {
+  runtime::PcuSpec spec;
+  spec.config = PcnnaConfig::paper_defaults();
+  return std::vector<runtime::PcuSpec>(n, spec);
+}
+
 struct TwoModels {
   nn::Network net;
   nn::NetWeights weights_a;
@@ -150,7 +157,7 @@ std::vector<InferenceRequest> seeded_stream(const PcuPool& pool,
 
 TEST(TelemetryPurity, OnVsOffBitIdenticalForEveryPolicyAndFaultSchedule) {
   const TwoModels t = make_two_models();
-  PcuPool pool(4, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(4), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
   pool.build_pipeline(/*model=*/1, {0, 1});
@@ -197,7 +204,7 @@ TEST(TelemetryPurity, OnVsOffBitIdenticalAcrossEngineThreads) {
   const auto build = [&](std::size_t threads) {
     runtime::PcuSpec spec;
     spec.config = PcnnaConfig::paper_defaults();
-    spec.engine_threads = threads;
+    spec.config.engine_threads = threads;
     return PcuPool(std::vector<runtime::PcuSpec>(3, spec),
                    TimingFidelity::kFull, t.net, t.weights_a);
   };
@@ -234,7 +241,7 @@ TEST(TelemetryPurity, OnVsOffBitIdenticalAcrossEngineThreads) {
 
 TEST(TelemetryPurity, TwoTelemetryRunsSerializeIdenticalArtifacts) {
   const TwoModels t = make_two_models();
-  PcuPool pool(3, PcnnaConfig::paper_defaults(), TimingFidelity::kFull,
+  PcuPool pool(paper_fleet(3), TimingFidelity::kFull,
                t.net, t.weights_a);
   pool.register_model(t.net, t.weights_b);
 
@@ -285,7 +292,7 @@ TEST(TelemetryPurity, FunctionalOutputsAndReportUnchanged) {
       slos[i].deadline =
           arrivals[i] + runner.pool().pcu(0).warmup_time(0) + 8.0 * interval;
     }
-    return runner.run_open_loop(inputs, arrivals, slos, report);
+    return runner.run_open_loop(inputs, arrivals, report, slos);
   };
 
   OpenLoopReport report_off, report_on;
