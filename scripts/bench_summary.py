@@ -28,12 +28,15 @@ self-checks; machine speed makes absolute timing diffs advisory).
 
 With --fail-on-regression PCT the diff becomes a gate: rows drifting more
 than PCT percent from the baseline in either direction, and baseline rows
-missing from the current run, fail the process with exit code 1. New rows
-with no baseline stay informational (they appear whenever a PR adds a
-sweep). CI release builds use this to hold the committed reference run:
+missing from the current run, fail the process with exit code 1. PCT 0
+gates exact equality: any change in any row fails, even one inside the
+warning band. New rows with no baseline stay informational (they appear
+whenever a PR adds a sweep). CI release builds use this to hold the
+committed reference run of the virtual-time rows at zero drift:
 
-    python3 scripts/bench_summary.py build/ --baseline bench/baselines \\
-        --fail-on-regression 25
+    python3 scripts/bench_summary.py build/BENCH_open_loop.json \\
+        --baseline bench/baselines/BENCH_open_loop.json \\
+        --fail-on-regression 0
 
 Stdlib only; exits non-zero on malformed files or missing inputs.
 """
@@ -107,13 +110,16 @@ def diff_against_baseline(current, baseline, fail_fraction=None):
 
     Returns (warnings, failures): drift beyond WARN_FRACTION always lands
     in warnings; when fail_fraction is set, drift beyond it and baseline
-    rows missing from the current run land in failures instead. New rows
-    are never failures — they appear whenever a PR adds a sweep.
+    rows missing from the current run land in failures instead. A
+    fail_fraction of 0 fails every changed row, however small the change.
+    New rows are never failures — they appear whenever a PR adds a sweep.
     """
     warnings, failures = [], []
+    exact = fail_fraction == 0
 
     def drift(message, rel):
-        if fail_fraction is not None and abs(rel) > fail_fraction:
+        # Only changed rows get here, so an exact gate fails all of them.
+        if fail_fraction is not None and (exact or abs(rel) > fail_fraction):
             failures.append(message)
         else:
             warnings.append(message)
@@ -132,7 +138,7 @@ def diff_against_baseline(current, baseline, fail_fraction=None):
                       rel=float("inf"))
             continue
         rel = (row["value"] - base_value) / abs(base_value)
-        if abs(rel) > WARN_FRACTION:
+        if abs(rel) > WARN_FRACTION or (exact and row["value"] != base_value):
             drift(f"drift {key[0]}/{key[1]}/{key[2]}: "
                   f"{fmt_value(base_value, base['unit'])} -> "
                   f"{fmt_value(row['value'], row['unit'])} ({rel:+.1%})",
@@ -152,8 +158,9 @@ def parse_percent(text):
         pct = float(text)
     except ValueError:
         raise ValueError(f"--fail-on-regression needs a number, got '{text}'")
-    if not pct > 0:
-        raise ValueError(f"--fail-on-regression must be positive, got {pct}")
+    if not pct >= 0:
+        raise ValueError(f"--fail-on-regression must be positive (or 0 for "
+                         f"exact equality), got {pct}")
     return pct / 100.0
 
 

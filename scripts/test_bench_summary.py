@@ -187,6 +187,26 @@ class BenchSummaryTest(unittest.TestCase):
         self.assertIn("warning: drift", err)
         self.assertNotIn("FAIL", err)
 
+    def test_fail_on_regression_zero_fails_any_change(self):
+        # A 0 % gate means exact equality: a change far inside the warning
+        # band fails the run, while an identical run passes.
+        base_dir = self.make_baseline_dir(FIXTURE_ROWS)
+        self.write_fixture("BENCH_open_loop.json", FIXTURE_ROWS)
+        status, _, err = self.run_main(
+            [self.tmp.name, "--baseline", base_dir,
+             "--fail-on-regression", "0"])
+        self.assertEqual(0, status, err)
+        self.assertNotIn("FAIL", err)
+        nudged = [dict(FIXTURE_ROWS[0],
+                       value=FIXTURE_ROWS[0]["value"] * (1 + 1e-12))]
+        self.write_fixture("BENCH_open_loop.json", nudged + FIXTURE_ROWS[1:])
+        status, _, err = self.run_main(
+            [self.tmp.name, f"--baseline={base_dir}",
+             "--fail-on-regression=0"])
+        self.assertEqual(1, status, err)
+        self.assertIn("FAIL: drift open_loop/load_0.8x/latency_p99", err)
+        self.assertEqual(1, err.count("FAIL:"), err)
+
     def test_fail_on_regression_argument_validation(self):
         self.write_fixture("BENCH_open_loop.json", FIXTURE_ROWS)
         for argv, fragment in (

@@ -97,6 +97,16 @@ Tensor load_tensor(const std::string& path) {
                         << " 2^34 or more");
     elements *= extent;
   }
+  // Check the payload is there before allocating it: a corrupt header can
+  // claim up to 2^34 elements (128 GiB) in a file of a few bytes.
+  const std::streampos payload = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto available = static_cast<std::uint64_t>(in.tellg() - payload);
+  in.seekg(payload);
+  PCNNA_CHECK_MSG(available / 8 >= elements,
+                  "'" << path << "': tensor file truncated: shape "
+                      << shape_text(shape) << " needs " << elements
+                      << " doubles, the file holds " << available / 8);
   std::vector<double> data(elements);
   for (double& v : data) {
     const std::uint64_t bits = read_u64(in);

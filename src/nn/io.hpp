@@ -17,7 +17,8 @@ namespace pcnna::nn {
 void save_tensor(const std::string& path, const Tensor& t);
 
 /// Read a tensor written by save_tensor; throws on missing file, bad magic,
-/// version mismatch, or truncation.
+/// version mismatch, an implausible shape, or truncation (checked before
+/// the payload is allocated).
 Tensor load_tensor(const std::string& path);
 
 /// Persist a network's weights as one file per parameterized op under

@@ -1,6 +1,7 @@
 #include "runtime/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -55,6 +56,12 @@ void validate_fault_schedule(const FaultSchedule& faults) {
     PCNNA_CHECK_MSG(std::isfinite(e.severity) && e.severity >= 1.0,
                     "fault event " << i << " has invalid severity "
                                    << e.severity << " (must be >= 1)");
+    // Only a degrade carries a severity (the trace format writes no other),
+    // so any other value on another kind could not round-trip.
+    PCNNA_CHECK_MSG(e.kind == FaultKind::kDegrade || e.severity == 1.0,
+                    "fault event " << i << " is a " << fault_kind_name(e.kind)
+                                   << " with severity " << e.severity
+                                   << " (only degrade events take one)");
     prev = e.time;
   }
 }
@@ -161,14 +168,24 @@ FaultSchedule parse_fault_trace(std::istream& in) {
 
     std::istringstream cell(token);
     FaultEvent event;
+    std::string pcu_token;
     std::string kind_token;
     char trailing = '\0';
     double severity = 1.0;
-    const bool head_ok = bool(cell >> event.time >> event.pcu >> kind_token);
+    const bool head_ok = bool(cell >> event.time >> pcu_token >> kind_token);
     PCNNA_CHECK_MSG(head_ok,
                     "fault trace line "
                         << line_no << " is not '<time> <pcu> <kind> [severity]': '"
                         << token << "'");
+    // from_chars, unlike unsigned stream extraction, rejects a sign instead
+    // of wrapping "-1" to 2^64 - 1.
+    const char* pcu_end = pcu_token.data() + pcu_token.size();
+    const auto [pcu_stop, pcu_error] =
+        std::from_chars(pcu_token.data(), pcu_end, event.pcu);
+    PCNNA_CHECK_MSG(pcu_error == std::errc() && pcu_stop == pcu_end,
+                    "fault trace line " << line_no << " has invalid PCU index '"
+                                        << pcu_token
+                                        << "' (expected an integer >= 0)");
     const bool has_severity = bool(cell >> severity);
     // A failed severity read leaves the stream failed whether it hit EOF
     // (fine) or a non-numeric token (trailing garbage) — clear and re-probe
@@ -196,6 +213,11 @@ FaultSchedule parse_fault_trace(std::istream& in) {
       PCNNA_CHECK_MSG(std::isfinite(severity) && severity >= 1.0,
                       "fault trace line " << line_no << " has invalid severity "
                                           << severity << " (must be >= 1)");
+      PCNNA_CHECK_MSG(event.kind == FaultKind::kDegrade || severity == 1.0,
+                      "fault trace line "
+                          << line_no << " gives a " << kind_token
+                          << " event severity " << severity
+                          << " (only degrade events take one)");
       event.severity = severity;
     }
     prev = event.time;

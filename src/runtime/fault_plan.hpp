@@ -75,12 +75,14 @@ struct FaultEvent {
 };
 
 /// Timestamped fault timeline for a whole fleet, sorted by (time, pcu).
-/// Valid schedules have finite nonnegative nondecreasing times and
-/// severities >= 1 (validate_fault_schedule checks all three).
+/// Valid schedules have finite nonnegative nondecreasing times, severities
+/// >= 1, and severity exactly 1 on every event but kDegrade
+/// (validate_fault_schedule checks all of these).
 using FaultSchedule = std::vector<FaultEvent>;
 
 /// Throw pcnna::Error unless `faults` is sorted by time with finite
-/// nonnegative timestamps and severities >= 1. PCU indices are validated
+/// nonnegative timestamps and severities >= 1, and only kDegrade events
+/// carry a severity other than 1. PCU indices are validated
 /// against the fleet size by simulate_admission (a schedule is fleet-size
 /// agnostic until it meets a pool).
 void validate_fault_schedule(const FaultSchedule& faults);
@@ -119,8 +121,10 @@ FaultSchedule poisson_faults(std::size_t num_pcus, const FaultModel& model,
 ///   <time> <pcu> <kind> [severity]
 /// with kind in {transient, degrade, crash, recover}; blank lines and lines
 /// starting with '#' are ignored. Throws pcnna::Error naming the offending
-/// line number on malformed lines, out-of-order timestamps, or invalid
-/// severities.
+/// line number on malformed lines, a PCU index that is not a nonnegative
+/// integer, out-of-order timestamps, invalid severities, or a severity
+/// other than 1 on a non-degrade event — so every accepted trace writes
+/// back (write_fault_trace) to one that parses to the same bits.
 FaultSchedule parse_fault_trace(std::istream& in);
 
 /// parse_fault_trace over the contents of `path`. Throws on I/O failure.

@@ -88,7 +88,7 @@ enum class DispatchPolicy {
   /// completion, as soon as one is free. Unlike the FIFO policies above, a
   /// later arrival with a tighter deadline overtakes queued work, so
   /// dispatch commitments are deferred to the moment a PCU actually frees
-  /// (the event-driven admission mode; see simulate_admission).
+  /// (deferred dispatch; see simulate_admission).
   kEdf,
   /// Swap-aware multi-model dispatch. Prefers a free PCU already
   /// programmed with the request's model (zero swap); when every affine
@@ -101,7 +101,7 @@ enum class DispatchPolicy {
   /// shedding and the autoscaler compose unchanged. The only policy whose
   /// completion predictions include the swap charge — the legacy policies
   /// are deliberately model-blind (that asymmetry is what the multi-model
-  /// bench measures). Always event-driven: deferral decisions need the
+  /// bench measures). Always deferred: deferral decisions need the
   /// fleet state at the moment a PCU frees.
   kModelAffinity,
   /// Pipeline-parallel serving. A request whose model has a PipelineGroup
@@ -116,7 +116,7 @@ enum class DispatchPolicy {
   /// EDF urgency order, and shedding, the autoscaler (reserved PCUs are
   /// held active), and fault quarantine compose — a quarantined or
   /// crashed stage PCU triggers a deterministic re-placement of the group
-  /// over its remaining healthy members. Always event-driven.
+  /// over its remaining healthy members. Always deferred.
   kPipeline,
 };
 
@@ -232,8 +232,7 @@ struct ScheduledService {
 /// for shrink_after_idle simulated seconds. A (re)activated PCU is forced
 /// cold: its next request pays the pipeline-fill warmup regardless of its
 /// WarmupPolicy — the cold-start cost the autoscaler has to reason about.
-/// Enabling the autoscaler routes admission through the event-driven mode
-/// (see simulate_admission).
+/// Enabling the autoscaler defers dispatch (see simulate_admission).
 struct AutoscalerPolicy {
   bool enabled = false;
   /// Lower bound on the active set; the initial active set is the
@@ -259,8 +258,7 @@ struct AdmissionOptions {
   /// if the predicted completion of that dispatch would exceed the
   /// request's deadline, instead of serving it late. Shed requests occupy
   /// no PCU time and are reported in AdmissionResult::shed. Requests
-  /// without a deadline (+inf) are never shed. Forces the event-driven
-  /// admission mode.
+  /// without a deadline (+inf) are never shed. Forces deferred dispatch.
   bool shed_expired = false;
   AutoscalerPolicy autoscaler;
   /// Fault injection and tolerance: a timed FaultSchedule to replay plus
@@ -268,7 +266,7 @@ struct AdmissionOptions {
   /// knobs (see fault_plan.hpp). The default (empty schedule) bypasses
   /// every fault code path — the resulting schedule is bit-identical to a
   /// run without fault machinery for every dispatch policy. A non-empty
-  /// schedule forces the event-driven admission mode.
+  /// schedule forces deferred dispatch.
   FaultOptions faults;
   /// Opt-in observability (runtime/telemetry.hpp). Borrowed; may be null
   /// (the default — telemetry off). When set, the loop feeds it read-only
@@ -300,8 +298,10 @@ struct ShedReport {
 struct AutoscalerStats {
   std::size_t scale_ups = 0;   ///< PCU activations (cold starts charged)
   std::size_t scale_downs = 0; ///< PCU deactivations
-  /// Time-averaged active-set size over [0, makespan]; the full pool size
-  /// when the autoscaler is disabled.
+  /// Time-averaged active-set size over [0, makespan]. Without the
+  /// autoscaler: exactly the pool size when requests are dispatched at
+  /// admission; a deferred run integrates the constant, which can round
+  /// in the last bits.
   double mean_active = 0.0;
 };
 
@@ -446,14 +446,15 @@ class PcuPool {
   /// Single-threaded and deterministic: identical inputs and options yield
   /// a bitwise-identical schedule.
   ///
-  /// Two internal modes, selected automatically:
+  /// One event loop (runtime/admission.cpp) with one per-policy scorer
+  /// and one commit; only the moment of dispatch depends on the options:
   ///
-  ///  * Eager (FIFO policies, no shedding, no autoscaler): each request is
-  ///    dispatched the moment it is admitted. Exact because FIFO dispatch
-  ///    scores depend only on deterministic per-PCU free times — a later
-  ///    arrival can never change an earlier commitment. This is the
-  ///    pre-SLO code path, kept bit-identical.
-  ///  * Event-driven (kEdf, kModelAffinity, shed_expired,
+  ///  * At admission (kEarliestFree, kLeastLoaded, kCapabilityAware with
+  ///    no shedding, autoscaler or faults): each request is dispatched the
+  ///    moment it is admitted. Exact because FIFO dispatch scores depend
+  ///    only on deterministic per-PCU free times — a later arrival can
+  ///    never change an earlier commitment.
+  ///  * Deferred (kEdf, kModelAffinity, kPipeline, shed_expired,
   ///    autoscaler.enabled, or a non-empty fault schedule): arrived
   ///    requests wait in a pending set and commitments are deferred to the
   ///    moment a PCU frees, because EDF lets a later tighter-deadline
@@ -461,6 +462,14 @@ class PcuPool {
   ///    programmed with its model, shedding is decided at the would-start
   ///    moment, the active PCU set itself varies over time, and faults
   ///    change PCU health mid-run.
+  ///
+  /// The one remaining difference is which PCUs are candidates: a
+  /// dispatch at admission may commit to a busy PCU (the request then
+  /// starts when that PCU frees), a deferred one considers only PCUs free
+  /// at that instant. kEarliestFree picks the same PCU either way.
+  /// kLeastLoaded and kCapabilityAware may not on a mixed fleet — a busy
+  /// fast PCU can still finish first — so an option that only defers
+  /// (shedding with no deadlines, say) can move their work.
   ///
   /// Fault tolerance (options.faults, see fault_plan.hpp): the loop
   /// replays the FaultSchedule against the same virtual clock. Transients

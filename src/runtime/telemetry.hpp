@@ -196,7 +196,8 @@ class Telemetry {
 
   // --- in-loop hooks (called by PcuPool::simulate_admission) ---
 
-  /// Pending-queue depth at a dispatch opportunity (event-driven mode).
+  /// Pending-queue depth at a deferred dispatch opportunity (a request
+  /// dispatched at admission never waits, so it records none).
   void on_queue_depth(double t, std::size_t depth);
   /// One committed dispatch decision.
   void on_dispatch(bool swapped, bool pipelined);

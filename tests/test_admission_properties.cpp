@@ -15,22 +15,31 @@
 //  * randomized property sweep: for every dispatch policy x seed x fault
 //    schedule, admission conserves requests (offered == served + shed +
 //    lost), virtual time is monotone on the event-driven path, and no two
-//    services — including pipeline stage spans — overlap on one PCU.
+//    services — including pipeline stage spans — overlap on one PCU;
+//  * golden digests: every AdmissionResult bit of a policy x option matrix
+//    is pinned to recorded FNV-1a values, so a refactor of the loop must
+//    reproduce the recorded results exactly, not merely agree with itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/config.hpp"
+#include "core/planner.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
 #include "runtime/pcu_pool.hpp"
 #include "runtime/arrival.hpp"
+#include "runtime/telemetry.hpp"
 
 namespace {
 
@@ -720,6 +729,348 @@ TEST(AdmissionInvariants, PipelineScheduleBitIdenticalAcrossEngineThreads) {
   ASSERT_GT(a.pipeline.pipelined_requests, 0u);
   expect_bit_identical(a, b);
   check_admission_invariants(a, 400, 4, /*event_driven=*/true);
+}
+
+// --- Golden digests: every result bit pinned across refactors ---
+//
+// The determinism tests above compare a run with itself; these pin the
+// results to values recorded before the admission loop was restructured,
+// so a refactor must reproduce them exactly. The matrix is every policy x
+// {plain, finite-deadline shedding, autoscaler, blind faults, health-aware
+// faults} on a mixed paper_defaults/small_core fleet serving two models,
+// one of them pipelined, plus the serial schedule and each WarmupPolicy on
+// one policy. Arrival and fault streams use only Rng::uniform() and basic
+// arithmetic (no libm), so the digests hold on any IEEE-754 x86-64 host.
+
+/// 64-bit FNV-1a over the bit patterns of every field fed to it.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t admission_digest(const AdmissionResult& r) {
+  Fnv1a h;
+  h.u64(r.schedule.size());
+  for (const ScheduledService& s : r.schedule) {
+    h.u64(s.id);
+    h.u64(s.pcu);
+    h.f64(s.arrival);
+    h.f64(s.start);
+    h.f64(s.completion);
+    h.f64(s.warmup);
+    h.u64(s.tenant);
+    h.u64(static_cast<std::uint64_t>(s.priority));
+    h.f64(s.deadline);
+    h.u64(s.model);
+    h.f64(s.swap);
+    h.u64(s.swapped);
+    h.u64(s.attempts);
+    h.u64(s.stages.size());
+    for (const runtime::StageService& st : s.stages) {
+      h.u64(st.stage);
+      h.u64(st.pcu);
+      h.u64(st.op_begin);
+      h.u64(st.op_end);
+      h.f64(st.start);
+      h.f64(st.completion);
+      h.f64(st.pin);
+      h.f64(st.handoff);
+    }
+  }
+  h.u64(r.shed.shed);
+  h.u64(r.shed.per_tenant.size());
+  for (const auto& [tenant, count] : r.shed.per_tenant) {
+    h.u64(tenant);
+    h.u64(count);
+  }
+  h.u64(r.shed.decisions.size());
+  for (const runtime::ShedDecision& d : r.shed.decisions) {
+    h.u64(d.id);
+    h.u64(d.tenant);
+    h.u64(static_cast<std::uint64_t>(d.priority));
+    h.f64(d.arrival);
+    h.f64(d.deadline);
+    h.f64(d.decision_time);
+  }
+  h.u64(r.autoscaler.scale_ups);
+  h.u64(r.autoscaler.scale_downs);
+  h.f64(r.autoscaler.mean_active);
+  const runtime::FaultReport& f = r.fault;
+  for (const std::size_t v :
+       {f.injections, f.transient_corruptions, f.crash_losses, f.retries,
+        f.recovered_requests, f.lost_requests, f.quarantines, f.repairs,
+        f.plan_epoch_bumps})
+    h.u64(v);
+  h.f64(f.repair_time);
+  h.u64(f.attempts.size());
+  for (const runtime::FaultedAttempt& a : f.attempts) {
+    h.u64(a.id);
+    h.u64(a.pcu);
+    h.f64(a.start);
+    h.f64(a.end);
+    h.u64(static_cast<std::uint64_t>(a.fault));
+    h.u64(a.attempt);
+  }
+  h.u64(f.losses.size());
+  for (const runtime::RequestLoss& l : f.losses) {
+    h.u64(l.id);
+    h.u64(l.tenant);
+    h.u64(static_cast<std::uint64_t>(l.priority));
+    h.f64(l.arrival);
+    h.f64(l.time);
+    h.u64(l.attempts);
+  }
+  h.u64(f.per_pcu.size());
+  for (const runtime::PcuHealthStats& p : f.per_pcu) {
+    for (const std::size_t v : {p.transients, p.degrades, p.crashes,
+                                p.quarantines, p.repairs, p.lost_attempts})
+      h.u64(v);
+    for (const double v : {p.healthy_time, p.degraded_time,
+                           p.quarantined_time, p.failed_time, p.availability,
+                           p.lost_time})
+      h.f64(v);
+  }
+  h.u64(r.pipeline.groups);
+  h.u64(r.pipeline.pipelined_requests);
+  h.u64(r.pipeline.stage_spans);
+  h.u64(r.pipeline.replacements);
+  h.f64(r.pipeline.pin_time);
+  h.f64(r.pipeline.handoff_time);
+  return h.value();
+}
+
+/// Two-model, three-class stream with finite deadlines at ~1.4x the paper
+/// PCUs' LeNet-5 capacity. Gaps are uniform on [0, 2 * mean): no std::log.
+std::vector<InferenceRequest> golden_stream(const PcuPool& pool,
+                                            std::size_t count) {
+  const double interval = pool.pcu(0).request_interval_overlapped(0);
+  const double warmup = pool.pcu(0).warmup_time(0);
+  Rng rng(2024);
+  double t = 0.0;
+  std::vector<InferenceRequest> requests;
+  for (std::size_t id = 0; id < count; ++id) {
+    t += 2.0 * rng.uniform() * (interval / 4.2);
+    InferenceRequest r;
+    r.id = id;
+    r.arrival_time = t;
+    r.model_id = static_cast<std::uint32_t>(rng.next_u64() % 2);
+    const std::uint64_t cls = rng.next_u64() % 3;
+    r.priority = cls == 0 ? PriorityClass::kInteractive
+                          : (cls == 1 ? PriorityClass::kStandard
+                                      : PriorityClass::kBestEffort);
+    r.tenant = static_cast<std::uint32_t>(cls);
+    r.deadline =
+        t + warmup + (2.0 + static_cast<double>(rng.next_u64() % 8)) * interval;
+    requests.push_back(r);
+  }
+  return requests;
+}
+
+/// Per-PCU fault timelines with uniform gaps (mean `mtbf`), every crash
+/// paired with a recover; merged in poisson_faults' (time, pcu,
+/// recover-first) order.
+runtime::FaultSchedule golden_faults(std::size_t pcus, double mtbf,
+                                     double horizon, double mttr) {
+  runtime::FaultSchedule faults;
+  for (std::size_t p = 0; p < pcus; ++p) {
+    Rng rng(700 + p);
+    double t = 0.0;
+    while (true) {
+      t += 2.0 * rng.uniform() * mtbf;
+      if (t >= horizon) break;
+      const double u = 3.0 * rng.uniform();
+      runtime::FaultEvent e{t, p, runtime::FaultKind::kCrash, 1.0};
+      if (u < 1.0) {
+        e.kind = runtime::FaultKind::kTransient;
+      } else if (u < 2.0) {
+        e.kind = runtime::FaultKind::kDegrade;
+        e.severity = 1.5;
+      }
+      faults.push_back(e);
+      if (e.kind == runtime::FaultKind::kCrash) {
+        t += 2.0 * rng.uniform() * mttr;
+        faults.push_back({t, p, runtime::FaultKind::kRecover, 1.0});
+      }
+    }
+  }
+  std::sort(faults.begin(), faults.end(),
+            [](const runtime::FaultEvent& a, const runtime::FaultEvent& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.pcu != b.pcu) return a.pcu < b.pcu;
+              return a.kind == runtime::FaultKind::kRecover &&
+                     b.kind != runtime::FaultKind::kRecover;
+            });
+  return faults;
+}
+
+TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
+  Rng wrng(5);
+  const nn::Network lenet = nn::lenet5();
+  const nn::NetWeights lenet_w = nn::make_network_weights(lenet, wrng);
+  const nn::Network tiny = nn::tiny_cnn();
+  const nn::NetWeights tiny_w = nn::make_network_weights(tiny, wrng);
+  // paper, small, paper, small, paper, small: small_core needs extra
+  // segmented passes for both models, so the capability-aware policies
+  // skip it. Model 1 (tiny_cnn) is pipelined over PCUs 4 and 5.
+  const auto build = [&](runtime::WarmupPolicy warmup) {
+    PcuSpec paper;
+    paper.config = PcnnaConfig::paper_defaults();
+    paper.warmup = warmup;
+    PcuSpec small = paper;
+    small.config = PcnnaConfig::small_core();
+    PcuPool pool({paper, small, paper, small, paper, small},
+                 TimingFidelity::kFull, lenet, lenet_w);
+    pool.register_model(tiny, tiny_w);
+    pool.build_pipeline(/*model=*/1, {4, 5}, /*handoff_time=*/2.0e-6);
+    return pool;
+  };
+  PcuPool pool = build(runtime::WarmupPolicy::kRechargeAfterIdle);
+  constexpr std::size_t kCount = 240;
+  const std::vector<InferenceRequest> stream = golden_stream(pool, kCount);
+  const double interval = pool.pcu(0).request_interval_overlapped(0);
+  const runtime::FaultSchedule faults = golden_faults(
+      pool.size(), 40.0 * interval, stream.back().arrival_time,
+      10.0 * interval);
+  ASSERT_FALSE(faults.empty());
+
+  struct Case {
+    std::string name;
+    AdmissionOptions options;
+    runtime::WarmupPolicy warmup = runtime::WarmupPolicy::kRechargeAfterIdle;
+  };
+  std::vector<Case> cases;
+  core::PlanCache plan_cache;
+  for (const DispatchPolicy policy : runtime::kAllDispatchPolicies) {
+    const std::string name = runtime::dispatch_policy_name(policy);
+    AdmissionOptions plain;
+    plain.policy = policy;
+    AdmissionOptions shed = plain;
+    shed.shed_expired = true;
+    AdmissionOptions scaled = plain;
+    scaled.autoscaler.enabled = true;
+    scaled.autoscaler.min_active = 1;
+    scaled.autoscaler.backlog_per_pcu = 1.5;
+    scaled.autoscaler.shrink_after_idle = 3.0 * interval;
+    AdmissionOptions blind = plain;
+    blind.faults.schedule = faults;
+    blind.faults.health_aware = false;
+    AdmissionOptions aware = plain;
+    aware.faults.schedule = faults;
+    aware.faults.detection_latency = 0.5 * interval;
+    aware.faults.retry.backoff_base = 0.25 * interval;
+    aware.faults.repair_time = 2.0 * interval;
+    aware.faults.plan_cache = &plan_cache;
+    cases.push_back({name + "/plain", plain});
+    cases.push_back({name + "/shed", shed});
+    cases.push_back({name + "/autoscaler", scaled});
+    cases.push_back({name + "/blind-faults", blind});
+    cases.push_back({name + "/aware-faults", aware});
+  }
+  AdmissionOptions serial;
+  serial.policy = DispatchPolicy::kLeastLoaded;
+  serial.double_buffer = false;
+  cases.push_back({"least-loaded/serial", serial});
+  AdmissionOptions warm;
+  warm.policy = DispatchPolicy::kLeastLoaded;
+  cases.push_back({"least-loaded/pinned-after-first", warm,
+                   runtime::WarmupPolicy::kPinnedAfterFirst});
+  cases.push_back({"least-loaded/always-cold", warm,
+                   runtime::WarmupPolicy::kAlwaysCold});
+
+  // Recorded from the loop before the eager and event-driven modes were
+  // merged into one.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"earliest-free/plain", 0x69bcef28c7500dc2ull},
+      {"earliest-free/shed", 0xd096fa135b75024aull},
+      {"earliest-free/autoscaler", 0xd11aaa51a13d4bb0ull},
+      {"earliest-free/blind-faults", 0xe2c2f2702037a976ull},
+      {"earliest-free/aware-faults", 0xf69029de6ea760fcull},
+      {"least-loaded/plain", 0x48a7c6287843f910ull},
+      {"least-loaded/shed", 0x6cea36fe4dd1c34full},
+      {"least-loaded/autoscaler", 0xd11aaa51a13d4bb0ull},
+      {"least-loaded/blind-faults", 0x456ee6399f4d482full},
+      {"least-loaded/aware-faults", 0x258a5c0be14c12c5ull},
+      {"capability-aware/plain", 0xbba3f910553cff71ull},
+      {"capability-aware/shed", 0x8faca59616f4c4c4ull},
+      {"capability-aware/autoscaler", 0x78f4a88dab6bddfdull},
+      {"capability-aware/blind-faults", 0x554e4e52748e2954ull},
+      {"capability-aware/aware-faults", 0xc1cd655cfe9b6095ull},
+      {"edf/plain", 0xad6328a84077b19cull},
+      {"edf/shed", 0x4209563bd936d312ull},
+      {"edf/autoscaler", 0x1b2f6c7c172fd530ull},
+      {"edf/blind-faults", 0x47326429474dd0baull},
+      {"edf/aware-faults", 0x32a0703d73cccf55ull},
+      {"model-affinity/plain", 0xcc6c1332293fb8a9ull},
+      {"model-affinity/shed", 0xbe8f0fd5556fb62cull},
+      {"model-affinity/autoscaler", 0x464612e2641930f7ull},
+      {"model-affinity/blind-faults", 0x139d1437e7210817ull},
+      {"model-affinity/aware-faults", 0xf7b479ebbe4d381aull},
+      {"pipeline/plain", 0x0e6909c17378e73dull},
+      {"pipeline/shed", 0x68b6f9f18f5bc973ull},
+      {"pipeline/autoscaler", 0xfa92c301cf8353ebull},
+      {"pipeline/blind-faults", 0x53f6736aab7165bbull},
+      {"pipeline/aware-faults", 0xe9efcca5bd1e306bull},
+      {"least-loaded/serial", 0xdc85852d29a47737ull},
+      {"least-loaded/pinned-after-first", 0x2f543500ff640dffull},
+      {"least-loaded/always-cold", 0xa7b6807da1d42f5full},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const AdmissionResult r =
+        c.warmup == runtime::WarmupPolicy::kRechargeAfterIdle
+            ? admit(pool, stream, c.options)
+            : [&] {
+                PcuPool other = build(c.warmup);
+                return admit(other, stream, c.options);
+              }();
+    ASSERT_GT(r.schedule.size(), 0u);
+    char actual[32];
+    std::snprintf(actual, sizeof actual, "0x%016" PRIx64,
+                  admission_digest(r));
+    const auto it = expected.find(c.name);
+    EXPECT_EQ(it == expected.end() ? 0u : it->second, admission_digest(r))
+        << "{\"" << c.name << "\", " << actual << "ull},";
+  }
+
+  // Telemetry of one run dispatched at admission (no queue-depth samples:
+  // nothing ever waits in a pending set) and one deferred run.
+  struct TelemetryCase {
+    DispatchPolicy policy;
+    bool shed;
+    std::size_t spans;
+    std::size_t samples;
+  };
+  for (const TelemetryCase& t :
+       {TelemetryCase{DispatchPolicy::kLeastLoaded, false, 240, 0},
+        TelemetryCase{DispatchPolicy::kEdf, true, 240, 240}}) {
+    runtime::Telemetry telemetry;
+    AdmissionOptions o;
+    o.policy = t.policy;
+    o.shed_expired = t.shed;
+    o.telemetry = &telemetry;
+    admit(pool, stream, o);
+    EXPECT_EQ(t.spans, telemetry.spans().size())
+        << runtime::dispatch_policy_name(t.policy);
+    EXPECT_EQ(t.samples, telemetry.queue_depth_samples().size())
+        << runtime::dispatch_policy_name(t.policy);
+  }
 }
 
 } // namespace

@@ -181,6 +181,12 @@ TEST(FaultTrace, ErrorsNameTheOffendingLine) {
                                  "line 2"));
   EXPECT_EQ("", line_named_error("0.5 0 degrade 0.25\n", "severity"));
   EXPECT_EQ("", line_named_error("0.5 0 transient extra junk\n", "line 1"));
+  // A negative PCU index is rejected here, not wrapped to 2^64 - 1 and
+  // reported only when the schedule meets a pool.
+  EXPECT_EQ("", line_named_error("1.0 -1 crash\n", "line 1"));
+  // Only a degrade carries a severity: write_fault_trace would drop this
+  // one, so a re-parse would silently read 1.
+  EXPECT_EQ("", line_named_error("# header\n1.0 0 crash 2.5\n", "line 2"));
 }
 
 TEST(FaultTrace, ValidateRejectsBadSchedules) {
@@ -194,6 +200,9 @@ TEST(FaultTrace, ValidateRejectsBadSchedules) {
                Error);
   EXPECT_THROW(runtime::validate_fault_schedule(
                    {{1.0, 0, FaultKind::kDegrade, 0.5}}),
+               Error);
+  EXPECT_THROW(runtime::validate_fault_schedule(
+                   {{1.0, 0, FaultKind::kCrash, 2.5}}),
                Error);
   runtime::validate_fault_schedule({}); // empty is fine
 }
