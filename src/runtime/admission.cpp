@@ -3,9 +3,13 @@
 // per-run state and runs one event loop over it, reading the pool only
 // through its public API. Requests dispatched at admission and deferred
 // ones share the per-policy scorer and the commit; they differ only in
-// which PCUs are candidates (AdmissionRun::candidate).
+// which PCUs are candidates (AdmissionRun::candidate). Deferred runs index
+// the fleet by free time, so their scans over candidates touch only the
+// PCUs free at `now` (see AdmissionRun::set_free_at).
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -165,6 +169,11 @@ class AdmissionRun {
     }
     result_.pipeline.groups = groups_.size();
     if (fault_active_) result_.fault.per_pcu.resize(n_);
+    // Every PCU starts free at t = 0.
+    if (!at_admission_) {
+      free_bits_.assign((n_ + 63) / 64, ~std::uint64_t{0});
+      if (n_ % 64 != 0) free_bits_.back() >>= 64 - n_ % 64;
+    }
   }
 
   /// Events are arrivals, PCU-free instants, retry expiries and health
@@ -268,6 +277,100 @@ class AdmissionRun {
     return best;
   }
 
+  /// argmin over the candidates passing `filter`. At admission every PCU
+  /// is a candidate and this is the plain scan. Deferred, it walks only
+  /// the free set, in ascending index order, so the strict-< tie-break
+  /// picks the same PCU the full scan would.
+  template <class Filter, class Score>
+  Pick argmin_candidate(Filter&& filter, Score&& score) const {
+    if (at_admission_) return argmin(filter, score);
+    Pick best{n_, kInf};
+    any_free([&](std::size_t p) {
+      if (filter(p)) {
+        const double s = score(p);
+        if (s < best.score) best = {p, s};
+      }
+      return false;
+    });
+    PCNNA_DCHECK(same_pick(
+        best,
+        argmin([&](std::size_t p) { return candidate(p) && filter(p); },
+               score)));
+    return best;
+  }
+
+  // --- free-time index (deferred runs only) ---
+
+  /// Calls f(p) on each PCU free at `now`, in ascending index order, until
+  /// f returns true; returns whether it did.
+  template <class F>
+  bool any_free(F&& f) const {
+    for (std::size_t w = 0; w < free_bits_.size(); ++w)
+      for (std::uint64_t bits = free_bits_[w]; bits != 0; bits &= bits - 1)
+        if (f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits))))
+          return true;
+    return false;
+  }
+
+  static std::uint64_t bit(std::size_t p) {
+    return std::uint64_t{1} << (p % 64);
+  }
+
+  bool is_free(std::size_t p) const {
+    return (free_bits_[p / 64] & bit(p)) != 0;
+  }
+
+  /// Earliest free time of a busy schedulable PCU (kInf when none): the
+  /// head of the busy set, past any unschedulable entries.
+  double next_busy_free_time() const {
+    for (const auto& [t, p] : busy_)
+      if (schedulable(p)) return t;
+    return kInf;
+  }
+
+  /// The one writer of free_at_ after construction. A deferred run keeps
+  /// the index in step; dispatching at admission never reads it, so it
+  /// skips the upkeep.
+  void set_free_at(std::size_t p, double t) {
+    if (!at_admission_) {
+      if (is_free(p)) {
+        free_bits_[p / 64] &= ~bit(p);
+      } else {
+        busy_.erase(std::pair{free_at_[p], p});
+      }
+      if (t <= now_) {
+        free_bits_[p / 64] |= bit(p);
+      } else {
+        busy_.emplace(t, p);
+      }
+    }
+    free_at_[p] = t;
+  }
+
+  /// Debug oracle for the index: bit p set <=> free_at_[p] <= now_, no bit
+  /// past the fleet, and busy_ holds exactly (free_at_[p], p) for every
+  /// PCU whose bit is clear.
+  bool index_consistent() const {
+    if (n_ % 64 != 0 && (free_bits_.back() >> (n_ % 64)) != 0) return false;
+    std::size_t busy = 0;
+    for (std::size_t p = 0; p < n_; ++p) {
+      if (is_free(p) != (free_at_[p] <= now_)) return false;
+      busy += is_free(p) ? 0 : 1;
+    }
+    if (busy != busy_.size()) return false;
+    for (const auto& [t, p] : busy_)
+      if (is_free(p) || !same_bits(t, free_at_[p])) return false;
+    return true;
+  }
+
+  static bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }
+
+  static bool same_pick(Pick a, Pick b) {
+    return a.pcu == b.pcu && same_bits(a.score, b.score);
+  }
+
   /// Pipeline-fill charge for dispatching model m to PCU p at `start`, per
   /// that PCU's warmup policy. Zero on the serial schedule: without double
   /// buffering every layer pays its recalibration inline. A PCU the
@@ -332,6 +435,10 @@ class AdmissionRun {
                                << request.model_id << " but only "
                                << pool_.num_models()
                                << " models are registered");
+    // A NaN deadline ranks equivalent to every key in the urgency order,
+    // so the pending set would silently drop the request.
+    PCNNA_CHECK_MSG(!std::isnan(request.deadline),
+                    "request " << request.id << " has a NaN deadline");
     const PendingRequest r{request.id,       request.arrival_time,
                            request.tenant,   request.priority,
                            request.deadline, request.model_id};
@@ -364,11 +471,18 @@ class AdmissionRun {
   /// kModelAffinity for a busy PCU programmed with its model, otherwise
   /// when no candidate is capable of it (multi-model kCapabilityAware, or
   /// the unreserved remainder under kPipeline).
-  std::size_t choose(const PendingRequest& r, double t) const {
+  ///
+  /// Kept out of line: GCC 12 otherwise inlines it, both scans of all six
+  /// policies included, into try_dispatch, which slowed the
+  /// dispatch-at-admission path (perfbench admit_ll_mixed16, 4-vCPU
+  /// x86-64 host) by 3.7-7 %.
+  [[gnu::noinline]] std::size_t choose(const PendingRequest& r,
+                                       double t) const {
     const std::uint32_t m = r.model;
     const bool allow_degraded = degraded_allowed(m);
+    // Not filtered on candidate(p): argmin_candidate walks only candidates.
     const auto eligible = [&](std::size_t p) {
-      return dispatchable(p, m, allow_degraded) && candidate(p);
+      return dispatchable(p, m, allow_degraded);
     };
     // Predicted completion if r starts on p as soon as both are ready.
     const auto completion = [&](std::size_t p, bool swap_aware) {
@@ -382,21 +496,22 @@ class AdmissionRun {
     switch (policy_) {
       case DispatchPolicy::kEarliestFree:
         // Longest-free wins, blind to per-PCU speed.
-        best = argmin(eligible, [&](std::size_t p) { return free_at_[p]; });
+        best = argmin_candidate(eligible,
+                                [&](std::size_t p) { return free_at_[p]; });
         break;
       case DispatchPolicy::kLeastLoaded:
       case DispatchPolicy::kCapabilityAware:
       case DispatchPolicy::kEdf:
-        best = argmin(eligible, blind);
+        best = argmin_candidate(eligible, blind);
         break;
       case DispatchPolicy::kPipeline:
-        best = argmin(
+        best = argmin_candidate(
             [&](std::size_t p) { return !reserved_[p] && eligible(p); },
             blind);
         break;
       case DispatchPolicy::kModelAffinity: {
         // (a) A candidate already programmed with m: no swap.
-        best = argmin(
+        best = argmin_candidate(
             [&](std::size_t p) { return eligible(p) && programmed_[p] == m; },
             truthful);
         if (best.pcu < n_) return best.pcu;
@@ -406,16 +521,16 @@ class AdmissionRun {
         // onto the best candidate now. Wait only when waiting both meets
         // the deadline and is at least as fast — otherwise the affinity
         // queue would blow the SLO (or just lose throughput) for a swap.
+        // (A linear scan over busy PCUs: no large-fleet workload runs it.)
         const Pick affine = argmin(
             [&](std::size_t p) {
-              return dispatchable(p, m, allow_degraded) &&
-                     programmed_[p] == m && !candidate(p);
+              return eligible(p) && programmed_[p] == m && !candidate(p);
             },
             [&](std::size_t p) {
               return free_at_[p] + pool_.pcu(p).request_interval_overlapped(m) *
                                        degrade_mult_[p];
             });
-        best = argmin(eligible, truthful);
+        best = argmin_candidate(eligible, truthful);
         if (std::isfinite(affine.score) && affine.score <= r.deadline &&
             affine.score <= best.score)
           return n_; // hold out for the busy affine PCU
@@ -499,7 +614,7 @@ class AdmissionRun {
   }
 
   void occupy(std::size_t p, std::uint32_t m, double until) {
-    free_at_[p] = until;
+    set_free_at(p, until);
     served_[p] += 1;
     force_cold_[p] = 0;
     programmed_[p] = m;
@@ -558,10 +673,15 @@ class AdmissionRun {
       shrink_idle();
       grow_on_backlog();
     }
+    // The earliest instant a schedulable PCU is free: `now` if one is.
+    const auto schedulable_pcu = [&](std::size_t p) { return schedulable(p); };
     const double free_time =
-        argmin([&](std::size_t p) { return schedulable(p); },
-               [&](std::size_t p) { return std::max(now_, free_at_[p]); })
-            .score;
+        any_free(schedulable_pcu) ? now_ : next_busy_free_time();
+    PCNNA_DCHECK(same_bits(
+        free_time,
+        argmin(schedulable_pcu, [&](std::size_t p) {
+          return std::max(now_, free_at_[p]);
+        }).score));
     if (!std::isfinite(free_time)) {
       PCNNA_CHECK_MSG(fault_active_,
                       "no active capable PCU to dispatch to — autoscaler "
@@ -598,11 +718,13 @@ class AdmissionRun {
     // Every pending request waits: advance to the next event that can
     // change the picture — an arrival, the next strictly-later free time
     // of an eligible PCU, or (with faults) a retry expiry or health event.
-    const double next = std::min(
-        next_event(),
+    const double busy_free_time = next_busy_free_time();
+    PCNNA_DCHECK(same_bits(
+        busy_free_time,
         argmin([&](std::size_t p) { return schedulable(p) && !candidate(p); },
                [&](std::size_t p) { return free_at_[p]; })
-            .score);
+            .score));
+    const double next = std::min(next_event(), busy_free_time);
     PCNNA_CHECK_MSG(std::isfinite(next) || fault_active_,
                     "admission deadlock: every pending request is deferred "
                     "with no future event");
@@ -635,6 +757,8 @@ class AdmissionRun {
     return retries_.empty() ? kInf : retries_.begin()->first.first;
   }
 
+  /// The only writer of now_. A deferred run moves every PCU that frees
+  /// by the new `now` from the busy set to the free set.
   void advance_to(double t) {
     if (t > last_event_) {
       active_integral_ +=
@@ -642,6 +766,13 @@ class AdmissionRun {
       last_event_ = t;
     }
     now_ = std::max(now_, t);
+    if (at_admission_) return;
+    while (!busy_.empty() && busy_.begin()->first <= now_) {
+      const std::size_t p = busy_.begin()->second;
+      free_bits_[p / 64] |= bit(p);
+      busy_.erase(busy_.begin());
+    }
+    PCNNA_DCHECK(index_consistent());
   }
 
   /// Every clock advance goes through here so faults strike in order, at
@@ -859,7 +990,7 @@ class AdmissionRun {
         const double repair_end =
             repair_start + faults_.repair_time + pool_.pcu(p).swap_time(m);
         result_.fault.repair_time += repair_end - repair_start;
-        free_at_[p] = std::max(free_at_[p], repair_end);
+        set_free_at(p, std::max(free_at_[p], repair_end));
         set_timer(p, TimerKind::kRepairDone, repair_end);
         return;
       }
@@ -910,7 +1041,7 @@ class AdmissionRun {
         // External repair: a mid-quarantine recover completes the repair
         // early; a recover on a healthy PCU is an external re-trim.
         rejoin(p, e.time);
-        free_at_[p] = std::max(free_at_[p], e.time);
+        set_free_at(p, std::max(free_at_[p], e.time));
         set_timer(p, TimerKind::kNone, kInf);
         return;
     }
@@ -1089,6 +1220,8 @@ class AdmissionRun {
   template <class T>
   using PerPcu = std::vector<T>;
   PerPcu<unsigned char> capable_any_ = PerPcu<unsigned char>(n_, 0);
+  /// When each PCU finishes its committed work; written only through
+  /// set_free_at.
   PerPcu<double> free_at_ = PerPcu<double>(n_, 0.0);
   PerPcu<std::size_t> served_ = PerPcu<std::size_t>(n_, 0);
   /// Model whose weights sit in the banks (kNoModel before the first
@@ -1134,6 +1267,12 @@ class AdmissionRun {
   std::size_t fault_cursor_ = 0;
 
   std::set<PendingRequest, UrgencyOrder> pending_;
+  /// Free-time index of a deferred run (empty when dispatching at
+  /// admission), kept by set_free_at and advance_to: bit p of free_bits_
+  /// is set iff free_at_[p] <= now_, and busy_ holds (free_at_[p], p) for
+  /// every other PCU, soonest first.
+  std::vector<std::uint64_t> free_bits_;
+  std::set<std::pair<double, std::size_t>> busy_;
   double now_ = 0.0;
   double last_event_ = 0.0;
   double active_integral_ = 0.0; ///< ∫ active count dt, for mean_active

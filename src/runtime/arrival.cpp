@@ -123,6 +123,9 @@ SloSchedule assign_tenants(const ArrivalSchedule& arrivals,
     PCNNA_CHECK_MSG(std::isfinite(mix[i].weight) && mix[i].weight > 0.0,
                     "tenant mix entry " << i << " has invalid weight "
                                         << mix[i].weight);
+    // +-inf budgets are legal (no SLO / always late); NaN has no order.
+    PCNNA_CHECK_MSG(!std::isnan(mix[i].slo_budget),
+                    "tenant mix entry " << i << " has a NaN slo_budget");
     total_weight += mix[i].weight;
   }
 

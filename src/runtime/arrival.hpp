@@ -90,7 +90,8 @@ struct TenantClass {
 /// seeded weighted draw (common::Rng, same determinism contract as
 /// poisson_arrivals), returning the index-aligned SloSchedule with each
 /// request's absolute deadline already resolved against its arrival time.
-/// Throws pcnna::Error when `mix` is empty or any weight is not > 0.
+/// Throws pcnna::Error when `mix` is empty, any weight is not > 0, or any
+/// slo_budget is NaN.
 SloSchedule assign_tenants(const ArrivalSchedule& arrivals,
                            const std::vector<TenantClass>& mix,
                            std::uint64_t seed);

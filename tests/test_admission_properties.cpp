@@ -855,17 +855,19 @@ std::uint64_t admission_digest(const AdmissionResult& r) {
   return h.value();
 }
 
-/// Two-model, three-class stream with finite deadlines at ~1.4x the paper
-/// PCUs' LeNet-5 capacity. Gaps are uniform on [0, 2 * mean): no std::log.
+/// Two-model, three-class stream with finite deadlines, `rate` arrivals per
+/// PCU 0 LeNet-5 interval on average (4.2 is ~1.4x the capacity of three
+/// paper PCUs). Gaps are uniform on [0, 2 * mean): no std::log.
 std::vector<InferenceRequest> golden_stream(const PcuPool& pool,
-                                            std::size_t count) {
+                                            std::size_t count,
+                                            double rate = 4.2) {
   const double interval = pool.pcu(0).request_interval_overlapped(0);
   const double warmup = pool.pcu(0).warmup_time(0);
   Rng rng(2024);
   double t = 0.0;
   std::vector<InferenceRequest> requests;
   for (std::size_t id = 0; id < count; ++id) {
-    t += 2.0 * rng.uniform() * (interval / 4.2);
+    t += 2.0 * rng.uniform() * (interval / rate);
     InferenceRequest r;
     r.id = id;
     r.arrival_time = t;
@@ -919,6 +921,59 @@ runtime::FaultSchedule golden_faults(std::size_t pcus, double mtbf,
   return faults;
 }
 
+struct GoldenCase {
+  std::string name;
+  AdmissionOptions options;
+  runtime::WarmupPolicy warmup = runtime::WarmupPolicy::kRechargeAfterIdle;
+};
+
+/// Every policy x {plain, finite-deadline shedding, autoscaler, blind
+/// faults, health-aware faults}, named "<policy>/<variant>".
+std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
+                                     double interval,
+                                     core::PlanCache* plan_cache) {
+  std::vector<GoldenCase> cases;
+  for (const DispatchPolicy policy : runtime::kAllDispatchPolicies) {
+    const std::string name = runtime::dispatch_policy_name(policy);
+    AdmissionOptions plain;
+    plain.policy = policy;
+    AdmissionOptions shed = plain;
+    shed.shed_expired = true;
+    AdmissionOptions scaled = plain;
+    scaled.autoscaler.enabled = true;
+    scaled.autoscaler.min_active = 1;
+    scaled.autoscaler.backlog_per_pcu = 1.5;
+    scaled.autoscaler.shrink_after_idle = 3.0 * interval;
+    AdmissionOptions blind = plain;
+    blind.faults.schedule = faults;
+    blind.faults.health_aware = false;
+    AdmissionOptions aware = plain;
+    aware.faults.schedule = faults;
+    aware.faults.detection_latency = 0.5 * interval;
+    aware.faults.retry.backoff_base = 0.25 * interval;
+    aware.faults.repair_time = 2.0 * interval;
+    aware.faults.plan_cache = plan_cache;
+    cases.push_back({name + "/plain", plain});
+    cases.push_back({name + "/shed", shed});
+    cases.push_back({name + "/autoscaler", scaled});
+    cases.push_back({name + "/blind-faults", blind});
+    cases.push_back({name + "/aware-faults", aware});
+  }
+  return cases;
+}
+
+/// Expect `r` to hash to the digest recorded for `name`; on a mismatch the
+/// message is the map entry to paste.
+void expect_digest(const std::map<std::string, std::uint64_t>& expected,
+                   const std::string& name, const AdmissionResult& r) {
+  ASSERT_GT(r.schedule.size(), 0u);
+  char actual[32];
+  std::snprintf(actual, sizeof actual, "0x%016" PRIx64, admission_digest(r));
+  const auto it = expected.find(name);
+  EXPECT_EQ(it == expected.end() ? 0u : it->second, admission_digest(r))
+      << "{\"" << name << "\", " << actual << "ull},";
+}
+
 TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
   Rng wrng(5);
   const nn::Network lenet = nn::lenet5();
@@ -949,39 +1004,9 @@ TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
       10.0 * interval);
   ASSERT_FALSE(faults.empty());
 
-  struct Case {
-    std::string name;
-    AdmissionOptions options;
-    runtime::WarmupPolicy warmup = runtime::WarmupPolicy::kRechargeAfterIdle;
-  };
-  std::vector<Case> cases;
   core::PlanCache plan_cache;
-  for (const DispatchPolicy policy : runtime::kAllDispatchPolicies) {
-    const std::string name = runtime::dispatch_policy_name(policy);
-    AdmissionOptions plain;
-    plain.policy = policy;
-    AdmissionOptions shed = plain;
-    shed.shed_expired = true;
-    AdmissionOptions scaled = plain;
-    scaled.autoscaler.enabled = true;
-    scaled.autoscaler.min_active = 1;
-    scaled.autoscaler.backlog_per_pcu = 1.5;
-    scaled.autoscaler.shrink_after_idle = 3.0 * interval;
-    AdmissionOptions blind = plain;
-    blind.faults.schedule = faults;
-    blind.faults.health_aware = false;
-    AdmissionOptions aware = plain;
-    aware.faults.schedule = faults;
-    aware.faults.detection_latency = 0.5 * interval;
-    aware.faults.retry.backoff_base = 0.25 * interval;
-    aware.faults.repair_time = 2.0 * interval;
-    aware.faults.plan_cache = &plan_cache;
-    cases.push_back({name + "/plain", plain});
-    cases.push_back({name + "/shed", shed});
-    cases.push_back({name + "/autoscaler", scaled});
-    cases.push_back({name + "/blind-faults", blind});
-    cases.push_back({name + "/aware-faults", aware});
-  }
+  std::vector<GoldenCase> cases =
+      golden_cases(faults, interval, &plan_cache);
   AdmissionOptions serial;
   serial.policy = DispatchPolicy::kLeastLoaded;
   serial.double_buffer = false;
@@ -1031,7 +1056,7 @@ TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
       {"least-loaded/always-cold", 0xa7b6807da1d42f5full},
   };
 
-  for (const Case& c : cases) {
+  for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.name);
     const AdmissionResult r =
         c.warmup == runtime::WarmupPolicy::kRechargeAfterIdle
@@ -1040,13 +1065,7 @@ TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
                 PcuPool other = build(c.warmup);
                 return admit(other, stream, c.options);
               }();
-    ASSERT_GT(r.schedule.size(), 0u);
-    char actual[32];
-    std::snprintf(actual, sizeof actual, "0x%016" PRIx64,
-                  admission_digest(r));
-    const auto it = expected.find(c.name);
-    EXPECT_EQ(it == expected.end() ? 0u : it->second, admission_digest(r))
-        << "{\"" << c.name << "\", " << actual << "ull},";
+    expect_digest(expected, c.name, r);
   }
 
   // Telemetry of one run dispatched at admission (no queue-depth samples:
@@ -1070,6 +1089,80 @@ TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
         << runtime::dispatch_policy_name(t.policy);
     EXPECT_EQ(t.samples, telemetry.queue_depth_samples().size())
         << runtime::dispatch_policy_name(t.policy);
+  }
+}
+
+// The same matrix on a fleet wide enough that a per-PCU bit set spans three
+// 64-bit words, the last one partial: 150 PCUs alternating paper_defaults
+// (even indices) and small_core, serving LeNet-5 and tiny_cnn, with
+// tiny_cnn's pipeline group on PCUs 63 and 128 — the last bit of word 0
+// and the first of word 2. The stream runs at ~1.4x the paper PCUs'
+// LeNet-5 capacity, so the whole fleet saturates. Recorded with the
+// linear-scan admission loop at commit d3a2d77, before the deferred loop
+// indexed its PCUs by free time.
+TEST(AdmissionGolden, WideFleetDigestsMatchTheScanningLoop) {
+  Rng wrng(5);
+  const nn::Network lenet = nn::lenet5();
+  const nn::NetWeights lenet_w = nn::make_network_weights(lenet, wrng);
+  const nn::Network tiny = nn::tiny_cnn();
+  const nn::NetWeights tiny_w = nn::make_network_weights(tiny, wrng);
+  constexpr std::size_t kPcus = 150;
+  PcuSpec paper;
+  paper.config = PcnnaConfig::paper_defaults();
+  PcuSpec small = paper;
+  small.config = PcnnaConfig::small_core();
+  std::vector<PcuSpec> specs;
+  for (std::size_t p = 0; p < kPcus; ++p)
+    specs.push_back(p % 2 == 0 ? paper : small);
+  PcuPool pool(specs, TimingFidelity::kFull, lenet, lenet_w);
+  pool.register_model(tiny, tiny_w);
+  pool.build_pipeline(/*model=*/1, {63, 128}, /*handoff_time=*/2.0e-6);
+
+  const std::vector<InferenceRequest> stream =
+      golden_stream(pool, 800, 1.4 * static_cast<double>(kPcus / 2));
+  const double interval = pool.pcu(0).request_interval_overlapped(0);
+  const runtime::FaultSchedule faults = golden_faults(
+      kPcus, 40.0 * interval, stream.back().arrival_time, 10.0 * interval);
+  ASSERT_FALSE(faults.empty());
+  core::PlanCache plan_cache;
+  const std::vector<GoldenCase> cases =
+      golden_cases(faults, interval, &plan_cache);
+
+  const std::map<std::string, std::uint64_t> expected = {
+      {"earliest-free/plain", 0x3f9675aa0f2f4771ull},
+      {"earliest-free/shed", 0xa14a05271ea7774full},
+      {"earliest-free/autoscaler", 0x6bf8c3bae7c92b2dull},
+      {"earliest-free/blind-faults", 0x900450308f99e396ull},
+      {"earliest-free/aware-faults", 0x83f95428bf711871ull},
+      {"least-loaded/plain", 0x1931ee9018ccc365ull},
+      {"least-loaded/shed", 0xe626a11ac9ce20b3ull},
+      {"least-loaded/autoscaler", 0x6bf8c3bae7c92b2dull},
+      {"least-loaded/blind-faults", 0x9791e89b4f96bac5ull},
+      {"least-loaded/aware-faults", 0x1c0e6102562074e2ull},
+      {"capability-aware/plain", 0x0e0b77fb471f7bc8ull},
+      {"capability-aware/shed", 0xe4f794d22804392cull},
+      {"capability-aware/autoscaler", 0xe436aa5ce0507309ull},
+      {"capability-aware/blind-faults", 0x9862ae4856c5652full},
+      {"capability-aware/aware-faults", 0x83a3aa7c4b306801ull},
+      {"edf/plain", 0x95eaf72aec89a860ull},
+      {"edf/shed", 0x36c1cb25b973e7a0ull},
+      {"edf/autoscaler", 0x687c620eaeb4fb5eull},
+      {"edf/blind-faults", 0x034004031e66bd56ull},
+      {"edf/aware-faults", 0x031d8d7a59dc83ddull},
+      {"model-affinity/plain", 0x59aa8fa444a66a53ull},
+      {"model-affinity/shed", 0x59aa8fa444a66a53ull},
+      {"model-affinity/autoscaler", 0x423033a3c30ea7bfull},
+      {"model-affinity/blind-faults", 0x5307348ed7f2e03aull},
+      {"model-affinity/aware-faults", 0x1e5994d883111d67ull},
+      {"pipeline/plain", 0x92d40c52553b12adull},
+      {"pipeline/shed", 0x8ea4847e0146533cull},
+      {"pipeline/autoscaler", 0x916dd7fcd5d25c0eull},
+      {"pipeline/blind-faults", 0x1484756e74a0851full},
+      {"pipeline/aware-faults", 0x74ebb772e36b538eull},
+  };
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    expect_digest(expected, c.name, admit(pool, stream, c.options));
   }
 }
 

@@ -441,6 +441,72 @@ TEST(AssignTenants, RejectsEmptyMixAndBadWeights) {
       Error);
 }
 
+/// The message of the pcnna::Error `f` throws ("" when it throws none).
+template <class F>
+std::string error_message(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AssignTenants, RejectsNanBudgetNamingTheEntry) {
+  const ArrivalSchedule arrivals = {0.0, 1.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string message = error_message([&] {
+    runtime::assign_tenants(arrivals,
+                            {{0, PriorityClass::kInteractive, 1.0, 1e-3},
+                             {1, PriorityClass::kBestEffort, 1.0, nan}},
+                            1);
+  });
+  EXPECT_NE(std::string::npos, message.find("tenant mix entry 1"))
+      << message;
+  // Infinite budgets stay legal.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(runtime::assign_tenants(
+      arrivals,
+      {{0, PriorityClass::kStandard, 1.0, inf},
+       {1, PriorityClass::kStandard, 1.0, -inf}},
+      1));
+}
+
+// A NaN deadline compares equivalent to every key of the EDF urgency
+// order, so the pending set used to drop the request uncounted: 40
+// offered, 23 served, none shed or lost. Admission now rejects it by id,
+// on the queue path and through BatchRunner alike.
+TEST(SloServing, NanDeadlineIsRejectedNamingTheRequest) {
+  const Served s = make_served(0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const DispatchPolicy policy :
+       {DispatchPolicy::kEdf, DispatchPolicy::kModelAffinity,
+        DispatchPolicy::kPipeline, DispatchPolicy::kEarliestFree}) {
+    SCOPED_TRACE(dispatch_policy_name(policy));
+    PcuPool pool(paper_fleet(2), TimingFidelity::kFull, s.net, s.weights);
+    AdmissionOptions admission;
+    admission.policy = policy;
+    const std::string message = error_message([&] {
+      admit(pool,
+            {timing_request(0, 0.0, PriorityClass::kStandard, 1.0),
+             timing_request(7, 0.0, PriorityClass::kStandard, nan)},
+            admission);
+    });
+    EXPECT_NE(std::string::npos, message.find("request 7"))
+        << message;
+  }
+
+  BatchRunnerOptions o = options(2, false);
+  o.dispatch = DispatchPolicy::kEdf;
+  BatchRunner runner(PcnnaConfig::paper_defaults(), s.net, s.weights, o);
+  const ArrivalSchedule arrivals = runtime::poisson_arrivals(40, 1.0e6, 5);
+  SloSchedule slos(arrivals.size());
+  slos[17].deadline = nan;
+  const std::string message =
+      error_message([&] { runner.simulate_open_loop(arrivals, slos); });
+  EXPECT_NE(std::string::npos, message.find("request 17")) << message;
+}
+
 // --- The overload story the bench gates (small-scale mirror) ---
 
 TEST(SloServing, EdfWithSheddingHoldsInteractiveSloWhereFifoCollapses) {
