@@ -99,4 +99,22 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+void Rng::discard_normals(std::uint64_t n) {
+  if (n == 0) return;
+  if (have_cached_normal_) {
+    have_cached_normal_ = false;
+    if (--n == 0) return;
+  }
+  // The n remaining draws span ceil(n / 2) pairs of uniforms. Skip all but
+  // the last pair raw, then draw it through normal() so the spare cache
+  // (set by an odd n, stale but still part of state() by an even one) ends
+  // as n calls would leave it.
+  for (std::uint64_t i = 0; i < (n - 1) / 2; ++i) {
+    next_u64();
+    next_u64();
+  }
+  normal();
+  if (n % 2 == 0) normal();
+}
+
 } // namespace pcnna

@@ -55,6 +55,13 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
+  /// Advance the generator exactly as `n` calls of normal() would, leaving
+  /// state() bitwise equal to theirs. Each skipped Box–Muller pair costs two
+  /// xoshiro steps and no transform; only the last pair is transformed,
+  /// because it sets the spare-normal cache. The threaded engine positions
+  /// each pixel tile's generator at the tile's first draw this way.
+  void discard_normals(std::uint64_t n);
+
  private:
   std::uint64_t state_[4]{};
   bool have_cached_normal_ = false;

@@ -7,6 +7,17 @@
 #include "nn/conv_ref.hpp"
 
 namespace pcnna::core {
+namespace {
+
+/// Fill `layer`'s fidelity metrics: the simulated output `sim` against the
+/// golden result `ref` on the same layer input.
+void compare_layer(const nn::Tensor& sim, const nn::Tensor& ref,
+                   LayerRunReport& layer) {
+  layer.max_abs_err_vs_reference = nn::max_abs_diff(sim, ref);
+  layer.rmse_vs_reference = rmse(sim.data(), ref.data());
+}
+
+} // namespace
 
 Accelerator::Accelerator(PcnnaConfig config, TimingFidelity fidelity)
     : config_(std::move(config)),
@@ -36,19 +47,18 @@ nn::Tensor Accelerator::run_conv(const nn::Tensor& input,
     report->energy = energy_.layer_energy(scheduler_.plan(params),
                                           report->timing);
     report->engine = stats;
-    const nn::Tensor ref = nn::conv2d_direct(input, weights, bias, stride, pad);
-    report->max_abs_err_vs_reference = nn::max_abs_diff(out, ref);
-    report->rmse_vs_reference = rmse(out.data(), ref.data());
+    compare_layer(out, nn::conv2d_direct(input, weights, bias, stride, pad),
+                  *report);
   }
   return out;
 }
 
-NetworkRunReport Accelerator::run_range(const nn::Network& net,
-                                        const nn::NetWeights& weights,
-                                        const nn::Tensor& input,
-                                        std::size_t op_begin,
-                                        std::size_t op_end,
-                                        bool simulate_values) {
+NetworkRunReport Accelerator::run_ops(const nn::Network& net,
+                                      const nn::NetWeights& weights,
+                                      const nn::Tensor& input,
+                                      std::size_t op_begin, std::size_t op_end,
+                                      bool simulate_values,
+                                      bool compare_reference) {
   PCNNA_CHECK(weights.weight.size() == net.ops().size());
   PCNNA_CHECK(weights.bias.size() == net.ops().size());
   PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= net.ops().size(),
@@ -72,17 +82,18 @@ NetworkRunReport Accelerator::run_range(const nn::Network& net,
         layer.energy =
             energy_.layer_energy(scheduler_.plan(op.conv), layer.timing);
 
-        const nn::Tensor ref_out = nn::conv2d_direct(
-            x, weights.weight[i], weights.bias[i], op.conv.s, op.conv.p);
+        const auto golden = [&] {
+          return nn::conv2d_direct(x, weights.weight[i], weights.bias[i],
+                                   op.conv.s, op.conv.p);
+        };
         if (simulate_values) {
           nn::Tensor sim_out = engine_.conv2d(x, weights.weight[i],
                                               weights.bias[i], op.conv.s,
                                               op.conv.p, &layer.engine);
-          layer.max_abs_err_vs_reference = nn::max_abs_diff(sim_out, ref_out);
-          layer.rmse_vs_reference = rmse(sim_out.data(), ref_out.data());
+          if (compare_reference) compare_layer(sim_out, golden(), layer);
           x = std::move(sim_out);
         } else {
-          x = ref_out;
+          x = golden();
         }
         report.total_optical_core_time += layer.timing.optical_core_time;
         report.total_full_system_time += layer.timing.full_system_time;
@@ -125,16 +136,16 @@ NetworkRunReport Accelerator::run_range(const nn::Network& net,
         layer.energy =
             energy_.layer_energy(scheduler_.plan(fc_params), layer.timing);
 
-        const nn::Tensor ref_out =
-            nn::fully_connected(x, weights.weight[i], weights.bias[i]);
+        const auto golden = [&] {
+          return nn::fully_connected(x, weights.weight[i], weights.bias[i]);
+        };
         if (simulate_values) {
           nn::Tensor sim_out = engine_.fully_connected(
               x, weights.weight[i], weights.bias[i], &layer.engine);
-          layer.max_abs_err_vs_reference = nn::max_abs_diff(sim_out, ref_out);
-          layer.rmse_vs_reference = rmse(sim_out.data(), ref_out.data());
+          if (compare_reference) compare_layer(sim_out, golden(), layer);
           x = std::move(sim_out);
         } else {
-          x = ref_out;
+          x = golden();
         }
         report.total_optical_core_time += layer.timing.optical_core_time;
         report.total_full_system_time += layer.timing.full_system_time;
@@ -151,13 +162,23 @@ NetworkRunReport Accelerator::run_range(const nn::Network& net,
   return report;
 }
 
+NetworkRunReport Accelerator::run_range(const nn::Network& net,
+                                        const nn::NetWeights& weights,
+                                        const nn::Tensor& input,
+                                        std::size_t op_begin,
+                                        std::size_t op_end,
+                                        bool simulate_values) {
+  return run_ops(net, weights, input, op_begin, op_end, simulate_values,
+                 /*compare_reference=*/false);
+}
+
 NetworkRunReport Accelerator::run(const nn::Network& net,
                                   const nn::NetWeights& weights,
                                   const nn::Tensor& input,
                                   bool simulate_values,
                                   bool compare_reference) {
-  NetworkRunReport report =
-      run_range(net, weights, input, 0, net.ops().size(), simulate_values);
+  NetworkRunReport report = run_ops(net, weights, input, 0, net.ops().size(),
+                                    simulate_values, compare_reference);
 
   if (compare_reference) {
     report.reference_output = nn::forward_reference(net, weights, input);

@@ -28,7 +28,10 @@ struct LayerRunReport {
   LayerTiming timing;      ///< at the accelerator's configured fidelity
   EnergyReport energy;
   EngineStats engine;      ///< zeros when values were not simulated
-  /// Engine output vs golden conv on the same layer input (functional runs).
+  /// Engine output vs the golden layer (conv, or FC under accelerate_fc) on
+  /// the same layer input. Only Accelerator::run(..., simulate_values=true,
+  /// compare_reference=true) and run_conv() fill them; every other run
+  /// leaves them zero and computes no golden layer.
   double rmse_vs_reference = 0.0;
   double max_abs_err_vs_reference = 0.0;
 };
@@ -85,16 +88,22 @@ class Accelerator {
   /// values with the golden CPU path but still produces the full timing /
   /// energy / plan reports (fast, for large nets).
   /// `compare_reference` additionally runs the pure CPU reference and fills
-  /// the fidelity metrics.
+  /// the fidelity metrics: the whole-network ones, and with simulated
+  /// values each layer's LayerRunReport::*_vs_reference, which costs one
+  /// golden conv per layer. Without it no golden layer runs beside a
+  /// simulated one and those per-layer metrics stay zero; the output bits
+  /// are the same either way.
   NetworkRunReport run(const nn::Network& net, const nn::NetWeights& weights,
                        const nn::Tensor& input, bool simulate_values = true,
                        bool compare_reference = true);
 
   /// Run the contiguous op range [op_begin, op_end) — one pipeline stage.
   /// `input` must match net.shape_before(op_begin); the report's output is
-  /// the activation leaving op_end - 1. run() is exactly
-  /// run_range(0, ops.size()) plus the whole-network reference comparison;
-  /// ranges carry no reference metrics (the golden prefix is not replayed).
+  /// the activation leaving op_end - 1. run(..., compare_reference=false)
+  /// is exactly run_range(0, ops.size()). Ranges carry no reference
+  /// metrics, per layer or whole-network (the golden prefix is not
+  /// replayed), and compute no golden layer unless simulate_values is
+  /// false, where the golden result is the layer output.
   NetworkRunReport run_range(const nn::Network& net,
                              const nn::NetWeights& weights,
                              const nn::Tensor& input, std::size_t op_begin,
@@ -108,6 +117,14 @@ class Accelerator {
   // energy_per_image -> energy_per_request.
 
  private:
+  /// The op loop behind run() and run_range(). Runs each layer's golden
+  /// reference beside its simulated values only when `compare_reference`.
+  NetworkRunReport run_ops(const nn::Network& net,
+                           const nn::NetWeights& weights,
+                           const nn::Tensor& input, std::size_t op_begin,
+                           std::size_t op_end, bool simulate_values,
+                           bool compare_reference);
+
   PcnnaConfig config_;
   TimingFidelity fidelity_;
   Scheduler scheduler_;

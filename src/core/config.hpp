@@ -104,8 +104,8 @@ struct PcnnaConfig {
   /// threads sweeping kernel locations of one conv layer (1 = sequential).
   /// Outputs are bit-identical for any value — pixels are partitioned into
   /// fixed tiles, per-pixel accumulation order is unchanged, and with noise
-  /// enabled the per-pixel RNG draws are pre-generated in the sequential
-  /// pixel order before the tiles fan out. Purely a host-simulation knob;
+  /// enabled each tile draws from its own generator, skipped ahead to its
+  /// first draw in sequential pixel order. Purely a host-simulation knob;
   /// no modeled hardware quantity depends on it. The serving runtime
   /// multiplies this by its per-PCU worker threads, so keep the product
   /// within the host core budget.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -32,8 +33,13 @@
 //  * RNG draw order is pinned: all setup draws (bank fabrication,
 //    inject_stuck_faults, measured_usable_range) happen sequentially in
 //    construction order, and hot-loop draws (laser RIN, photodiode noise)
-//    happen in sequential pixel order — pre-generated into a buffer before
-//    tiles fan out when engine_threads > 1;
+//    take the values of sequential pixel order — when engine_threads > 1
+//    each pixel tile draws from its own generator, skipped ahead on the
+//    calling thread to the tile's first draw (Rng::discard_normals leaves
+//    the state bitwise where that many normal() calls would), and the
+//    engine generator continues from the last tile's final state. This
+//    needs a per-pixel draw count that does not depend on the data
+//    (pd_draws_per_branch); otherwise the sweep stays on one thread;
 //  * bank tuning draws nothing, so it alone fans out during setup; its sums
 //    (calibration error, heater power, ring area) are reduced afterwards on
 //    the calling thread in the sequential (g, k, ring) order.
@@ -104,22 +110,13 @@ double mean_square_scaled(const Range& values, double scale) {
 }
 
 // --- noise sources -------------------------------------------------------
-// The hot loop consumes standard normals through one of these; all three
-// produce the identical value stream for a given engine state, which is the
-// crux of determinism under threads (see the header).
+// The hot loop consumes standard normals through one of these.
 
-/// Sequential path: draw from the engine RNG inline (the reference
-/// behavior — Rng::normal(mean, sigma) is mean + sigma * Rng::normal()).
+/// Noisy path: draw from a generator inline (Rng::normal(mean, sigma) is
+/// mean + sigma * Rng::normal(), the reference behavior).
 struct RngNormalSource {
   Rng* rng;
   double next() { return rng->normal(); }
-};
-
-/// Parallel noisy path: read standard normals pre-drawn in sequential pixel
-/// order from EngineScratch::noise_z.
-struct BufferNormalSource {
-  const double* z;
-  double next() { return *z++; }
 };
 
 /// Noise-free path: never called (kNoise == false elides all call sites).
@@ -146,21 +143,23 @@ inline double detect_balanced(const phot::BalancedPhotodiode& pd,
   return cur_p - cur_m;
 }
 
-/// True when every balanced-detect branch consumes a compile-time-known
-/// number of normals per sample (0 or 1) — the precondition for pre-drawing
-/// the parallel noisy path. Shot-only noise with zero dark current makes
-/// the draw data-dependent (sigma == 0 exactly when the mean current is 0),
-/// so that corner falls back to the sequential path.
-bool pd_draw_count_fixed(const phot::PhotodiodeConfig& pd) {
-  if (!pd.enable_shot_noise && !pd.enable_thermal_noise) return true; // 0
-  if (pd.enable_thermal_noise) return true;                          // 1
-  return pd.dark_current > 0.0; // shot only: mean >= dark > 0 -> 1
-}
-
-/// Normals one balanced-detect branch consumes per sample when the count is
-/// fixed.
-std::size_t pd_draws_per_branch(const phot::PhotodiodeConfig& pd) {
-  return (pd.enable_shot_noise || pd.enable_thermal_noise) ? 1 : 0;
+/// Normals one balanced-detect branch draws per sample at bandwidth `bw`,
+/// or nullopt when that count depends on the data. A fixed count is the
+/// precondition for splitting the noisy sweep into tiles, because a tile's
+/// generator is positioned by skipping the draws of the tiles before it.
+/// A branch current is never below dark_current (responsivity > 0 and
+/// power >= 0), and sigma never decreases as |current| grows, so:
+///  * sigma(dark_current) > 0: every sample draws one normal;
+///  * sigma(dark_current) == 0 with shot noise off: sigma is zero at every
+///    current (no bandwidth, no noise source, or thermal noise into an
+///    infinite load), so no sample draws;
+///  * sigma(dark_current) == 0 with shot noise on: sigma is zero exactly
+///    when the current is, so the count depends on the data.
+std::optional<std::size_t> pd_draws_per_branch(const phot::Photodiode& pd,
+                                               double bw) {
+  if (pd.noise_sigma(pd.config().dark_current, bw) > 0.0) return 1;
+  if (bw <= 0.0 || !pd.config().enable_shot_noise) return 0;
+  return std::nullopt;
 }
 
 /// Per-layer constants of one pixel sweep, shared read-only by all workers.
@@ -284,10 +283,11 @@ void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
   }
 }
 
-/// Drive conv_pixel over all kernel locations: sequentially (drawing noise
-/// inline from `rng`), or across fixed contiguous pixel tiles on the pool —
-/// pre-drawing the noise stream in sequential pixel order first so the
-/// fan-out cannot perturb it.
+/// Drive conv_pixel over all kernel locations, in fixed contiguous pixel
+/// tiles (one per worker; a single worker runs on the calling thread).
+/// With noise, tile w draws from its own generator, positioned at the first
+/// draw its pixels make in sequential order; `rng` ends where the last tile
+/// stops, as if one thread had swept every pixel.
 void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
                   std::size_t draws_per_pixel, Rng& rng,
                   EngineScratch& scratch, ThreadPool* pool) {
@@ -295,46 +295,47 @@ void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
   const auto chunk = [&](std::size_t w) {
     return ThreadPool::chunk_begin(pixels, w, workers);
   };
-
   // The pool may hold more threads than this layer's effective worker
   // count (small output maps clamp it); surplus workers no-op.
-
-  if (ctx.bw == 0.0) {
-    auto tile = [&](std::size_t w) {
-      if (w >= workers) return;
-      NullNormalSource src;
-      EngineScratch::Worker& wk = scratch.workers[w];
-      for (std::size_t p = chunk(w); p < chunk(w + 1); ++p)
-        conv_pixel<false>(ctx, p, src, wk);
-    };
+  const auto fan_out = [&](const auto& tile) {
     if (workers == 1) {
       tile(0);
     } else {
       pool->run(tile);
     }
-    return;
-  }
-
-  if (workers == 1) {
-    RngNormalSource src{&rng};
-    for (std::size_t p = 0; p < pixels; ++p)
-      conv_pixel<true>(ctx, p, src, scratch.workers[0]);
-    return;
-  }
-
-  // Parallel noisy path: generate the layer's standard-normal stream in the
-  // exact sequential order, then let every tile index its pixel's slice.
-  scratch.noise_z.resize(pixels * draws_per_pixel);
-  for (double& z : scratch.noise_z) z = rng.normal();
-  auto tile = [&](std::size_t w) {
-    if (w >= workers) return;
-    EngineScratch::Worker& wk = scratch.workers[w];
-    for (std::size_t p = chunk(w); p < chunk(w + 1); ++p) {
-      BufferNormalSource src{scratch.noise_z.data() + p * draws_per_pixel};
-      conv_pixel<true>(ctx, p, src, wk);
-    }
   };
-  pool->run(tile);
+
+  if (ctx.bw == 0.0) {
+    fan_out([&](std::size_t w) {
+      if (w >= workers) return;
+      NullNormalSource src;
+      EngineScratch::Worker& wk = scratch.workers[w];
+      for (std::size_t p = chunk(w); p < chunk(w + 1); ++p)
+        conv_pixel<false>(ctx, p, src, wk);
+    });
+    return;
+  }
+
+  // Skipping ahead is the only serial noise work: two xoshiro steps per
+  // pair of draws, against a Box–Muller transform per pair on the workers.
+  scratch.tile_rng.resize(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    if (w > 0)
+      rng.discard_normals((chunk(w) - chunk(w - 1)) * draws_per_pixel);
+    scratch.tile_rng[w] = rng;
+  }
+  fan_out([&](std::size_t w) {
+    if (w >= workers) return;
+    // Draw from a copy on this worker's stack: adjacent tile_rng entries
+    // share a cache line, and drawing in place would bounce it.
+    Rng local = scratch.tile_rng[w];
+    RngNormalSource src{&local};
+    EngineScratch::Worker& wk = scratch.workers[w];
+    for (std::size_t p = chunk(w); p < chunk(w + 1); ++p)
+      conv_pixel<true>(ctx, p, src, wk);
+    scratch.tile_rng[w] = local;
+  });
+  rng = scratch.tile_rng[workers - 1];
 }
 
 /// Size the transposed SoA program arrays for one layer plan (K response
@@ -583,10 +584,10 @@ std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
                                                std::size_t group_size,
                                                std::size_t K) {
   std::size_t n = config_.engine_threads;
-  // The parallel noisy path needs a data-independent per-pixel draw count
-  // to pre-generate the noise stream; otherwise stay sequential (outputs
-  // are identical either way — this only affects host scheduling).
-  if (config_.enable_noise && !fixed_draw_count) n = 1;
+  // Tiles skip ahead to their slice of the noise stream, which needs a
+  // data-independent per-pixel draw count; otherwise stay sequential
+  // (outputs are identical either way — this only affects host scheduling).
+  if (!fixed_draw_count) n = 1;
   n = std::max<std::size_t>(1, std::min(n, pixels));
   // The pool is created once at full engine_threads size and kept for the
   // engine's lifetime; layers whose pixel count clamps the effective worker
@@ -773,11 +774,12 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
                       mzm, scratch_);
   build_patch_map(layer, input.shape(), scratch_);
 
-  const std::size_t branch_draws = pd_draws_per_branch(config_.bank.photodiode);
-  const std::size_t draws_per_pixel = n_kernel + 2 * branch_draws * K * G;
-  const std::size_t workers =
-      prepare_workers(pixels, pd_draw_count_fixed(config_.bank.photodiode),
-                      plan.group_size, K);
+  const std::optional<std::size_t> branch_draws =
+      pd_draws_per_branch(pd.plus_branch(), bw);
+  const std::size_t draws_per_pixel =
+      n_kernel + 2 * branch_draws.value_or(1) * K * G;
+  const std::size_t workers = prepare_workers(
+      pixels, branch_draws.has_value(), plan.group_size, K);
   const SweepCtx ctx =
       make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
                      /*accumulate=*/false, bias, out, scratch_);
@@ -864,11 +866,12 @@ nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
                       mzm, scratch_);
   build_patch_map(layer, input.shape(), scratch_);
 
-  const std::size_t branch_draws = pd_draws_per_branch(config_.bank.photodiode);
-  const std::size_t draws_per_pixel = per_channel + 2 * branch_draws * K * G;
-  const std::size_t workers =
-      prepare_workers(pixels, pd_draw_count_fixed(config_.bank.photodiode),
-                      plan.group_size, K);
+  const std::optional<std::size_t> branch_draws =
+      pd_draws_per_branch(pd.plus_branch(), bw);
+  const std::size_t draws_per_pixel =
+      per_channel + 2 * branch_draws.value_or(1) * K * G;
+  const std::size_t workers = prepare_workers(
+      pixels, branch_draws.has_value(), plan.group_size, K);
   SweepCtx ctx =
       make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
                      /*accumulate=*/true, bias, out, scratch_);

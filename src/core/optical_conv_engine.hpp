@@ -41,9 +41,11 @@
 //      error are reduced afterwards on the calling thread in (g, k, ring)
 //      order. Pool threads never allocate: their staging is sized first;
 //    - pixel sweep: kernel locations are partitioned into fixed tiles.
-//      Per-pixel accumulation order is unchanged, and with noise enabled the
-//      per-pixel RNG draws are pre-generated in sequential pixel order
-//      before the tiles fan out.
+//      Per-pixel accumulation order is unchanged. With noise enabled each
+//      tile draws inline from its own generator, which the calling thread
+//      positions at the tile's first draw in sequential pixel order by
+//      skipping the draws of the tiles before it (Rng::discard_normals);
+//      the engine generator then takes the last tile's final state.
 //    Outputs, EngineStats, and the post-call RNG state are bit-identical for
 //    every thread count (tests/test_engine_hot_path.cpp proves A/B
 //    bit-identity against the frozen pre-rewrite engine in
@@ -73,10 +75,14 @@ struct EngineStats {
   /// once per input channel). Filled by the streaming engine only; the
   /// frozen reference engine leaves it zero.
   std::uint64_t patches_streamed = 0;
-  /// Noise-source draws consumed by the pixel sweep (shot/thermal/branch
-  /// noise): pixels * draws_per_pixel when noise is enabled, zero on the
-  /// ideal config. A pure function of the layer plan — independent of
-  /// engine_threads by the pre-drawn parallel noise contract.
+  /// Noise-source draws consumed by the pixel sweep (laser RIN plus
+  /// photodiode shot/thermal noise): pixels * draws_per_pixel when noise is
+  /// enabled, zero on the ideal config. A photodiode branch whose noise
+  /// sigma is zero at its dark current counts no draws unless shot noise
+  /// is on; in that data-dependent corner (the sweep stays sequential) each
+  /// branch sample counts as one draw, an upper bound. A pure function of
+  /// the config and layer plan, so independent of engine_threads: the
+  /// tiles split one stream whose length does not depend on the data.
   std::uint64_t noise_draws = 0;
   std::uint64_t weight_dac_conversions = 0;
   std::uint64_t recalibrations = 0;    ///< bank retuning episodes
@@ -150,9 +156,11 @@ struct EngineScratch {
   /// Balanced baseline current per (group, kernel): baseline[g * K + k].
   std::vector<double> baseline;
   std::vector<std::size_t> group_base;
-  /// Pre-drawn standard normals for the parallel noisy path, in sequential
-  /// pixel order (see docs/architecture.md for the determinism argument).
-  std::vector<double> noise_z;
+  /// Noise generator of each pixel tile, positioned at the tile's first
+  /// draw in sequential pixel order (see docs/architecture.md for the
+  /// determinism argument). Workers draw from a stack copy and store the
+  /// final state back; the engine generator continues from the last one.
+  std::vector<Rng> tile_rng;
 
   // --- bank-programming staging (layer setup only) ---
   /// Weight targets and probed splits of the banks being programmed, one

@@ -180,6 +180,41 @@ TEST(Accelerator, ReferenceOutputPopulatedOnlyWhenComparing) {
   EXPECT_FALSE(with_ref.reference_output.empty());
   const auto without_ref = acc.run(d.net, d.weights, d.input, true, false);
   EXPECT_TRUE(without_ref.reference_output.empty());
+
+  // Per-layer metrics, conv and FC alike, come only from a comparing run();
+  // skipping the golden layers leaves the output bits alone.
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.accelerate_fc = true;
+  Accelerator noisy(cfg);
+  noisy.reseed_engine(5);
+  const auto compared = noisy.run(d.net, d.weights, d.input, true, true);
+  noisy.reseed_engine(5);
+  const auto plain = noisy.run(d.net, d.weights, d.input, true, false);
+  noisy.reseed_engine(5);
+  const auto range =
+      noisy.run_range(d.net, d.weights, d.input, 0, d.net.ops().size());
+  EXPECT_TRUE(compared.output == plain.output);
+  EXPECT_TRUE(compared.output == range.output);
+
+  const auto layers = [](const core::NetworkRunReport& report) {
+    std::vector<const core::LayerRunReport*> all;
+    for (const auto& layer : report.conv_layers) all.push_back(&layer);
+    for (const auto& layer : report.fc_layers) all.push_back(&layer);
+    return all;
+  };
+  ASSERT_EQ(2u, compared.conv_layers.size());
+  ASSERT_EQ(1u, compared.fc_layers.size()); // tiny_cnn has one FC
+  for (const core::LayerRunReport* layer : layers(compared)) {
+    EXPECT_GT(layer->rmse_vs_reference, 0.0) << layer->layer_name;
+    EXPECT_GT(layer->max_abs_err_vs_reference, 0.0) << layer->layer_name;
+  }
+  for (const core::NetworkRunReport* report : {&plain, &range}) {
+    ASSERT_EQ(3u, layers(*report).size());
+    for (const core::LayerRunReport* layer : layers(*report)) {
+      EXPECT_EQ(0.0, layer->rmse_vs_reference) << layer->layer_name;
+      EXPECT_EQ(0.0, layer->max_abs_err_vs_reference) << layer->layer_name;
+    }
+  }
 }
 
 } // namespace

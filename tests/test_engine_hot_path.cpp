@@ -3,7 +3,10 @@
 // and the pinned RNG draw-order contracts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -64,9 +67,11 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b) {
 }
 
 /// Run the frozen reference and the rewritten engine on the same layer with
-/// engine_threads in {1, 2, 4}; every variant must be bit-identical. Each
-/// engine runs the layer twice without a reseed, so the second call also
-/// pins the RNG state the first one left behind.
+/// engine_threads in {1, 2, 3, 4, 7}; every variant must be bit-identical.
+/// Each engine runs the layer twice without a reseed, so the second call
+/// also pins the RNG state the first one left behind. kLayerA draws 37
+/// normals per noisy pixel, so the uneven tile splits start mid Box–Muller
+/// pair.
 void expect_ab_identity(PcnnaConfig cfg, const nn::ConvLayerParams& layer,
                         bool signed_input = false) {
   const LayerData d = make_data(layer, 42, signed_input);
@@ -77,7 +82,7 @@ void expect_ab_identity(PcnnaConfig cfg, const nn::ConvLayerParams& layer,
     expected[call] = reference.conv2d(d.input, d.weights, d.bias, layer.s,
                                       layer.p, &ref_stats[call]);
 
-  for (std::size_t threads : {1u, 2u, 4u}) {
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
     PcnnaConfig tcfg = cfg;
     tcfg.engine_threads = threads;
     OpticalConvEngine engine(tcfg);
@@ -177,6 +182,29 @@ TEST(EngineAbIdentity, ShotOnlyZeroDarkFallsBackSequential) {
   expect_ab_identity(cfg, kLayerA);
 }
 
+// Thermal noise into an infinite load with shot noise off: every branch
+// sigma is exactly zero, so the photodiodes draw nothing and each pixel
+// draws only its laser RIN normals. The threaded sweep must skip ahead by
+// that count, not by one draw per branch, and noise_draws must not count
+// branch draws that never happen.
+TEST(EngineAbIdentity, ZeroPhotodiodeSigmaDrawsNoBranchNoise) {
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.bank.photodiode.enable_shot_noise = false;
+  cfg.bank.photodiode.load_resistance =
+      std::numeric_limits<double>::infinity();
+  expect_ab_identity(cfg, kLayerA);
+
+  const LayerData d = make_data(kLayerA);
+  for (std::size_t threads : {1u, 4u}) {
+    cfg.engine_threads = threads;
+    OpticalConvEngine engine(cfg);
+    EngineStats stats;
+    engine.conv2d(d.input, d.weights, d.bias, kLayerA.s, kLayerA.p, &stats);
+    EXPECT_EQ(stats.locations * kLayerA.kernel_size(), stats.noise_draws)
+        << "threads=" << threads;
+  }
+}
+
 // --- scratch-buffer reuse -------------------------------------------------
 // One engine instance serving different layers (and the same layer twice)
 // must produce outputs bit-identical to a fresh engine per call. The RNG is
@@ -236,30 +264,60 @@ TEST(EngineScratchReuse, PerChannelAllocationAcrossLayers) {
               fresh_b.conv2d(b.input, b.weights, b.bias, kLayerB.s, kLayerB.p));
 }
 
+void expect_rng_state_equal(const Rng::State& a, const Rng::State& b) {
+  for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(a.s[w], b.s[w]) << "word " << w;
+  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cached_normal),
+            std::bit_cast<std::uint64_t>(b.cached_normal));
+}
+
 // After a threaded noisy conv, the engine RNG must sit at exactly the same
-// state as after a sequential one — the pre-drawn noise stream consumes the
-// generator identically. Proven by running a second conv afterwards.
+// state as after a sequential one: the tiles split one stream and the
+// engine continues from the last tile's final state. Checked on the state
+// itself and by running a second conv afterwards, for both ring
+// allocations, starting from the config seed and from a state that holds a
+// cached Box–Muller normal (so every tile boundary shifts by one draw).
 TEST(EngineScratchReuse, RngStateUnperturbedByThreads) {
   const LayerData a = make_data(kLayerA);
+  Rng half_pair(99);
+  half_pair.normal();
+  const Rng::State cached = half_pair.state();
+  ASSERT_TRUE(cached.have_cached_normal);
 
-  PcnnaConfig seq = PcnnaConfig::paper_defaults();
-  OpticalConvEngine sequential(seq);
-  const nn::Tensor s1 =
-      sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-  const nn::Tensor s2 =
-      sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+  for (RingAllocation allocation :
+       {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
+    for (bool start_cached : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "per_channel="
+                   << (allocation == RingAllocation::kPerChannel)
+                   << " start_cached=" << start_cached);
+      PcnnaConfig seq = PcnnaConfig::paper_defaults();
+      seq.allocation = allocation;
+      PcnnaConfig par = seq;
+      par.engine_threads = 4;
+      OpticalConvEngine sequential(seq);
+      OpticalConvEngine threaded(par);
+      if (start_cached) {
+        sequential.set_rng_state(cached);
+        threaded.set_rng_state(cached);
+      }
 
-  PcnnaConfig par = seq;
-  par.engine_threads = 4;
-  OpticalConvEngine threaded(par);
-  const nn::Tensor t1 =
-      threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-  const nn::Tensor t2 =
-      threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+      const nn::Tensor s1 =
+          sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+      const nn::Tensor t1 =
+          threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+      expect_rng_state_equal(sequential.rng_state(), threaded.rng_state());
+      const nn::Tensor s2 =
+          sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+      const nn::Tensor t2 =
+          threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+      expect_rng_state_equal(sequential.rng_state(), threaded.rng_state());
 
-  EXPECT_TRUE(s1 == t1);
-  EXPECT_TRUE(s2 == t2); // second conv continues from identical RNG state
-  EXPECT_FALSE(s1 == s2); // noise: consecutive runs differ without reseed
+      EXPECT_TRUE(s1 == t1);
+      EXPECT_TRUE(s2 == t2); // second conv continues from identical RNG state
+      EXPECT_FALSE(s1 == s2); // noise: consecutive runs differ without reseed
+    }
+  }
 }
 
 // BatchRunnerOptions::engine_threads threads intra-image parallelism
