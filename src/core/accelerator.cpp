@@ -27,32 +27,6 @@ Accelerator::Accelerator(PcnnaConfig config, TimingFidelity fidelity)
       energy_(config_),
       engine_(config_) {}
 
-nn::Tensor Accelerator::run_conv(const nn::Tensor& input,
-                                 const nn::Tensor& weights,
-                                 const nn::Tensor& bias, std::size_t stride,
-                                 std::size_t pad, LayerRunReport* report) {
-  EngineStats stats;
-  nn::Tensor out = engine_.conv2d(input, weights, bias, stride, pad, &stats);
-  if (report) {
-    nn::ConvLayerParams params;
-    params.name = "conv";
-    params.n = input.shape().h;
-    params.m = weights.shape().h;
-    params.p = pad;
-    params.s = stride;
-    params.nc = input.shape().c;
-    params.K = weights.shape().n;
-    report->layer_name = params.name;
-    report->timing = timing_.layer_time(params);
-    report->energy = energy_.layer_energy(scheduler_.plan(params),
-                                          report->timing);
-    report->engine = stats;
-    compare_layer(out, nn::conv2d_direct(input, weights, bias, stride, pad),
-                  *report);
-  }
-  return out;
-}
-
 NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                                       const nn::NetWeights& weights,
                                       const nn::Tensor& input,
@@ -71,36 +45,42 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
 
   NetworkRunReport report;
   nn::Tensor x = input;
+  // Offload one layer to the optical core: price its plan, simulate it (or
+  // run the golden layer in its place), compare the two only when asked,
+  // and add the layer to the totals.
+  const auto offload = [&](const nn::ConvLayerParams& params,
+                           const auto& simulate, const auto& golden) {
+    LayerRunReport layer;
+    layer.layer_name = params.name;
+    layer.timing = timing_.layer_time(params);
+    layer.energy = energy_.layer_energy(scheduler_.plan(params), layer.timing);
+    if (simulate_values) {
+      nn::Tensor sim_out = simulate(layer.engine);
+      if (compare_reference) compare_layer(sim_out, golden(), layer);
+      x = std::move(sim_out);
+    } else {
+      x = golden();
+    }
+    report.total_optical_core_time += layer.timing.optical_core_time;
+    report.total_full_system_time += layer.timing.full_system_time;
+    report.total_energy += layer.energy.total();
+    return layer;
+  };
 
   for (std::size_t i = op_begin; i < op_end; ++i) {
     const nn::LayerOp& op = net.ops()[i];
+    const nn::Tensor& w = weights.weight[i];
+    const nn::Tensor& b = weights.bias[i];
+    const auto golden_fc = [&] { return nn::fully_connected(x, w, b); };
     switch (op.kind) {
-      case nn::OpKind::kConv: {
-        LayerRunReport layer;
-        layer.layer_name = op.conv.name;
-        layer.timing = timing_.layer_time(op.conv);
-        layer.energy =
-            energy_.layer_energy(scheduler_.plan(op.conv), layer.timing);
-
-        const auto golden = [&] {
-          return nn::conv2d_direct(x, weights.weight[i], weights.bias[i],
-                                   op.conv.s, op.conv.p);
-        };
-        if (simulate_values) {
-          nn::Tensor sim_out = engine_.conv2d(x, weights.weight[i],
-                                              weights.bias[i], op.conv.s,
-                                              op.conv.p, &layer.engine);
-          if (compare_reference) compare_layer(sim_out, golden(), layer);
-          x = std::move(sim_out);
-        } else {
-          x = golden();
-        }
-        report.total_optical_core_time += layer.timing.optical_core_time;
-        report.total_full_system_time += layer.timing.full_system_time;
-        report.total_energy += layer.energy.total();
-        report.conv_layers.push_back(std::move(layer));
+      case nn::OpKind::kConv:
+        report.conv_layers.push_back(offload(
+            op.conv,
+            [&](EngineStats& st) {
+              return engine_.conv2d(x, w, b, op.conv.s, op.conv.p, &st);
+            },
+            [&] { return nn::conv2d_direct(x, w, b, op.conv.s, op.conv.p); }));
         break;
-      }
       case nn::OpKind::kReLU:
         x = nn::relu(x);
         break;
@@ -113,46 +93,22 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
       case nn::OpKind::kLRN:
         x = nn::lrn(x, op.lrn.size, op.lrn.alpha, op.lrn.beta, op.lrn.k);
         break;
-      case nn::OpKind::kFullyConnected: {
+      case nn::OpKind::kFullyConnected:
         if (!config_.accelerate_fc) {
-          x = nn::fully_connected(x, weights.weight[i], weights.bias[i]);
+          x = golden_fc();
           break;
         }
-        // Offload to the optical core: an FC layer is exactly a 1x1 conv
-        // over a 1x1 feature map with nc = in and K = out, so the conv
-        // planning/timing/energy machinery applies unchanged.
-        nn::ConvLayerParams fc_params;
-        fc_params.name = "fc@op" + std::to_string(i);
-        fc_params.n = 1;
-        fc_params.m = 1;
-        fc_params.p = 0;
-        fc_params.s = 1;
-        fc_params.nc = x.size();
-        fc_params.K = op.fc.out;
-
-        LayerRunReport layer;
-        layer.layer_name = fc_params.name;
-        layer.timing = timing_.layer_time(fc_params);
-        layer.energy =
-            energy_.layer_energy(scheduler_.plan(fc_params), layer.timing);
-
-        const auto golden = [&] {
-          return nn::fully_connected(x, weights.weight[i], weights.bias[i]);
-        };
-        if (simulate_values) {
-          nn::Tensor sim_out = engine_.fully_connected(
-              x, weights.weight[i], weights.bias[i], &layer.engine);
-          if (compare_reference) compare_layer(sim_out, golden(), layer);
-          x = std::move(sim_out);
-        } else {
-          x = golden();
-        }
-        report.total_optical_core_time += layer.timing.optical_core_time;
-        report.total_full_system_time += layer.timing.full_system_time;
-        report.total_energy += layer.energy.total();
-        report.fc_layers.push_back(std::move(layer));
+        // An FC layer is exactly a 1x1 conv over a 1x1 feature map with
+        // nc = in and K = out, so the conv planning/timing/energy machinery
+        // prices it unchanged.
+        report.fc_layers.push_back(offload(
+            nn::ConvLayerParams{"fc@op" + std::to_string(i), 1, 1, 0, 1,
+                                x.size(), op.fc.out},
+            [&](EngineStats& st) {
+              return engine_.fully_connected(x, w, b, &st);
+            },
+            golden_fc));
         break;
-      }
       case nn::OpKind::kSoftmax:
         x = nn::softmax(x);
         break;

@@ -30,8 +30,8 @@ struct LayerRunReport {
   EngineStats engine;      ///< zeros when values were not simulated
   /// Engine output vs the golden layer (conv, or FC under accelerate_fc) on
   /// the same layer input. Only Accelerator::run(..., simulate_values=true,
-  /// compare_reference=true) and run_conv() fill them; every other run
-  /// leaves them zero and computes no golden layer.
+  /// compare_reference=true) fills them; every other run leaves them zero
+  /// and computes no golden layer beside the simulated one.
   double rmse_vs_reference = 0.0;
   double max_abs_err_vs_reference = 0.0;
 };
@@ -75,11 +75,6 @@ class Accelerator {
   void set_engine_rng_state(const Rng::State& state) {
     engine_.set_rng_state(state);
   }
-
-  /// Run one conv layer functionally on the optical core.
-  nn::Tensor run_conv(const nn::Tensor& input, const nn::Tensor& weights,
-                      const nn::Tensor& bias, std::size_t stride,
-                      std::size_t pad, LayerRunReport* report = nullptr);
 
   /// Run a network end to end.
   ///

@@ -30,9 +30,10 @@
 //    exactly like the reference — the loop interchange to K independent
 //    accumulation chains changes the schedule, never the per-accumulator
 //    addition order;
-//  * RNG draw order is pinned: all setup draws (bank fabrication,
-//    inject_stuck_faults, measured_usable_range) happen sequentially in
-//    construction order, and hot-loop draws (laser RIN, photodiode noise)
+//  * RNG draw order is pinned: all setup draws (measured_usable_range, then
+//    bank fabrication and inject_stuck_faults on the first pass) happen
+//    sequentially in construction order, a layer whose input or weights are
+//    all zero draws nothing, and hot-loop draws (laser RIN, photodiode noise)
 //    take the values of sequential pixel order — when engine_threads > 1
 //    each pixel tile draws from its own generator, skipped ahead on the
 //    calling thread to the tile's first draw (Rng::discard_normals leaves
@@ -42,7 +43,12 @@
 //    (pd_draws_per_branch); otherwise the sweep stays on one thread;
 //  * bank tuning draws nothing, so it alone fans out during setup; its sums
 //    (calibration error, heater power, ring area) are reduced afterwards on
-//    the calling thread in the sequential (g, k, ring) order.
+//    the calling thread in the sequential (g, k, ring) order, the
+//    calibration error pass by pass;
+//  * run_conv programs the first pass before it reads the ADC statistics
+//    and builds the transfer table, patch map and worker scratch. That
+//    order changes no value; it is kept because building the tables before
+//    programming measured slower on perfbench's widefm_2x2 (ROADMAP).
 namespace pcnna::core {
 
 OpticalConvEngine::AnalogChain OpticalConvEngine::make_chain(
@@ -82,21 +88,6 @@ struct CalibrationError {
   }
 };
 
-/// ADC full scale for the normalized MAC values of a layer, in units of
-/// sum_i x'_i * w'_i with x' in [0, 1] and |w'| <= 1.
-///
-/// A real deployment programs the back-end gain per layer from known weight
-/// and input statistics (the weights are on-chip already and the input
-/// buffer is observable); we model that range calibration as
-///   fs = headroom * sqrt(N * E[x'^2] * E[w'^2]),
-/// i.e. `headroom` standard deviations of the zero-mean random-sum model.
-double adc_full_scale(double headroom, std::size_t n_channels,
-                      double mean_x_sq, double mean_w_sq) {
-  const double variance =
-      static_cast<double>(n_channels) * mean_x_sq * mean_w_sq;
-  return std::max(1e-6, headroom * std::sqrt(variance));
-}
-
 /// Mean square of a range of values after dividing by `scale`.
 template <typename Range>
 double mean_square_scaled(const Range& values, double scale) {
@@ -107,6 +98,64 @@ double mean_square_scaled(const Range& values, double scale) {
     acc += x * x;
   }
   return acc / static_cast<double>(values.size());
+}
+
+/// Electronic scaling of one layer: inputs are normalized to [0, 1] and
+/// weights to the bank's representable range; `recover` undoes the product
+/// after detection.
+struct LayerScale {
+  double x_scale = 1.0;  ///< largest |input|
+  double w_absmax = 1.0; ///< largest |weight|
+  double denom = 1.0;    ///< bank weight that stands for |w| == w_absmax
+  double recover = 1.0;  ///< x_scale * w_absmax / denom
+
+  /// ADC full scale for partial sums of `channels` normalized products, in
+  /// units of sum_i x'_i * w'_i with x' in [0, 1] and |w'| <= denom.
+  ///
+  /// A real deployment programs the back-end gain per layer from known
+  /// weight and input statistics (the weights are on-chip already and the
+  /// input buffer is observable); we model that range calibration as
+  ///   fs = headroom * sqrt(N * E[x'^2] * E[w'^2]),
+  /// i.e. `headroom` standard deviations of the zero-mean random-sum model.
+  double adc_full_scale(double headroom, std::size_t channels,
+                        const nn::Tensor& input,
+                        const nn::Tensor& weights) const {
+    const double mean_w_sq =
+        mean_square_scaled(weights.data(), w_absmax) * denom * denom;
+    const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
+    const double variance =
+        static_cast<double>(channels) * mean_x_sq * mean_w_sq;
+    return std::max(1e-6, headroom * std::sqrt(variance));
+  }
+};
+
+/// Scale a layer, probing the usable weight range with a scratch bank of
+/// `probe_channels` rings. Returns nullopt, having drawn nothing, when the
+/// input or the weights are all zero: such a layer outputs its bias alone.
+std::optional<LayerScale> scale_layer(const PcnnaConfig& cfg,
+                                      const nn::Tensor& input,
+                                      const nn::Tensor& weights,
+                                      std::size_t probe_channels, Rng& rng) {
+  LayerScale s;
+  s.x_scale = input.abs_max();
+  s.w_absmax = weights.abs_max();
+  if (s.x_scale == 0.0 || s.w_absmax == 0.0) return std::nullopt;
+  const double usable = measured_usable_range(cfg, probe_channels, rng);
+  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
+  s.denom = 0.95 * usable;
+  s.recover = s.x_scale * s.w_absmax / s.denom;
+  return s;
+}
+
+/// Output of a layer that scale_layer found all zero: every location of
+/// output channel k reads bias k, or zero without a bias.
+nn::Tensor bias_only(const nn::Shape4& shape, const nn::Tensor& bias) {
+  nn::Tensor out(shape);
+  if (bias.empty()) return out;
+  const std::size_t pixels = shape.h * shape.w;
+  for (std::size_t k = 0; k < shape.c; ++k)
+    std::fill_n(out.data().data() + k * pixels, pixels, bias[k]);
+  return out;
 }
 
 // --- noise sources -------------------------------------------------------
@@ -170,7 +219,7 @@ struct SweepCtx {
   double transfer_pad = 0.0;
   const std::int32_t* patch = nullptr;
   std::size_t n_kernel = 0;   ///< patch row stride
-  std::size_t patch_offset = 0; ///< per-channel allocation: c * m * m
+  std::size_t patch_offset = 0; ///< pass * pass width
   const double* drop_t = nullptr;
   const double* thru_t = nullptr;
   const double* baseline = nullptr;
@@ -191,8 +240,8 @@ struct SweepCtx {
   const double* bias = nullptr; ///< null when the layer has no bias
   double* out = nullptr;
   /// Full-kernel: analog wire-sum across groups, one ADC sample per kernel
-  /// (false). Per-channel: every pass is digitized and accumulated into
-  /// `out` electronically (true).
+  /// (false). Per-channel: every group of every pass is digitized and
+  /// accumulated into `out` electronically (true).
   bool accumulate = false;
 };
 
@@ -351,9 +400,9 @@ void size_bank_soa(const LayerPlan& plan, EngineScratch& s) {
   s.baseline.assign(G * K, 0.0);
 }
 
-/// Banks each bank-programming worker tunes per batch on the full-kernel
-/// path. Bounds how many fabricated banks a layer holds at once (c5 of
-/// LeNet-5 has 600 banks of 80 rings) while keeping the fork/join cost
+/// Banks each bank-programming worker tunes per batch under the full-kernel
+/// allocation. Bounds how many fabricated banks a layer holds at once (c5
+/// of LeNet-5 has 600 banks of 80 rings) while keeping the fork/join cost
 /// small against a bank's calibration.
 constexpr std::size_t kBanksPerWorker = 4;
 
@@ -362,7 +411,7 @@ constexpr std::size_t kBanksPerWorker = 4;
 struct ProgramCtx {
   const LayerPlan* plan = nullptr;
   const nn::Tensor* weights = nullptr;
-  std::size_t channel_offset = 0; ///< per-channel allocation: c * m * m
+  std::size_t channel_offset = 0; ///< pass * pass width
   double w_absmax = 1.0;
   double denom = 1.0;
   bool quantize = false;
@@ -626,6 +675,13 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
   PCNNA_CHECK_MSG(input.shape().n == 1, "batched inputs not supported");
   PCNNA_CHECK_MSG(input.shape().h == input.shape().w,
                   "PCNNA layers operate on square feature maps");
+  const std::size_t K = weights.shape().n;
+  const nn::Shape4& bs = bias.shape();
+  PCNNA_CHECK_MSG(bias.empty() || (bs == nn::Shape4{1, K, 1, 1}),
+                  "bias has shape [" << bs.n << ", " << bs.c << ", " << bs.h
+                                     << ", " << bs.w << "], but " << K
+                                     << " kernels need [1, " << K
+                                     << ", 1, 1]");
   if (!input.empty() && input.min() < 0.0) {
     PCNNA_CHECK_MSG(config_.dual_rail_inputs,
                     "photonic amplitude encoding requires non-negative inputs"
@@ -665,7 +721,7 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
   params.p = pad;
   params.s = stride;
   params.nc = input.shape().c;
-  params.K = weights.shape().n;
+  params.K = K;
   params.validate();
 
   const Scheduler scheduler(config_);
@@ -680,37 +736,30 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
   st.recalibrations = plan.recalibrations;
   st.rings_used = plan.rings_total;
   st.wavelengths_used = plan.group_size;
-
-  nn::Tensor out = plan.allocation == RingAllocation::kFullKernel
-                       ? run_full_kernel(plan, input, weights, bias, st)
-                       : run_per_channel(plan, input, weights, bias, st);
-  return out;
+  return run_conv(plan, input, weights, bias, st);
 }
 
-nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
-                                              const nn::Tensor& input,
-                                              const nn::Tensor& weights,
-                                              const nn::Tensor& bias,
-                                              EngineStats& stats) {
+nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
+                                       const nn::Tensor& input,
+                                       const nn::Tensor& weights,
+                                       const nn::Tensor& bias,
+                                       EngineStats& stats) {
   const nn::ConvLayerParams& layer = plan.layer;
   const std::size_t K = layer.K;
-  const std::size_t n_kernel = layer.kernel_size();
   const std::size_t side = layer.output_side();
   const std::size_t pixels = side * side;
+  const nn::Shape4 out_shape{1, K, side, side};
 
-  nn::Tensor out(nn::Shape4{1, K, side, side});
+  const std::optional<LayerScale> scale =
+      scale_layer(config_, input, weights, plan.group_size, rng_);
+  if (!scale) return bias_only(out_shape, bias);
 
-  // Electronic scaling: inputs normalized to [0, 1], weights to the bank's
-  // representable range; the product is undone after detection.
-  const double x_scale = input.abs_max();
-  const double w_absmax = weights.abs_max();
-  if (x_scale == 0.0 || w_absmax == 0.0) {
-    for (std::size_t k = 0; k < K; ++k) {
-      const double b = bias.empty() ? 0.0 : bias.at(0, k, 0, 0);
-      for (std::size_t l = 0; l < pixels; ++l) out[k * pixels + l] = b;
-    }
-    return out;
-  }
+  // A full-kernel layer is one pass of nc * m * m rings per kernel. A
+  // per-channel layer is nc passes of m * m rings, and every pass is
+  // digitized and accumulated electronically, even when nc == 1.
+  const bool per_channel = plan.allocation == RingAllocation::kPerChannel;
+  const std::size_t passes = per_channel ? layer.nc : 1;
+  const std::size_t pass_width = layer.kernel_size() / passes;
 
   const AnalogChain chain = make_chain(config_, K);
   const phot::MachZehnderModulator mzm(config_.mzm);
@@ -721,188 +770,85 @@ nn::Tensor OpticalConvEngine::run_full_kernel(const LayerPlan& plan,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
-  // Probe the representable weight range with a scratch bank of the same
-  // width as the widest group.
-  const double usable =
-      measured_usable_range(config_, plan.group_size, rng_);
-  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
-  const double denom = 0.95 * usable;
-  const double recover = x_scale * w_absmax / denom;
-
-  // --- Program every bank segment once (weights are fixed for the layer),
-  // flattening calibrated responses straight into transposed SoA form.
-  // Banks are fabricated and fault-injected here, in (g, k) order, a
-  // bounded batch at a time; each batch is tuned across the pool and its
-  // totals are reduced in the same order.
+  // Each pass programs every bank segment with its slice of the weights,
+  // flattening calibrated responses straight into transposed SoA form. Pass
+  // 0 fabricates and fault-injects the banks in (g, k) order, a batch at a
+  // time, and every batch is tuned across the pool. Full-kernel weights are
+  // fixed for the layer, so each batch is dropped once tuned; per-channel
+  // passes retune the same physical rings, so all G * K banks form one
+  // batch that lives across passes. Bank totals are folded in (g, k) order
+  // once the last pass has programmed.
   const std::size_t G = plan.groups.size();
   const std::size_t n_banks = G * K;
   size_bank_soa(plan, scratch_);
   const std::size_t bank_threads = bank_workers(n_banks);
-  const std::size_t batch_cap = bank_threads * kBanksPerWorker;
-  const ProgramCtx prog{&plan, &weights, /*channel_offset=*/0, w_absmax,
-                        denom, config_.enable_quantization, &weight_dac,
-                        &chain};
+  const std::size_t batch_cap =
+      per_channel ? n_banks : bank_threads * kBanksPerWorker;
+  ProgramCtx prog{&plan, &weights, /*channel_offset=*/0, scale->w_absmax,
+                  scale->denom, config_.enable_quantization, &weight_dac,
+                  &chain};
   CalibrationError cal_err;
   std::vector<phot::WeightBank> batch;
   batch.reserve(std::min(batch_cap, n_banks));
-  for (std::size_t first = 0; first < n_banks; first += batch_cap) {
-    const std::size_t last = std::min(first + batch_cap, n_banks);
-    batch.clear();
-    for (std::size_t b = first; b < last; ++b) {
-      batch.emplace_back(phot::WdmGrid(plan.groups[b / K].size()),
-                         config_.bank, rng_);
-      inject_stuck_faults(config_, batch.back(), rng_, stats);
+  const auto program_pass = [&](std::size_t pass) {
+    prog.channel_offset = pass * pass_width;
+    for (std::size_t first = 0; first < n_banks; first += batch_cap) {
+      if (pass == 0) {
+        batch.clear();
+        const std::size_t last = std::min(first + batch_cap, n_banks);
+        for (std::size_t b = first; b < last; ++b) {
+          batch.emplace_back(phot::WdmGrid(plan.groups[b / K].size()),
+                             config_.bank, rng_);
+          inject_stuck_faults(config_, batch.back(), rng_, stats);
+        }
+      }
+      program_banks(batch, first, prog, bank_threads, pool_.get(), scratch_,
+                    cal_err);
+      if (pass + 1 == passes) {
+        for (const phot::WeightBank& bank : batch) {
+          ++stats.banks_built;
+          stats.total_heater_power += bank.total_heater_power();
+          stats.total_ring_area += bank.total_area();
+        }
+      }
     }
-    program_banks(batch, first, prog, bank_threads, pool_.get(), scratch_,
-                  cal_err);
-    for (const phot::WeightBank& bank : batch) {
-      ++stats.banks_built;
-      stats.total_heater_power += bank.total_heater_power();
-      stats.total_ring_area += bank.total_area();
-    }
-  }
+  };
+  program_pass(0);
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
   // Per-layer ADC range calibration from weight and input statistics.
-  const double mean_w_sq =
-      mean_square_scaled(weights.data(), w_absmax) * denom * denom;
-  const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
   const double adc_fs =
-      adc_full_scale(config_.adc_headroom, n_kernel, mean_x_sq, mean_w_sq);
-
-  precompute_transfer(input, x_scale, config_.enable_quantization, input_dac,
-                      mzm, scratch_);
+      scale->adc_full_scale(config_.adc_headroom, pass_width, input, weights);
+  precompute_transfer(input, scale->x_scale, config_.enable_quantization,
+                      input_dac, mzm, scratch_);
   build_patch_map(layer, input.shape(), scratch_);
 
   const std::optional<std::size_t> branch_draws =
       pd_draws_per_branch(pd.plus_branch(), bw);
   const std::size_t draws_per_pixel =
-      n_kernel + 2 * branch_draws.value_or(1) * K * G;
+      pass_width + 2 * branch_draws.value_or(1) * K * G;
   const std::size_t workers = prepare_workers(
       pixels, branch_draws.has_value(), plan.group_size, K);
-  const SweepCtx ctx =
-      make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
-                     /*accumulate=*/false, bias, out, scratch_);
-
-  sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
-  stats.patches_streamed += pixels;
-  if (bw > 0.0) stats.noise_draws += pixels * draws_per_pixel;
-
-  for (const EngineScratch::Worker& w : scratch_.workers) {
-    stats.optical_passes += w.optical_passes;
-    stats.adc_conversions += w.adc_conversions;
-  }
-
-  if (cal_err.count > 0) {
-    stats.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
-    stats.max_calibration_error = cal_err.max;
-  }
-  return out;
-}
-
-nn::Tensor OpticalConvEngine::run_per_channel(const LayerPlan& plan,
-                                              const nn::Tensor& input,
-                                              const nn::Tensor& weights,
-                                              const nn::Tensor& bias,
-                                              EngineStats& stats) {
-  const nn::ConvLayerParams& layer = plan.layer;
-  const std::size_t K = layer.K;
-  const std::size_t per_channel = layer.m * layer.m;
-  const std::size_t side = layer.output_side();
-  const std::size_t pixels = side * side;
-
-  nn::Tensor out(nn::Shape4{1, K, side, side});
-
-  const double x_scale = input.abs_max();
-  const double w_absmax = weights.abs_max();
-  if (x_scale == 0.0 || w_absmax == 0.0) {
-    for (std::size_t k = 0; k < K; ++k) {
-      const double b = bias.empty() ? 0.0 : bias.at(0, k, 0, 0);
-      for (std::size_t l = 0; l < pixels; ++l) out[k * pixels + l] = b;
-    }
-    return out;
-  }
-
-  const AnalogChain chain = make_chain(config_, K);
-  const phot::MachZehnderModulator mzm(config_.mzm);
-  const phot::BalancedPhotodiode pd(config_.bank.photodiode);
-  const elec::Dac input_dac(config_.input_dac);
-  const elec::Dac weight_dac(config_.weight_dac);
-  elec::AdcConfig adc_cfg = config_.adc;
-  adc_cfg.full_scale = 1.0;
-  const elec::Adc adc(adc_cfg);
-
-  const double usable =
-      measured_usable_range(config_, plan.group_size, rng_);
-  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
-  const double denom = 0.95 * usable;
-  const double recover = x_scale * w_absmax / denom;
-
-  // Persistent banks (K per group slice of the m*m block) in (g, k) order,
-  // retuned per channel pass — the physical rings live across
-  // recalibrations.
-  const std::size_t G = plan.groups.size();
-  const std::size_t n_banks = G * K;
-  std::vector<phot::WeightBank> banks;
-  banks.reserve(n_banks);
-  for (std::size_t b = 0; b < n_banks; ++b) {
-    banks.emplace_back(phot::WdmGrid(plan.groups[b / K].size()), config_.bank,
-                       rng_);
-    inject_stuck_faults(config_, banks.back(), rng_, stats);
-    ++stats.banks_built;
-    stats.total_ring_area += banks.back().total_area();
-  }
-
-  const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
-  // Per-layer ADC range calibration (per-channel passes sum m*m terms).
-  const double mean_w_sq =
-      mean_square_scaled(weights.data(), w_absmax) * denom * denom;
-  const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
-  const double adc_fs =
-      adc_full_scale(config_.adc_headroom, per_channel, mean_x_sq, mean_w_sq);
-
-  size_bank_soa(plan, scratch_);
-  precompute_transfer(input, x_scale, config_.enable_quantization, input_dac,
-                      mzm, scratch_);
-  build_patch_map(layer, input.shape(), scratch_);
-
-  const std::optional<std::size_t> branch_draws =
-      pd_draws_per_branch(pd.plus_branch(), bw);
-  const std::size_t draws_per_pixel =
-      per_channel + 2 * branch_draws.value_or(1) * K * G;
-  const std::size_t workers = prepare_workers(
-      pixels, branch_draws.has_value(), plan.group_size, K);
+  nn::Tensor out(out_shape);
   SweepCtx ctx =
-      make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs, recover,
-                     /*accumulate=*/true, bias, out, scratch_);
-
-  // Channel-major execution: retune every bank across the pool, then sweep
-  // all locations.
-  const std::size_t bank_threads = bank_workers(n_banks);
-  ProgramCtx prog{&plan, &weights, /*channel_offset=*/0, w_absmax, denom,
-                  config_.enable_quantization, &weight_dac, &chain};
-  CalibrationError cal_err;
-  for (std::size_t c = 0; c < layer.nc; ++c) {
-    prog.channel_offset = c * per_channel;
-    program_banks(banks, /*first=*/0, prog, bank_threads, pool_.get(),
-                  scratch_, cal_err);
-
-    ctx.patch_offset = c * per_channel;
+      make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs,
+                     scale->recover, per_channel, bias, out, scratch_);
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    if (pass > 0) program_pass(pass);
+    ctx.patch_offset = pass * pass_width;
     sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
     stats.patches_streamed += pixels;
     if (bw > 0.0) stats.noise_draws += pixels * draws_per_pixel;
   }
 
-  // Undo scaling and add biases once all channel passes have accumulated.
-  for (std::size_t k = 0; k < K; ++k) {
-    const double b = bias.empty() ? 0.0 : bias.at(0, k, 0, 0);
-    for (std::size_t oy = 0; oy < side; ++oy)
-      for (std::size_t ox = 0; ox < side; ++ox)
-        out.at(0, k, oy, ox) = out.at(0, k, oy, ox) * recover + b;
+  // Per-channel partial sums are rescaled and biased once all passes are in.
+  if (per_channel) {
+    for (std::size_t k = 0; k < K; ++k) {
+      const double b = bias.empty() ? 0.0 : bias[k];
+      for (std::size_t l = k * pixels; l < (k + 1) * pixels; ++l)
+        out[l] = out[l] * scale->recover + b;
+    }
   }
-
-  for (const phot::WeightBank& bank : banks)
-    stats.total_heater_power += bank.total_heater_power();
 
   for (const EngineScratch::Worker& w : scratch_.workers) {
     stats.optical_passes += w.optical_passes;
@@ -935,14 +881,11 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   st.locations = 1;
   st.recalibrations = 1;
 
-  nn::Tensor out(nn::Shape4{1, out_n, 1, 1});
-  const double x_scale = input.abs_max();
-  const double w_absmax = weights.abs_max();
-  if (x_scale == 0.0 || w_absmax == 0.0) {
-    for (std::size_t o = 0; o < out_n; ++o)
-      out[o] = bias.empty() ? 0.0 : bias[o];
-    return out;
-  }
+  const std::size_t group_size =
+      std::min<std::size_t>(config_.max_wavelengths, in);
+  const std::optional<LayerScale> scale =
+      scale_layer(config_, input, weights, group_size, rng_);
+  if (!scale) return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
 
   const AnalogChain chain = make_chain(config_, out_n);
   const phot::LaserDiode laser(config_.laser);
@@ -954,23 +897,14 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
-  const std::size_t group_size =
-      std::min<std::size_t>(config_.max_wavelengths, in);
-  const double usable = measured_usable_range(config_, group_size, rng_);
-  PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
-  const double denom = 0.95 * usable;
-  const double recover = x_scale * w_absmax / denom;
   st.wavelengths_used = group_size;
   st.weight_dac_conversions = weights.size();
   st.dac_conversions = in;
   st.rings_used = out_n * in;
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
-  const double mean_w_sq =
-      mean_square_scaled(weights.data(), w_absmax) * denom * denom;
-  const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
   const double adc_fs =
-      adc_full_scale(config_.adc_headroom, in, mean_x_sq, mean_w_sq);
+      scale->adc_full_scale(config_.adc_headroom, in, input, weights);
 
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
@@ -984,7 +918,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     // Modulate this input slice once; all banks share the broadcast bundle.
     powers.resize(width);
     for (std::size_t i = 0; i < width; ++i) {
-      double x = input[begin + i] / x_scale;
+      double x = input[begin + i] / scale->x_scale;
       if (config_.enable_quantization) x = input_dac.convert(x);
       powers[i] = mzm.modulate(laser.emit(bw, rng_) * chain.bcast, x);
     }
@@ -995,7 +929,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
       phot::WeightBank bank(grid, config_.bank, rng_);
       inject_stuck_faults(config_, bank, rng_, st);
       for (std::size_t i = 0; i < width; ++i) {
-        double w = weights[o * in + begin + i] / w_absmax * denom;
+        double w = weights[o * in + begin + i] / scale->w_absmax * scale->denom;
         if (config_.enable_quantization) w = quantize_weight(weight_dac, w);
         targets[i] = w;
       }
@@ -1020,11 +954,12 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     ++st.optical_passes;
   }
 
+  nn::Tensor out(nn::Shape4{1, out_n, 1, 1});
   for (std::size_t o = 0; o < out_n; ++o) {
     double v = acc[o];
     if (config_.enable_quantization) v = adc.convert(v / adc_fs) * adc_fs;
     ++st.adc_conversions;
-    out[o] = v * recover + (bias.empty() ? 0.0 : bias[o]);
+    out[o] = v * scale->recover + (bias.empty() ? 0.0 : bias[o]);
   }
 
   if (cal_err.count > 0) {

@@ -8,12 +8,15 @@
 // the golden CPU convolution to near machine precision; under
 // paper_defaults() it quantifies the analog error budget.
 //
-// Execution follows the paper SS IV exactly: all K kernels are evaluated in
-// parallel for one receptive-field location, locations run sequentially,
-// and receptive fields wider than the WDM budget are split into segmented
-// bank passes whose balanced-photodiode currents wire-sum in analog
-// (full-kernel allocation) or into per-channel passes with electronic
-// partial-sum accumulation (per-channel allocation).
+// Execution follows the paper SS IV exactly, as one loop for both ring
+// allocations: program the weight banks with the layer's kernels, then
+// evaluate all K kernels in parallel for one receptive-field location at a
+// time, locations in sequence. A full-kernel layer is one such pass over
+// nc * m * m rings; a per-channel layer is nc passes over m * m rings whose
+// digitized partial sums add electronically. Within a pass, receptive
+// fields wider than the WDM budget split into segmented bank groups whose
+// balanced-photodiode currents wire-sum in analog (full-kernel) or are
+// digitized one group at a time (per-channel).
 //
 // Hot-path organization (PR 3 rewrite; docs/architecture.md "Engine hot
 // path" has the full argument):
@@ -35,7 +38,8 @@
 //  * optional deterministic intra-image parallelism over
 //    PcnnaConfig::engine_threads workers, in two phases:
 //    - bank programming: banks are fabricated and fault-injected on the
-//      calling thread in (g, k) order, in bounded batches, and each batch is
+//      calling thread in (g, k) order, in bounded batches (full-kernel) or
+//      as one batch that every per-channel pass retunes, and each batch is
 //      tuned across the pool (tuning draws no random numbers; every bank
 //      writes its own SoA slice). Heater power, ring area, and calibration
 //      error are reduced afterwards on the calling thread in (g, k, ring)
@@ -245,12 +249,13 @@ class OpticalConvEngine {
   void set_rng_state(const Rng::State& state) { rng_.set_state(state); }
 
  private:
-  nn::Tensor run_full_kernel(const LayerPlan& plan, const nn::Tensor& input,
-                             const nn::Tensor& weights, const nn::Tensor& bias,
-                             EngineStats& stats);
-  nn::Tensor run_per_channel(const LayerPlan& plan, const nn::Tensor& input,
-                             const nn::Tensor& weights, const nn::Tensor& bias,
-                             EngineStats& stats);
+  /// Run one planned conv layer: scale it, then let each pass program its
+  /// banks (fabricating them on pass 0) and sweep every kernel location.
+  /// Full-kernel plans run 1 pass of nc * m * m rings; per-channel plans
+  /// run nc passes of m * m rings and rescale and bias after the last one.
+  nn::Tensor run_conv(const LayerPlan& plan, const nn::Tensor& input,
+                      const nn::Tensor& weights, const nn::Tensor& bias,
+                      EngineStats& stats);
 
   /// Decide the worker count for one layer's pixel sweep and make the pool
   /// and per-worker scratch (sized for `group_size` channels and K kernel

@@ -9,6 +9,20 @@
 
 namespace pcnna::core {
 
+LocationStages location_stages(const PcnnaConfig& config, std::uint64_t fresh,
+                               std::uint64_t passes, std::uint64_t outputs) {
+  LocationStages st;
+  st.dac = static_cast<double>(ceil_div(fresh, config.num_input_dacs)) /
+           config.input_dac.sample_rate;
+  st.optical = static_cast<double>(passes) * (1.0 / config.fast_clock);
+  st.adc = static_cast<double>(ceil_div(outputs, config.num_adcs)) /
+           config.adc.sample_rate;
+  st.sram =
+      static_cast<double>(ceil_div(fresh + outputs, config.sram_port_words)) *
+      config.sram.access_time;
+  return st;
+}
+
 TimingModel::TimingModel(PcnnaConfig config, TimingFidelity fidelity)
     : config_(std::move(config)), fidelity_(fidelity), scheduler_(config_) {
   config_.validate();
@@ -66,38 +80,20 @@ LayerTiming TimingModel::layer_time_full(
   t.layer_name = layer.name;
   t.locations = plan.locations;
 
-  const double cycle = 1.0 / config_.fast_clock;
   const double locations = static_cast<double>(plan.locations);
 
-  // Optical core with WDM segmentation (and per-channel passes if that
-  // allocation is selected): cycles_per_location fast cycles per location.
-  const double optical_per_loc =
-      static_cast<double>(plan.cycles_per_location) * cycle;
-  t.optical_core_time = locations * optical_per_loc;
-
-  // Input DACs: fresh values per location, integer samples per DAC.
+  // Per location: fresh input values through the DACs, cycles_per_location
+  // fast cycles of WDM-segmented (and per-channel) bank passes, the
+  // location's ADC samples, and the SRAM port staging both.
   const std::uint64_t fresh = std::min<std::uint64_t>(
       layer.updated_inputs_per_location(), layer.kernel_size());
-  const double dac_per_loc =
-      static_cast<double>(ceil_div(fresh, config_.num_input_dacs)) /
-      config_.input_dac.sample_rate;
-  t.dac_time = locations * dac_per_loc;
-
-  // ADC: adc_conversions total, serialized over num_adcs converters.
-  const double adc_per_loc =
-      static_cast<double>(
-          ceil_div(plan.adc_conversions / plan.locations, config_.num_adcs)) /
-      config_.adc.sample_rate;
-  t.adc_time = locations * adc_per_loc;
-
-  // SRAM port: fresh inputs in, K outputs staged out, through a
-  // sram_port_words-wide port at the paper's 7 ns access time.
-  const std::uint64_t sram_words_per_loc =
-      fresh + plan.adc_conversions / plan.locations;
-  const double sram_per_loc =
-      static_cast<double>(ceil_div(sram_words_per_loc, config_.sram_port_words)) *
-      config_.sram.access_time;
-  t.sram_time = locations * sram_per_loc;
+  const LocationStages st =
+      location_stages(config_, fresh, plan.cycles_per_location,
+                      plan.adc_conversions / plan.locations);
+  t.optical_core_time = locations * st.optical;
+  t.dac_time = locations * st.dac;
+  t.adc_time = locations * st.adc;
+  t.sram_time = locations * st.sram;
 
   // DRAM: all layer traffic at channel bandwidth (overlapped with compute).
   const elec::Dram dram(config_.dram);
@@ -114,15 +110,14 @@ LayerTiming TimingModel::layer_time_full(
 
   // Steady-state pipeline: the slowest per-location stage sets the rate;
   // add one pipeline fill of all stages.
-  const double stage_max =
-      std::max({optical_per_loc, dac_per_loc, adc_per_loc, sram_per_loc});
-  const double fill = optical_per_loc + dac_per_loc + adc_per_loc + sram_per_loc;
-  const double compute = locations * stage_max + fill;
+  const double fill = st.optical + st.dac + st.adc + st.sram;
+  const double compute = locations * st.interval() + fill;
 
   // Weight programming precedes compute; DRAM traffic (which already
   // includes the weight words) streams concurrently with both. The
-  // event-driven TraceSimulator follows the same schedule and the two are
-  // cross-checked in tests.
+  // event-driven TraceSimulator schedules the same location_stages, so on
+  // full-kernel layers the two agree to rounding (Trace tests); per-channel
+  // traces pay one pipeline fill per channel sweep where this pays one.
   t.full_system_time = std::max(compute + t.weight_load_time, t.dram_time);
 
   // Name the dominant constraint.
@@ -131,7 +126,7 @@ LayerTiming TimingModel::layer_time_full(
     const char* name;
   };
   const Candidate candidates[] = {
-      {locations * optical_per_loc, "optical-clock"},
+      {t.optical_core_time, "optical-clock"},
       {t.dac_time, "input-DAC"},
       {t.adc_time, "ADC"},
       {t.sram_time, "SRAM"},

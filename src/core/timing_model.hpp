@@ -16,6 +16,8 @@
 //    leaves out (DESIGN.md inconsistency #2).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,22 @@ struct LayerTiming {
   /// it to check cached strategies are bit-identical to fresh ones.
   friend bool operator==(const LayerTiming&, const LayerTiming&) = default;
 };
+
+/// Per-location stage times of the kFull pipeline. The closed-form model
+/// and the event-driven TraceSimulator both take them from location_stages.
+struct LocationStages {
+  double dac = 0.0;     ///< fresh inputs through the input DACs
+  double optical = 0.0; ///< sequential bank passes on the fast clock
+  double adc = 0.0;     ///< outputs serialized over the ADCs
+  double sram = 0.0;    ///< fresh inputs in and outputs out through the port
+  /// Initiation interval: the slowest stage sets the pipeline rate.
+  double interval() const { return std::max({dac, optical, adc, sram}); }
+};
+
+/// Stage times of one kernel location that loads `fresh` input values,
+/// runs `passes` fast-clock bank passes and digitizes `outputs` values.
+LocationStages location_stages(const PcnnaConfig& config, std::uint64_t fresh,
+                               std::uint64_t passes, std::uint64_t outputs);
 
 /// Totals across a conv stack.
 struct NetworkTiming {

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/mathutil.hpp"
 #include "common/trace_writer.hpp"
 #include "electronics/dram.hpp"
 
@@ -84,7 +83,6 @@ LayerTrace TraceSimulator::trace_layer(const nn::ConvLayerParams& layer) const {
   LayerTrace trace;
   trace.layer = layer;
 
-  const double cycle = 1.0 / config_.fast_clock;
   const std::uint64_t word_bytes = (config_.word_bits + 7) / 8;
   const elec::Dram dram(config_.dram);
 
@@ -95,23 +93,16 @@ LayerTrace TraceSimulator::trace_layer(const nn::ConvLayerParams& layer) const {
   const std::uint64_t passes_per_loc = plan.groups.size();
   const std::uint64_t weight_chunk = plan.weight_dac_conversions / sweeps;
 
-  // Per-location stage times within one sweep (mirror TimingModel kFull).
+  // Per-location stage times within one sweep, which loads only that
+  // sweep's fresh inputs.
   const std::uint64_t fresh =
       per_channel
           ? std::min<std::uint64_t>(layer.m * layer.s, layer.m * layer.m)
           : std::min<std::uint64_t>(layer.updated_inputs_per_location(),
                                     layer.kernel_size());
-  const double t_dac =
-      static_cast<double>(ceil_div(fresh, config_.num_input_dacs)) /
-      config_.input_dac.sample_rate;
-  const double t_opt = static_cast<double>(passes_per_loc) * cycle;
-  const double t_adc =
-      static_cast<double>(ceil_div(layer.K, config_.num_adcs)) /
-      config_.adc.sample_rate;
-  const double t_sram =
-      static_cast<double>(ceil_div(fresh + layer.K, config_.sram_port_words)) *
-      config_.sram.access_time;
-  const double ii = std::max({t_dac, t_opt, t_adc, t_sram});
+  const LocationStages st =
+      location_stages(config_, fresh, passes_per_loc, layer.K);
+  const double ii = st.interval();
 
   double now = 0.0;
   for (std::uint64_t sweep = 0; sweep < sweeps; ++sweep) {
@@ -133,17 +124,17 @@ LayerTrace TraceSimulator::trace_layer(const nn::ConvLayerParams& layer) const {
       const double base = sweep_start + static_cast<double>(loc) * ii;
       double t = base;
       trace.events.push_back(
-          TraceEvent{TraceEventKind::kInputDac, t, t + t_dac, loc, fresh});
-      t += t_dac;
+          TraceEvent{TraceEventKind::kInputDac, t, t + st.dac, loc, fresh});
+      t += st.dac;
       trace.events.push_back(TraceEvent{TraceEventKind::kOpticalPass, t,
-                                        t + t_opt, loc, passes_per_loc});
-      t += t_opt;
+                                        t + st.optical, loc, passes_per_loc});
+      t += st.optical;
       trace.events.push_back(
-          TraceEvent{TraceEventKind::kAdcSample, t, t + t_adc, loc, layer.K});
-      t += t_adc;
+          TraceEvent{TraceEventKind::kAdcSample, t, t + st.adc, loc, layer.K});
+      t += st.adc;
       trace.events.push_back(TraceEvent{TraceEventKind::kSramStage, t,
-                                        t + t_sram, loc, fresh + layer.K});
-      t += t_sram;
+                                        t + st.sram, loc, fresh + layer.K});
+      t += st.sram;
       now = std::max(now, t);
     }
   }

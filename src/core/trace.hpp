@@ -5,8 +5,9 @@
 // per-location DAC conversions, optical passes, ADC samples, SRAM and DRAM
 // transfers — on a simple resource-pipeline model, producing a timeline
 // that can be inspected, asserted on, and cross-checked against the closed
-// forms. Tests require the two to agree; architects can dump the trace to
-// see exactly where time goes.
+// forms. Both take their per-location stage times from location_stages(),
+// and tests require the two to agree to rounding on full-kernel layers;
+// architects can dump the trace to see exactly where time goes.
 //
 // Pipeline model: per kernel location the four stages
 //   DAC -> optical -> ADC -> SRAM-stage

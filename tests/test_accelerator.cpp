@@ -78,19 +78,25 @@ TEST(Accelerator, SimulateValuesFalseSkipsEngineButKeepsTiming) {
   }
 }
 
+// A single conv layer is a one-op network: run() with the golden reference
+// fills its report's timing, energy and fidelity metrics.
 TEST(Accelerator, RunConvSingleLayerReport) {
   Accelerator acc(PcnnaConfig::ideal());
   Rng rng(13);
   nn::ConvLayerParams params{"solo", 8, 3, 1, 1, 2, 4};
+  nn::Network net("solo", nn::Shape4{1, 2, 8, 8});
+  net.add_conv(params);
   const auto input = nn::make_input(params, rng);
-  const auto weights = nn::make_conv_weights(params, rng);
-  const auto bias = nn::make_conv_bias(params, rng);
-  core::LayerRunReport report;
-  const auto out = acc.run_conv(input, weights, bias, 1, 1, &report);
-  EXPECT_EQ(64u, out.size() / 4);
-  EXPECT_LT(report.max_abs_err_vs_reference, 1e-7);
-  EXPECT_GT(report.timing.full_system_time, 0.0);
-  EXPECT_GT(report.energy.total(), 0.0);
+  nn::NetWeights weights;
+  weights.weight.push_back(nn::make_conv_weights(params, rng));
+  weights.bias.push_back(nn::make_conv_bias(params, rng));
+  const auto report = acc.run(net, weights, input);
+  ASSERT_EQ(1u, report.conv_layers.size());
+  const core::LayerRunReport& layer = report.conv_layers[0];
+  EXPECT_EQ(64u, report.output.size() / 4);
+  EXPECT_LT(layer.max_abs_err_vs_reference, 1e-7);
+  EXPECT_GT(layer.timing.full_system_time, 0.0);
+  EXPECT_GT(layer.energy.total(), 0.0);
 }
 
 TEST(Accelerator, FidelityChoiceChangesTotals) {

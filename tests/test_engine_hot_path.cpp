@@ -140,6 +140,21 @@ TEST(EngineAbIdentity, PerChannelIdeal) {
   expect_ab_identity(cfg, kLayerA);
 }
 
+// Per-channel passes wider than the WDM budget: kLayerB's 5x5 kernels take
+// 25 rings per pass against small_core()'s 24 wavelengths, so each of its
+// 2 channel passes runs 2 groups.
+TEST(EngineAbIdentity, PerChannelPassSplitsIntoGroups) {
+  expect_ab_identity(PcnnaConfig::small_core(), kLayerB);
+}
+
+// One input channel is one per-channel pass, and its 2 groups are still
+// digitized one by one and summed electronically, where a full-kernel
+// layer of the same shape would wire-sum them into one ADC sample.
+TEST(EngineAbIdentity, PerChannelSingleChannel) {
+  expect_ab_identity(PcnnaConfig::small_core(),
+                     nn::ConvLayerParams{"mono", 12, 5, 2, 2, 1, 4});
+}
+
 TEST(EngineAbIdentity, DualRailSignedInputs) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.dual_rail_inputs = true;

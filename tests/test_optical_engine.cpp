@@ -1,7 +1,10 @@
 // Functional optical convolution engine vs the golden CPU reference.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/optical_conv_engine.hpp"
@@ -14,6 +17,7 @@ using namespace pcnna;
 using core::EngineStats;
 using core::OpticalConvEngine;
 using core::PcnnaConfig;
+using core::RingAllocation;
 using nn::Shape4;
 using nn::Tensor;
 
@@ -140,24 +144,84 @@ TEST(Engine, RejectsNonSquareInput) {
   EXPECT_THROW(engine.conv2d(input, weights, {}, 1, 0), Error);
 }
 
+// Under this config a nonzero layer draws at every step: the usable-range
+// probe and bank fabrication (disorder), fault injection, and the sweep
+// (noise). A call that leaves its generator unchanged skipped them all.
+PcnnaConfig drawing_config(RingAllocation allocation) {
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.bank.ring.fab_sigma = 0.05e-9;
+  cfg.stuck_ring_rate = 0.05;
+  cfg.allocation = allocation;
+  return cfg;
+}
+
+void expect_rng_unchanged(const Rng::State& before,
+                          const OpticalConvEngine& engine) {
+  const Rng::State after = engine.rng_state();
+  for (std::size_t w = 0; w < 4; ++w)
+    EXPECT_EQ(before.s[w], after.s[w]) << "word " << w;
+  EXPECT_EQ(before.have_cached_normal, after.have_cached_normal);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(before.cached_normal),
+            std::bit_cast<std::uint64_t>(after.cached_normal));
+}
+
+// A layer with all-zero weights or inputs outputs its bias alone and draws
+// nothing, under either allocation.
 TEST(Engine, ZeroWeightsYieldBiasOnly) {
-  OpticalConvEngine engine(PcnnaConfig::ideal());
-  auto d = make_layer({"t", 6, 3, 0, 1, 1, 2});
-  d.weights.fill(0.0);
-  const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
-  for (std::size_t k = 0; k < 2; ++k)
-    for (std::size_t i = 0; i < 16; ++i)
-      EXPECT_DOUBLE_EQ(d.bias.at(0, k, 0, 0), out[k * 16 + i]);
+  for (RingAllocation allocation :
+       {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
+    OpticalConvEngine engine(drawing_config(allocation));
+    auto d = make_layer({"t", 6, 3, 0, 1, 1, 2});
+    d.weights.fill(0.0);
+    const Rng::State before = engine.rng_state();
+    const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
+    expect_rng_unchanged(before, engine);
+    for (std::size_t k = 0; k < 2; ++k)
+      for (std::size_t i = 0; i < 16; ++i)
+        EXPECT_DOUBLE_EQ(d.bias.at(0, k, 0, 0), out[k * 16 + i])
+            << core::ring_allocation_name(allocation);
+  }
 }
 
 TEST(Engine, ZeroInputsYieldBiasOnly) {
-  OpticalConvEngine engine(PcnnaConfig::ideal());
-  auto d = make_layer({"t", 6, 3, 0, 1, 1, 2});
-  d.input.fill(0.0);
-  const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
-  for (std::size_t k = 0; k < 2; ++k)
-    for (std::size_t i = 0; i < 16; ++i)
-      EXPECT_DOUBLE_EQ(d.bias.at(0, k, 0, 0), out[k * 16 + i]);
+  for (RingAllocation allocation :
+       {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
+    OpticalConvEngine engine(drawing_config(allocation));
+    auto d = make_layer({"t", 6, 3, 0, 1, 1, 2});
+    d.input.fill(0.0);
+    const Rng::State before = engine.rng_state();
+    const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
+    expect_rng_unchanged(before, engine);
+    for (std::size_t k = 0; k < 2; ++k)
+      for (std::size_t i = 0; i < 16; ++i)
+        EXPECT_DOUBLE_EQ(d.bias.at(0, k, 0, 0), out[k * 16 + i])
+            << core::ring_allocation_name(allocation);
+  }
+}
+
+// A bias that is not [1, K, 1, 1] is rejected before the engine reads it,
+// under either allocation and on the all-zero-input shortcut, and the
+// error names both shapes.
+TEST(Engine, RejectsMisshapenBias) {
+  const auto d = make_layer({"t", 8, 3, 1, 1, 3, 5});
+  const Tensor bias(Shape4{1, 2, 1, 1});
+  Tensor zero_input = d.input;
+  zero_input.fill(0.0);
+  for (RingAllocation allocation :
+       {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
+    OpticalConvEngine engine(drawing_config(allocation));
+    EXPECT_THROW(engine.conv2d(d.input, d.weights, bias, 1, 1), Error);
+    EXPECT_THROW(engine.conv2d(zero_input, d.weights, bias, 1, 1), Error);
+  }
+  try {
+    OpticalConvEngine(PcnnaConfig::ideal())
+        .conv2d(d.input, d.weights, bias, 1, 1);
+    FAIL() << "misshapen bias accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos, what.find("[1, 2, 1, 1]")) << what;
+    EXPECT_NE(std::string::npos, what.find("[1, 5, 1, 1]")) << what;
+  }
 }
 
 TEST(Engine, StatsMatchThePlan) {

@@ -74,11 +74,21 @@ TEST(OpticalFc, RejectsNegativeInputsAndBadShapes) {
   EXPECT_THROW(engine.fully_connected(ok.input, bad_w, {}), Error);
 }
 
+// All-zero weights yield the bias and draw nothing, although a nonzero
+// layer under this config draws for the usable-range probe, every bank's
+// fabrication and every slice's laser and photodiode noise.
 TEST(OpticalFc, ZeroWeightsYieldBias) {
-  OpticalConvEngine engine(PcnnaConfig::ideal());
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.bank.ring.fab_sigma = 0.05e-9;
+  OpticalConvEngine engine(cfg);
   FcData d = make_fc(8, 4);
   d.weights.fill(0.0);
+  const Rng::State before = engine.rng_state();
   const Tensor out = engine.fully_connected(d.input, d.weights, d.bias);
+  const Rng::State after = engine.rng_state();
+  for (std::size_t w = 0; w < 4; ++w)
+    EXPECT_EQ(before.s[w], after.s[w]) << "word " << w;
+  EXPECT_EQ(before.have_cached_normal, after.have_cached_normal);
   for (std::size_t o = 0; o < 4; ++o) EXPECT_DOUBLE_EQ(d.bias[o], out[o]);
 }
 
