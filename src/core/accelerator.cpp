@@ -19,6 +19,20 @@ void compare_layer(const nn::Tensor& sim, const nn::Tensor& ref,
 
 } // namespace
 
+std::optional<nn::ConvLayerParams> offloaded_layer(const PcnnaConfig& config,
+                                                   const nn::Network& net,
+                                                   std::size_t op) {
+  const nn::LayerOp& o = net.ops().at(op);
+  if (o.kind == nn::OpKind::kConv) return o.conv;
+  // An FC layer is exactly a 1x1 conv over a 1x1 feature map with nc = in
+  // and K = out, so the conv planning/timing/energy machinery prices it
+  // unchanged.
+  if (o.kind == nn::OpKind::kFullyConnected && config.accelerate_fc)
+    return nn::ConvLayerParams{"fc@op" + std::to_string(op), 1, 1, 0, 1,
+                               net.shape_before(op).elements(), o.fc.out};
+  return std::nullopt;
+}
+
 Accelerator::Accelerator(PcnnaConfig config, TimingFidelity fidelity)
     : config_(std::move(config)),
       fidelity_(fidelity),
@@ -33,8 +47,7 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                                       std::size_t op_begin, std::size_t op_end,
                                       bool simulate_values,
                                       bool compare_reference) {
-  PCNNA_CHECK(weights.weight.size() == net.ops().size());
-  PCNNA_CHECK(weights.bias.size() == net.ops().size());
+  nn::validate_weights(net, weights);
   PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= net.ops().size(),
                   "op range [" << op_begin << ", " << op_end
                                << ") out of bounds for network '"
@@ -72,10 +85,12 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
     const nn::Tensor& w = weights.weight[i];
     const nn::Tensor& b = weights.bias[i];
     const auto golden_fc = [&] { return nn::fully_connected(x, w, b); };
+    const std::optional<nn::ConvLayerParams> offloaded =
+        offloaded_layer(config_, net, i);
     switch (op.kind) {
       case nn::OpKind::kConv:
         report.conv_layers.push_back(offload(
-            op.conv,
+            *offloaded,
             [&](EngineStats& st) {
               return engine_.conv2d(x, w, b, op.conv.s, op.conv.p, &st);
             },
@@ -94,16 +109,12 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
         x = nn::lrn(x, op.lrn.size, op.lrn.alpha, op.lrn.beta, op.lrn.k);
         break;
       case nn::OpKind::kFullyConnected:
-        if (!config_.accelerate_fc) {
+        if (!offloaded) {
           x = golden_fc();
           break;
         }
-        // An FC layer is exactly a 1x1 conv over a 1x1 feature map with
-        // nc = in and K = out, so the conv planning/timing/energy machinery
-        // prices it unchanged.
         report.fc_layers.push_back(offload(
-            nn::ConvLayerParams{"fc@op" + std::to_string(i), 1, 1, 0, 1,
-                                x.size(), op.fc.out},
+            *offloaded,
             [&](EngineStats& st) {
               return engine_.fully_connected(x, w, b, &st);
             },

@@ -54,6 +54,15 @@ struct NetworkRunReport {
   bool argmax_match = true;
 };
 
+/// The layer the optical core runs for op `op` of `net`: a conv's own
+/// params; under PcnnaConfig::accelerate_fc an FC layer as the 1x1 conv
+/// {"fc@op<i>", n = 1, m = 1, p = 0, s = 1, nc = inputs, K = out}; nullopt
+/// for every op that runs electronically. Accelerator::run_ops offloads
+/// exactly these layers, and serving prices exactly these.
+std::optional<nn::ConvLayerParams> offloaded_layer(const PcnnaConfig& config,
+                                                   const nn::Network& net,
+                                                   std::size_t op);
+
 class Accelerator {
  public:
   explicit Accelerator(PcnnaConfig config,
@@ -87,7 +96,8 @@ class Accelerator {
   /// values each layer's LayerRunReport::*_vs_reference, which costs one
   /// golden conv per layer. Without it no golden layer runs beside a
   /// simulated one and those per-layer metrics stay zero; the output bits
-  /// are the same either way.
+  /// are the same either way. Throws if `weights` do not fit `net`
+  /// (nn::validate_weights).
   NetworkRunReport run(const nn::Network& net, const nn::NetWeights& weights,
                        const nn::Tensor& input, bool simulate_values = true,
                        bool compare_reference = true);

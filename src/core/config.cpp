@@ -70,7 +70,7 @@ PcnnaConfig PcnnaConfig::small_core() {
 }
 
 void PcnnaConfig::validate() const {
-  PCNNA_CHECK(fast_clock > 0.0 && io_clock > 0.0);
+  PCNNA_CHECK(fast_clock > 0.0);
   PCNNA_CHECK(num_input_dacs >= 1);
   PCNNA_CHECK(num_adcs >= 1);
   PCNNA_CHECK(word_bits >= 1);

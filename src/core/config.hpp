@@ -50,9 +50,8 @@ enum class TimingFidelity {
 const char* timing_fidelity_name(TimingFidelity fidelity);
 
 struct PcnnaConfig {
-  // --- clocks (paper SS IV) ---
+  // --- clock (paper SS IV) ---
   double fast_clock = 5.0 * units::GHz; ///< optical core + near electronics
-  double io_clock = 500.0 * units::MHz; ///< external-interface domain
 
   // --- mixed-signal front/back end (paper SS V-B) ---
   std::size_t num_input_dacs = 10;

@@ -114,10 +114,7 @@ NoiseBudget NoiseBudgetModel::layer_budget(
   const Scheduler scheduler(config_);
   const LayerPlan plan = scheduler.plan(layer);
 
-  const std::size_t passes =
-      config_.allocation == RingAllocation::kFullKernel
-          ? plan.groups.size()
-          : plan.groups.size() * layer.nc;
+  const std::size_t passes = plan.cycles_per_location;
   NoiseBudget b = pass_budget(plan.group_size, passes, layer.K,
                               layer.kernel_size());
   b.layer_name = layer.name;

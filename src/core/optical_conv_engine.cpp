@@ -758,8 +758,8 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
   // per-channel layer is nc passes of m * m rings, and every pass is
   // digitized and accumulated electronically, even when nc == 1.
   const bool per_channel = plan.allocation == RingAllocation::kPerChannel;
-  const std::size_t passes = per_channel ? layer.nc : 1;
-  const std::size_t pass_width = layer.kernel_size() / passes;
+  const std::size_t passes = channel_passes(layer, plan.allocation);
+  const std::size_t pass_width = core::pass_width(layer, plan.allocation);
 
   const AnalogChain chain = make_chain(config_, K);
   const phot::MachZehnderModulator mzm(config_.mzm);

@@ -108,7 +108,6 @@ struct Fnv1a {
 std::uint64_t config_hash(const PcnnaConfig& config) {
   Fnv1a h;
   h.f64(config.fast_clock);
-  h.f64(config.io_clock);
   h.sz(config.num_input_dacs);
   h.add(config.input_dac);
   h.add(config.weight_dac);

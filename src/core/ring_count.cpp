@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/scheduler.hpp"
 
 namespace pcnna::core {
 
@@ -18,13 +19,7 @@ std::uint64_t RingCountModel::unfiltered(const nn::ConvLayerParams& layer) const
 std::uint64_t RingCountModel::filtered(const nn::ConvLayerParams& layer,
                                        RingAllocation allocation) const {
   layer.validate();
-  switch (allocation) {
-    case RingAllocation::kFullKernel:
-      return layer.K * layer.kernel_size();
-    case RingAllocation::kPerChannel:
-      return layer.K * layer.m * layer.m;
-  }
-  throw Error("unknown ring allocation");
+  return layer.K * pass_width(layer, allocation);
 }
 
 double RingCountModel::savings_factor(const nn::ConvLayerParams& layer) const {

@@ -12,6 +12,27 @@ Scheduler::Scheduler(PcnnaConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
+std::uint64_t channel_passes(const nn::ConvLayerParams& layer,
+                             RingAllocation allocation) {
+  switch (allocation) {
+    case RingAllocation::kFullKernel: return 1;
+    case RingAllocation::kPerChannel: return layer.nc;
+  }
+  throw Error("unknown ring allocation");
+}
+
+std::uint64_t pass_width(const nn::ConvLayerParams& layer,
+                         RingAllocation allocation) {
+  return layer.kernel_size() / channel_passes(layer, allocation);
+}
+
+std::uint64_t fresh_per_pass(const nn::ConvLayerParams& layer,
+                             RingAllocation allocation) {
+  return std::min<std::uint64_t>(
+      layer.updated_inputs_per_location() / channel_passes(layer, allocation),
+      pass_width(layer, allocation));
+}
+
 LayerPlan Scheduler::plan(const nn::ConvLayerParams& layer) const {
   layer.validate();
 
@@ -20,65 +41,37 @@ LayerPlan Scheduler::plan(const nn::ConvLayerParams& layer) const {
   plan.allocation = config_.allocation;
   plan.locations = layer.num_locations();
 
-  const std::uint64_t n_kernel = layer.kernel_size();
-  const std::uint64_t fresh_per_loc =
-      std::min<std::uint64_t>(layer.updated_inputs_per_location(), n_kernel);
-
-  if (config_.allocation == RingAllocation::kFullKernel) {
-    // Every receptive-field value has a dedicated ring in every kernel's
-    // bank (Eq. 5); wider-than-WDM receptive fields are segmented into
-    // sequential passes whose balanced-photodiode currents wire-sum.
-    plan.group_size = std::min<std::uint64_t>(config_.max_wavelengths, n_kernel);
-    for (std::uint64_t begin = 0; begin < n_kernel; begin += plan.group_size) {
-      plan.groups.push_back(
-          GroupSlice{begin, std::min(begin + plan.group_size, n_kernel)});
-    }
-    plan.rings_total = layer.K * n_kernel;
-    plan.recalibrations = 1;
-    plan.cycles_per_location = plan.groups.size();
-    plan.sram_words = n_kernel;
-    plan.dram_read_words = layer.input_size() + layer.weight_count();
-    plan.dram_write_words = layer.output_size();
-    plan.input_dac_conversions =
-        n_kernel + (plan.locations - 1) * fresh_per_loc;
-    plan.weight_dac_conversions = layer.weight_count();
-    // Segment currents wire-sum in analog, so one ADC sample per kernel per
-    // location.
-    plan.adc_conversions = plan.locations * layer.K;
-  } else {
-    // Per-channel allocation (the paper's conv4 worked number): banks hold
-    // only m*m rings per kernel; input channels are processed in sequential
-    // passes with electronic partial-sum accumulation, and rings are
-    // retuned between passes.
-    const std::uint64_t per_channel = layer.m * layer.m;
-    plan.group_size =
-        std::min<std::uint64_t>(config_.max_wavelengths, per_channel);
-    for (std::uint64_t begin = 0; begin < per_channel;
-         begin += plan.group_size) {
-      plan.groups.push_back(
-          GroupSlice{begin, std::min(begin + plan.group_size, per_channel)});
-    }
-    plan.rings_total = layer.K * per_channel;
-    plan.recalibrations = layer.nc;
-    plan.cycles_per_location = layer.nc * plan.groups.size();
-    plan.sram_words = per_channel;
-    // Partial sums for (locations x K) outputs are accumulated across nc
-    // passes; all but the last pass round-trip them through DRAM.
-    const std::uint64_t partial_roundtrips =
-        plan.locations * layer.K * (layer.nc - 1);
-    plan.dram_read_words =
-        layer.input_size() + layer.weight_count() + partial_roundtrips;
-    plan.dram_write_words = layer.output_size() + partial_roundtrips;
-    // Fresh inputs per location within one channel pass: m*s values (one
-    // channel only); first location of each pass loads the full m*m window.
-    const std::uint64_t fresh_one_channel =
-        std::min<std::uint64_t>(layer.m * layer.s, per_channel);
-    plan.input_dac_conversions =
-        layer.nc * (per_channel + (plan.locations - 1) * fresh_one_channel);
-    // Every weight is programmed once per layer, spread over nc retunings.
-    plan.weight_dac_conversions = layer.weight_count();
-    plan.adc_conversions = plan.locations * layer.K * layer.nc;
-  }
+  // Every value of a pass has a dedicated ring in every kernel's bank;
+  // passes wider than the WDM budget are segmented into sequential groups
+  // whose balanced-photodiode currents wire-sum. Per-channel passes retune
+  // the rings in between, one recalibration each.
+  const std::uint64_t passes = channel_passes(layer, plan.allocation);
+  const std::uint64_t width = pass_width(layer, plan.allocation);
+  const std::uint64_t fresh = fresh_per_pass(layer, plan.allocation);
+  plan.group_size = std::min<std::uint64_t>(config_.max_wavelengths, width);
+  for (std::uint64_t begin = 0; begin < width; begin += plan.group_size)
+    plan.groups.push_back(
+        GroupSlice{begin, std::min(begin + plan.group_size, width)});
+  plan.rings_total = layer.K * width;
+  plan.recalibrations = passes;
+  plan.cycles_per_location = passes * plan.groups.size();
+  plan.sram_words = width;
+  // Partial sums for (locations x K) outputs accumulate across the passes;
+  // all but the last pass round-trip them through DRAM.
+  const std::uint64_t partial_roundtrips =
+      plan.locations * layer.K * (passes - 1);
+  plan.dram_read_words =
+      layer.input_size() + layer.weight_count() + partial_roundtrips;
+  plan.dram_write_words = layer.output_size() + partial_roundtrips;
+  // The first location of each pass loads its whole width; later ones only
+  // the pass's fresh values.
+  plan.input_dac_conversions =
+      passes * (width + (plan.locations - 1) * fresh);
+  // Every weight is programmed once per layer, spread over the passes.
+  plan.weight_dac_conversions = layer.weight_count();
+  // Segment currents wire-sum in analog and every pass is digitized: one
+  // ADC sample per kernel per location per pass.
+  plan.adc_conversions = plan.locations * layer.K * passes;
 
   // The live working set must fit the input cache.
   const elec::Sram sram(config_.sram);

@@ -32,8 +32,9 @@ struct LayerPlan {
 
   /// Wavelengths (= rings per bank segment) used in each pass.
   std::uint64_t group_size = 0;
-  /// Sequential bank passes per kernel location (full-kernel) or per
-  /// channel step (per-channel).
+  /// WDM segments tiling one channel pass's [0, pass_width): sequential
+  /// bank passes per kernel location (full-kernel) or per channel step
+  /// (per-channel).
   std::vector<GroupSlice> groups;
 
   /// Total rings the mapping occupies (Eq. 5 for full-kernel).
@@ -66,6 +67,25 @@ struct LayerPlan {
   /// strategies are bit-identical to freshly searched ones.
   friend bool operator==(const LayerPlan&, const LayerPlan&) = default;
 };
+
+// The ring allocation's geometry: the one place the simulator turns the
+// mapping choice into numbers. A full-kernel layer is one pass of nc*m*m
+// rings per kernel (Eq. 5); a per-channel layer (the paper's conv4 worked
+// number) is nc passes of m*m rings whose partial sums add electronically.
+
+/// Sequential channel passes per kernel location: 1, or nc per-channel.
+std::uint64_t channel_passes(const nn::ConvLayerParams& layer,
+                             RingAllocation allocation);
+
+/// Receptive-field values (rings per kernel) one pass weighs:
+/// kernel_size() / passes, that is nc*m*m or m*m.
+std::uint64_t pass_width(const nn::ConvLayerParams& layer,
+                         RingAllocation allocation);
+
+/// Fresh input values per location after the first within one pass:
+/// min(updated_inputs_per_location() / passes, pass_width).
+std::uint64_t fresh_per_pass(const nn::ConvLayerParams& layer,
+                             RingAllocation allocation);
 
 class Scheduler {
  public:

@@ -47,7 +47,10 @@ class StagePartitioner {
   explicit StagePartitioner(const PcnnaConfig& config);
 
   /// Per-op balance cost: LayerPlan::cycles_per_location for conv ops,
-  /// 0 for electronic ops (they never touch the weight banks).
+  /// 0 for electronic ops (they never touch the weight banks). FC ops weigh
+  /// 0 even under PcnnaConfig::accelerate_fc, where the Accelerator offloads
+  /// them and serving prices them (core::offloaded_layer): stages balance
+  /// on the conv layers alone.
   std::vector<std::size_t> op_costs(const nn::Network& net) const;
 
   /// Split `net` into exactly `stages` contiguous, non-empty op ranges

@@ -86,20 +86,16 @@ LayerTrace TraceSimulator::trace_layer(const nn::ConvLayerParams& layer) const {
   const std::uint64_t word_bytes = (config_.word_bits + 7) / 8;
   const elec::Dram dram(config_.dram);
 
-  // Sweeps: one for the full-kernel allocation, nc channel-major sweeps for
-  // the per-channel allocation (each preceded by a retuning episode).
-  const bool per_channel = plan.allocation == RingAllocation::kPerChannel;
-  const std::uint64_t sweeps = per_channel ? layer.nc : 1;
+  // One sweep per channel pass: one for the full-kernel allocation, nc
+  // channel-major sweeps for the per-channel allocation (each preceded by a
+  // retuning episode).
+  const std::uint64_t sweeps = channel_passes(layer, plan.allocation);
   const std::uint64_t passes_per_loc = plan.groups.size();
   const std::uint64_t weight_chunk = plan.weight_dac_conversions / sweeps;
 
   // Per-location stage times within one sweep, which loads only that
   // sweep's fresh inputs.
-  const std::uint64_t fresh =
-      per_channel
-          ? std::min<std::uint64_t>(layer.m * layer.s, layer.m * layer.m)
-          : std::min<std::uint64_t>(layer.updated_inputs_per_location(),
-                                    layer.kernel_size());
+  const std::uint64_t fresh = fresh_per_pass(layer, plan.allocation);
   const LocationStages st =
       location_stages(config_, fresh, passes_per_loc, layer.K);
   const double ii = st.interval();

@@ -8,16 +8,4 @@ Dram::Dram(DramConfig config) : config_(config) {
   PCNNA_CHECK(config.energy_per_byte >= 0.0);
 }
 
-double Dram::read(std::uint64_t bytes) {
-  bytes_read_ += bytes;
-  ++transactions_;
-  return transfer_time(bytes);
-}
-
-double Dram::write(std::uint64_t bytes) {
-  bytes_written_ += bytes;
-  ++transactions_;
-  return transfer_time(bytes);
-}
-
 } // namespace pcnna::elec

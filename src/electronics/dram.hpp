@@ -2,8 +2,8 @@
 //
 // Paper SS IV: kernel weights and feature maps live in off-chip DRAM;
 // convolution results are stored back per layer. A bandwidth + first-access
-// latency model is enough for the execution-time analysis; the model also
-// tallies traffic for the energy accounting.
+// latency model is enough for the execution-time analysis; the energy model
+// prices the LayerPlan's traffic with DramConfig::energy_per_byte.
 #pragma once
 
 #include <cstdint>
@@ -21,43 +21,22 @@ struct DramConfig {
   friend bool operator==(const DramConfig&, const DramConfig&) = default;
 };
 
-/// Bandwidth/latency model of one DRAM channel with traffic statistics.
+/// Bandwidth/latency model of one DRAM channel.
 class Dram {
  public:
   explicit Dram(DramConfig config);
 
   const DramConfig& config() const { return config_; }
 
-  /// Time to read `bytes` as one burst [s]; tallies traffic.
-  double read(std::uint64_t bytes);
-
-  /// Time to write `bytes` as one burst [s]; tallies traffic.
-  double write(std::uint64_t bytes);
-
-  /// Pure timing query without statistics side effects.
+  /// Time to move `bytes` as one burst [s].
   double transfer_time(std::uint64_t bytes) const {
     if (bytes == 0) return 0.0;
     return config_.first_access_latency +
            static_cast<double>(bytes) / config_.bandwidth;
   }
 
-  std::uint64_t bytes_read() const { return bytes_read_; }
-  std::uint64_t bytes_written() const { return bytes_written_; }
-  std::uint64_t transactions() const { return transactions_; }
-
-  /// Total access energy so far [J].
-  double access_energy() const {
-    return static_cast<double>(bytes_read_ + bytes_written_) *
-           config_.energy_per_byte;
-  }
-
-  void reset_stats() { bytes_read_ = bytes_written_ = transactions_ = 0; }
-
  private:
   DramConfig config_;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint64_t transactions_ = 0;
 };
 
 } // namespace pcnna::elec

@@ -14,26 +14,4 @@ std::uint64_t Sram::capacity_words() const {
          static_cast<std::uint64_t>(config_.word_bits);
 }
 
-void Sram::allocate(std::uint64_t words) {
-  PCNNA_CHECK_MSG(used_words_ + words <= capacity_words(),
-                  "SRAM overflow: " << used_words_ + words << " words > "
-                                    << capacity_words() << " capacity");
-  used_words_ += words;
-}
-
-void Sram::release(std::uint64_t words) {
-  PCNNA_CHECK(words <= used_words_);
-  used_words_ -= words;
-}
-
-double Sram::read(std::uint64_t words) {
-  reads_ += words;
-  return static_cast<double>(words) * config_.access_time;
-}
-
-double Sram::write(std::uint64_t words) {
-  writes_ += words;
-  return static_cast<double>(words) * config_.access_time;
-}
-
 } // namespace pcnna::elec

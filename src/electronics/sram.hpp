@@ -4,9 +4,9 @@
 // has a 128kb capacity that can store 8 thousand 16bit values. The access
 // time for the memory is 7ns and it has a footprint of 0.443mm2."
 //
-// The model tracks occupancy in 16-bit words and tallies accesses and
-// access time/energy; the accelerator uses it to hold the live receptive
-// field between kernel locations.
+// The scheduler checks each layer's live receptive field against the
+// capacity in words; the timing model reads the access time and the energy
+// model the per-word access energy from the config.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ struct SramConfig {
   friend bool operator==(const SramConfig&, const SramConfig&) = default;
 };
 
-/// Word-granular scratchpad with occupancy tracking and access statistics.
+/// A validated SRAM configuration and its capacity in words.
 class Sram {
  public:
   explicit Sram(SramConfig config);
@@ -37,38 +37,8 @@ class Sram {
   /// Total capacity in words (paper: ~8000 for the 128 kb / 16 b config).
   std::uint64_t capacity_words() const;
 
-  std::uint64_t used_words() const { return used_words_; }
-  std::uint64_t free_words() const { return capacity_words() - used_words_; }
-
-  /// Reserve `words`; throws if the working set exceeds capacity (the
-  /// scheduler must tile so this never happens in a valid plan).
-  void allocate(std::uint64_t words);
-
-  /// Release `words` (must not exceed current occupancy).
-  void release(std::uint64_t words);
-
-  /// Record `words` read accesses and return the time they take [s].
-  double read(std::uint64_t words);
-
-  /// Record `words` write accesses and return the time they take [s].
-  double write(std::uint64_t words);
-
-  std::uint64_t reads() const { return reads_; }
-  std::uint64_t writes() const { return writes_; }
-
-  /// Dynamic access energy consumed so far [J].
-  double access_energy() const {
-    return static_cast<double>(reads_ + writes_) * config_.access_energy;
-  }
-
-  /// Reset access statistics (occupancy is kept).
-  void reset_stats() { reads_ = writes_ = 0; }
-
  private:
   SramConfig config_;
-  std::uint64_t used_words_ = 0;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
 };
 
 } // namespace pcnna::elec

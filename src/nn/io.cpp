@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -35,15 +36,22 @@ std::string shape_text(const Shape4& s) {
   return os.str();
 }
 
+/// Throw unless `t` is non-empty and has shape `expected`, naming `where`
+/// (a file or a network) and `field` (e.g. "fc weight of op 7").
+void check_shape(const std::string& where, const std::string& field,
+                 const Tensor& t, const Shape4& expected) {
+  PCNNA_CHECK_MSG(!t.empty() && t.shape() == expected,
+                  where << ": " << field << " has shape "
+                        << (t.empty() ? "{} (empty)" : shape_text(t.shape()))
+                        << ", but the network needs " << shape_text(expected));
+}
+
 /// load_tensor(path), checked against the shape the network implies for
-/// `field` (e.g. "fc weight").
+/// `field`.
 Tensor load_shaped(const std::string& path, const std::string& field,
                    const Shape4& expected) {
   Tensor t = load_tensor(path);
-  PCNNA_CHECK_MSG(t.shape() == expected,
-                  "'" << path << "': " << field << " has shape "
-                      << shape_text(t.shape()) << ", but the network needs "
-                      << shape_text(expected));
+  check_shape("'" + path + "'", field, t, expected);
   return t;
 }
 
@@ -134,30 +142,40 @@ NetWeights load_network_weights(const std::string& directory,
   weights.weight.resize(net.ops().size());
   weights.bias.resize(net.ops().size());
   for (std::size_t i = 0; i < net.ops().size(); ++i) {
-    const LayerOp& op = net.ops()[i];
-    std::string kind;
-    Shape4 weight_shape;
-    Shape4 bias_shape;
-    if (op.kind == OpKind::kConv) {
-      kind = "conv";
-      weight_shape = {op.conv.K, op.conv.nc, op.conv.m, op.conv.m};
-      bias_shape = {1, op.conv.K, 1, 1};
-    } else if (op.kind == OpKind::kFullyConnected) {
-      kind = "fc";
-      weight_shape = {op.fc.out, net.shape_before(i).elements(), 1, 1};
-      bias_shape = {1, op.fc.out, 1, 1};
-    } else {
-      continue;
-    }
+    const std::optional<ParamShapes> shapes = net.param_shapes(i);
+    if (!shapes) continue;
+    const std::string kind = op_kind_name(net.ops()[i].kind);
     const std::string base = directory + "/" + prefix + "_";
     const std::string index = std::to_string(i);
     weights.weight[i] = load_shaped(base + "w" + index + ".pcnt",
                                     kind + " weight of op " + index,
-                                    weight_shape);
+                                    shapes->weight);
     weights.bias[i] = load_shaped(base + "b" + index + ".pcnt",
-                                  kind + " bias of op " + index, bias_shape);
+                                  kind + " bias of op " + index, shapes->bias);
   }
   return weights;
+}
+
+// Declared beside NetWeights in nn/network.hpp; defined here so it shares
+// check_shape's message with load_network_weights.
+void validate_weights(const Network& net, const NetWeights& weights) {
+  const std::size_t ops = net.ops().size();
+  const std::string where = "network '" + net.name() + "'";
+  PCNNA_CHECK_MSG(weights.weight.size() == ops && weights.bias.size() == ops,
+                  where << " has " << ops << " ops, but its weights hold "
+                        << weights.weight.size() << " weights and "
+                        << weights.bias.size() << " biases");
+  for (std::size_t i = 0; i < ops; ++i) {
+    const std::optional<ParamShapes> shapes = net.param_shapes(i);
+    if (!shapes) continue;
+    const std::string kind = op_kind_name(net.ops()[i].kind);
+    const std::string index = std::to_string(i);
+    check_shape(where, kind + " weight of op " + index, weights.weight[i],
+                shapes->weight);
+    if (!weights.bias[i].empty())
+      check_shape(where, kind + " bias of op " + index, weights.bias[i],
+                  shapes->bias);
+  }
 }
 
 } // namespace pcnna::nn

@@ -114,28 +114,26 @@ std::uint64_t Network::conv_macs() const {
   return total;
 }
 
+std::optional<ParamShapes> Network::param_shapes(std::size_t op) const {
+  PCNNA_CHECK_MSG(op < ops_.size(), "op index " << op << " out of range");
+  const LayerOp& o = ops_[op];
+  switch (o.kind) {
+    case OpKind::kConv:
+      return ParamShapes{{o.conv.K, o.conv.nc, o.conv.m, o.conv.m},
+                         {1, o.conv.K, 1, 1}};
+    case OpKind::kFullyConnected:
+      return ParamShapes{{o.fc.out, shape_before(op).elements(), 1, 1},
+                         {1, o.fc.out, 1, 1}};
+    default:
+      return std::nullopt;
+  }
+}
+
 std::uint64_t Network::weight_count() const {
   std::uint64_t total = 0;
-  Shape4 shape = input_;
-  for (const LayerOp& op : ops_) {
-    switch (op.kind) {
-      case OpKind::kConv:
-        total += op.conv.weight_count();
-        shape = Shape4{1, op.conv.K, op.conv.output_side(), op.conv.output_side()};
-        break;
-      case OpKind::kMaxPool:
-      case OpKind::kAvgPool:
-        shape.h = (shape.h - op.pool.window) / op.pool.stride + 1;
-        shape.w = (shape.w - op.pool.window) / op.pool.stride + 1;
-        break;
-      case OpKind::kFullyConnected:
-        total += op.fc.out * shape.elements();
-        shape = Shape4{1, op.fc.out, 1, 1};
-        break;
-      default:
-        break;
-    }
-  }
+  for (std::size_t i = 0; i < ops_.size(); ++i)
+    if (const std::optional<ParamShapes> shapes = param_shapes(i))
+      total += shapes->weight.elements();
   return total;
 }
 
@@ -143,8 +141,7 @@ Tensor forward_reference(const Network& net, const NetWeights& weights,
                          const Tensor& input) {
   PCNNA_CHECK_MSG(input.shape() == net.input_shape(),
                   "input shape does not match network '" << net.name() << "'");
-  PCNNA_CHECK(weights.weight.size() == net.ops().size());
-  PCNNA_CHECK(weights.bias.size() == net.ops().size());
+  validate_weights(net, weights);
 
   Tensor x = input;
   for (std::size_t i = 0; i < net.ops().size(); ++i) {

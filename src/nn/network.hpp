@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,12 @@ struct LayerOp {
   FcOp fc;              ///< kFullyConnected
 };
 
+/// Shapes of one op's learned parameters.
+struct ParamShapes {
+  Shape4 weight;
+  Shape4 bias;
+};
+
 /// Sequential CNN with construction-time shape checking.
 class Network {
  public:
@@ -93,6 +100,11 @@ class Network {
   /// ~90% of all operations).
   std::uint64_t conv_macs() const;
 
+  /// Parameter shapes of op i: conv weight {K, nc, m, m} and bias
+  /// {1, K, 1, 1}, fc weight {out, inputs, 1, 1} and bias {1, out, 1, 1};
+  /// nullopt for parameterless ops.
+  std::optional<ParamShapes> param_shapes(std::size_t op) const;
+
   /// Total learned parameters (conv + fc weights, no biases).
   std::uint64_t weight_count() const;
 
@@ -106,14 +118,21 @@ class Network {
 };
 
 /// Per-op weights for a Network: `weight[i]`/`bias[i]` are used when op i is
-/// a conv ([K, nc, m, m] / [1, K, 1, 1]) or fc ([out, in, 1, 1] / [1, out,
-/// 1, 1]); they are empty tensors for parameterless ops.
+/// a conv or fc, with the shapes Network::param_shapes(i) gives; they are
+/// empty tensors for parameterless ops.
 struct NetWeights {
   std::vector<Tensor> weight;
   std::vector<Tensor> bias;
 };
 
-/// Run the network end to end with the golden CPU operators.
+/// Throws pcnna::Error unless `weights` fits `net`: one weight and one bias
+/// per op, every conv and fc weight of its param_shapes() shape, and every
+/// such bias either empty or of its shape. The message names the network,
+/// the op and field ("conv weight of op 0") and both shapes.
+void validate_weights(const Network& net, const NetWeights& weights);
+
+/// Run the network end to end with the golden CPU operators. Throws if
+/// `weights` do not fit `net` (validate_weights).
 Tensor forward_reference(const Network& net, const NetWeights& weights,
                          const Tensor& input);
 

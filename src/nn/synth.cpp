@@ -1,6 +1,7 @@
 #include "nn/synth.hpp"
 
 #include <cmath>
+#include <optional>
 
 namespace pcnna::nn {
 
@@ -43,38 +44,18 @@ NetWeights make_network_weights(const Network& net, Rng& rng) {
   NetWeights w;
   w.weight.resize(net.ops().size());
   w.bias.resize(net.ops().size());
-
-  Shape4 shape = net.input_shape();
   for (std::size_t i = 0; i < net.ops().size(); ++i) {
-    const LayerOp& op = net.ops()[i];
-    switch (op.kind) {
-      case OpKind::kConv: {
-        w.weight[i] = make_conv_weights(op.conv, rng);
-        w.bias[i] = make_conv_bias(op.conv, rng);
-        const std::size_t side = op.conv.output_side();
-        shape = Shape4{1, op.conv.K, side, side};
-        break;
-      }
-      case OpKind::kMaxPool:
-      case OpKind::kAvgPool:
-        shape.h = (shape.h - op.pool.window) / op.pool.stride + 1;
-        shape.w = (shape.w - op.pool.window) / op.pool.stride + 1;
-        break;
-      case OpKind::kFullyConnected: {
-        const std::size_t in = shape.elements();
-        Tensor weight(Shape4{op.fc.out, in, 1, 1});
-        const double stddev = std::sqrt(2.0 / static_cast<double>(in));
-        fill_gaussian(weight, rng, 0.0, stddev);
-        w.weight[i] = std::move(weight);
-        Tensor bias(Shape4{1, op.fc.out, 1, 1});
-        fill_uniform(bias, rng, -0.05, 0.05);
-        w.bias[i] = std::move(bias);
-        shape = Shape4{1, op.fc.out, 1, 1};
-        break;
-      }
-      default:
-        break;
-    }
+    const std::optional<ParamShapes> shapes = net.param_shapes(i);
+    if (!shapes) continue;
+    // He-style scaling over the fan-in: nc * m * m for a conv kernel, the
+    // flattened input for an fc row.
+    const Shape4& ws = shapes->weight;
+    const std::size_t fan_in = ws.c * ws.h * ws.w;
+    w.weight[i] = Tensor(ws);
+    fill_gaussian(w.weight[i], rng, 0.0,
+                  std::sqrt(2.0 / static_cast<double>(fan_in)));
+    w.bias[i] = Tensor(shapes->bias);
+    fill_uniform(w.bias[i], rng, -0.05, 0.05);
   }
   return w;
 }

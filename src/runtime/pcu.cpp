@@ -1,6 +1,7 @@
 #include "runtime/pcu.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -37,7 +38,8 @@ namespace {
 
 /// Serving constants of ops [op_begin, op_end) of `net` on one device
 /// model — the one home of the per-range timing formula, shared by the
-/// whole-model slot (add_model) and pipeline stages (stage_timings).
+/// whole-model slot (add_model) and pipeline stages (stage_timings). It
+/// prices exactly the layers the Accelerator offloads (core::offloaded_layer).
 /// `swap`, when given, receives the range's plain recalibration sum.
 StageTimings range_timings(const core::PcnnaConfig& config,
                            core::TimingFidelity fidelity,
@@ -45,8 +47,9 @@ StageTimings range_timings(const core::PcnnaConfig& config,
                            std::size_t op_end, double* swap = nullptr) {
   std::vector<nn::ConvLayerParams> layers;
   for (std::size_t i = op_begin; i < op_end; ++i)
-    if (net.ops()[i].kind == nn::OpKind::kConv)
-      layers.push_back(net.ops()[i].conv);
+    if (std::optional<nn::ConvLayerParams> layer =
+            core::offloaded_layer(config, net, i))
+      layers.push_back(std::move(*layer));
 
   const core::TimingModel timing(config, fidelity);
   const core::EnergyModel energy(config);

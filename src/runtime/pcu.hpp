@@ -149,7 +149,7 @@ struct StageTimings {
   /// pinned stage never re-pays it — pinning *is* kPinnedAfterFirst — and
   /// never swaps, which is the whole point of pipeline parallelism here.
   double pin = 0.0;
-  /// Energy per image for the range's conv layers.
+  /// Energy per image for the range's offloaded layers.
   double energy = 0.0;
   /// Capability metric of the range (Σ LayerPlan::cycles_per_location).
   std::size_t split_passes = 0;
@@ -299,8 +299,8 @@ class Pcu {
   }
 
   /// Capability metric for dispatch: sequential weight-bank passes per
-  /// kernel location this PCU needs for the given model, summed over
-  /// conv layers (LayerPlan::cycles_per_location — WDM channel-group
+  /// kernel location this PCU needs for the given model, summed over the
+  /// offloaded layers (LayerPlan::cycles_per_location — WDM channel-group
   /// segmentation times any per-channel allocation passes). A receptive
   /// field wider than PcnnaConfig::max_wavelengths splits into sequential
   /// bank passes whose partial sums add electronically, and the

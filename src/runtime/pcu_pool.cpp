@@ -31,6 +31,7 @@ const char* dispatch_policy_name(DispatchPolicy policy) {
 PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
                  const nn::Network& net, const nn::NetWeights& weights) {
   PCNNA_CHECK_MSG(!specs.empty(), "a PcuPool needs at least one PCU");
+  nn::validate_weights(net, weights);
   pcus_.reserve(specs.size());
   const core::PcnnaConfig& reference = specs.front().config;
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();
@@ -53,6 +54,7 @@ PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
 
 std::uint32_t PcuPool::register_model(const nn::Network& net,
                                       const nn::NetWeights& weights) {
+  nn::validate_weights(net, weights);
   std::uint32_t id = 0;
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();
   for (Pcu& pcu : pcus_) {

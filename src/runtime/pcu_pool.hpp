@@ -324,8 +324,9 @@ class PcuPool {
   /// Build one PCU per spec, serving `net`. `net`/`weights` are borrowed
   /// and must outlive the pool; `specs` is consumed. `fidelity` applies
   /// fleet-wide (it selects the timing *model*, not a device budget).
-  /// Throws if `specs` is empty or any spec's config cannot map the
-  /// network (SRAM working-set overflow).
+  /// Throws if `specs` is empty, `weights` do not fit `net`
+  /// (nn::validate_weights, checked before any PCU is built) or any spec's
+  /// config cannot map the network (SRAM working-set overflow).
   PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
           const nn::Network& net, const nn::NetWeights& weights);
 
@@ -338,7 +339,8 @@ class PcuPool {
   /// starting at 1; id 0 is the primary model the pool was built with.
   /// Requests carry their target via InferenceRequest::model_id, and the
   /// admission loop charges a weight-bank swap whenever a dispatch
-  /// switches a PCU's programmed model (see Pcu::swap_time).
+  /// switches a PCU's programmed model (see Pcu::swap_time). Throws,
+  /// registering nothing, if `weights` do not fit `net`.
   std::uint32_t register_model(const nn::Network& net,
                                const nn::NetWeights& weights);
 

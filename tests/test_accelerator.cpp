@@ -223,4 +223,60 @@ TEST(Accelerator, ReferenceOutputPopulatedOnlyWhenComparing) {
   }
 }
 
+// Weights the network does not imply are rejected at every entry point.
+// A conv declared with K = 4 but given 5 kernels and 5 biases used to run
+// everywhere, returning a [1, 5, 8, 8] output while output_shape() said
+// [1, 4, 8, 8].
+TEST(Accelerator, MisshapenWeightsThrowAtEveryEntryPoint) {
+  nn::Network net("probe", nn::Shape4{1, 2, 8, 8});
+  net.add_conv({"c", 8, 3, 1, 1, 2, 4});
+  Rng rng(7);
+  nn::NetWeights weights;
+  weights.weight.emplace_back(nn::Shape4{5, 2, 3, 3});
+  weights.bias.emplace_back(nn::Shape4{1, 5, 1, 1});
+  nn::fill_gaussian(weights.weight[0], rng, 0.0, 0.3);
+  nn::fill_uniform(weights.bias[0], rng, -0.05, 0.05);
+  const nn::Tensor input = nn::make_network_input(net, rng);
+
+  const auto expect_rejected = [](const char* entry, const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << entry << " accepted a 5-kernel weight for K = 4";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(std::string::npos, what.find("'probe'"))
+          << entry << ": " << what;
+      EXPECT_NE(std::string::npos, what.find("conv weight of op 0"))
+          << entry << ": " << what;
+      EXPECT_NE(std::string::npos, what.find("{5, 2, 3, 3}"))
+          << entry << ": " << what;
+      EXPECT_NE(std::string::npos, what.find("{4, 2, 3, 3}"))
+          << entry << ": " << what;
+    }
+  };
+  expect_rejected("Accelerator::run (simulated)", [&] {
+    Accelerator(PcnnaConfig::paper_defaults()).run(net, weights, input);
+  });
+  expect_rejected("Accelerator::run (golden)", [&] {
+    Accelerator(PcnnaConfig::paper_defaults())
+        .run(net, weights, input, /*simulate_values=*/false);
+  });
+  expect_rejected("nn::forward_reference",
+                  [&] { nn::forward_reference(net, weights, input); });
+  expect_rejected("BatchRunner::run", [&] {
+    runtime::BatchRunner runner(PcnnaConfig::paper_defaults(), net, weights);
+    runner.run({input});
+  });
+}
+
+// An empty conv bias means "no bias" and stays legal.
+TEST(Accelerator, EmptyConvBiasIsAccepted) {
+  NetData d = make_tiny(12);
+  d.weights.bias[0] = nn::Tensor();
+  Accelerator acc(PcnnaConfig::ideal());
+  const core::NetworkRunReport report = acc.run(d.net, d.weights, d.input);
+  EXPECT_EQ(d.net.output_shape(), report.output.shape());
+  EXPECT_LT(report.output_max_abs_err, 1e-6);
+}
+
 } // namespace

@@ -22,10 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -40,6 +37,8 @@
 #include "runtime/pcu_pool.hpp"
 #include "runtime/arrival.hpp"
 #include "runtime/telemetry.hpp"
+
+#include "fnv1a.hpp"
 
 namespace {
 
@@ -742,27 +741,7 @@ TEST(AdmissionInvariants, PipelineScheduleBitIdenticalAcrossEngineThreads) {
 // one policy. Arrival and fault streams use only Rng::uniform() and basic
 // arithmetic (no libm), so the digests hold on any IEEE-754 x86-64 host.
 
-/// 64-bit FNV-1a over the bit patterns of every field fed to it.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+using golden::Fnv1a;
 
 std::uint64_t admission_digest(const AdmissionResult& r) {
   Fnv1a h;
@@ -962,16 +941,11 @@ std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
   return cases;
 }
 
-/// Expect `r` to hash to the digest recorded for `name`; on a mismatch the
-/// message is the map entry to paste.
+/// Expect `r` to hash to the digest recorded for `name`.
 void expect_digest(const std::map<std::string, std::uint64_t>& expected,
                    const std::string& name, const AdmissionResult& r) {
   ASSERT_GT(r.schedule.size(), 0u);
-  char actual[32];
-  std::snprintf(actual, sizeof actual, "0x%016" PRIx64, admission_digest(r));
-  const auto it = expected.find(name);
-  EXPECT_EQ(it == expected.end() ? 0u : it->second, admission_digest(r))
-      << "{\"" << name << "\", " << actual << "ull},";
+  golden::expect_digest(expected, name, admission_digest(r));
 }
 
 TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {

@@ -106,4 +106,61 @@ TEST(Network, WeightCountIncludesFc) {
   EXPECT_EQ(58u, net.weight_count());
 }
 
+TEST(Network, ParamShapesFollowTheOps) {
+  Network net("t", Shape4{1, 3, 16, 16});
+  net.add_conv({"c1", 16, 3, 1, 1, 3, 8}).add_relu().add_maxpool(2, 2);
+  net.add_fc(10);
+  const auto conv = net.param_shapes(0);
+  ASSERT_TRUE(conv.has_value());
+  EXPECT_EQ((Shape4{8, 3, 3, 3}), conv->weight);
+  EXPECT_EQ((Shape4{1, 8, 1, 1}), conv->bias);
+  EXPECT_FALSE(net.param_shapes(1).has_value());
+  EXPECT_FALSE(net.param_shapes(2).has_value());
+  const auto fc = net.param_shapes(3);
+  ASSERT_TRUE(fc.has_value());
+  EXPECT_EQ((Shape4{10, 8 * 8 * 8, 1, 1}), fc->weight);
+  EXPECT_EQ((Shape4{1, 10, 1, 1}), fc->bias);
+  EXPECT_THROW(net.param_shapes(4), Error);
+}
+
+TEST(Network, ValidateWeightsRejectsTransposedFc) {
+  Rng rng(9);
+  const Network net = nn::tiny_cnn();
+  nn::NetWeights weights = nn::make_network_weights(net, rng);
+  EXPECT_NO_THROW(nn::validate_weights(net, weights));
+  std::size_t fc = net.ops().size();
+  for (std::size_t i = 0; i < net.ops().size(); ++i)
+    if (net.ops()[i].kind == nn::OpKind::kFullyConnected) fc = i;
+  ASSERT_LT(fc, net.ops().size());
+  // Same element count, wrong orientation.
+  const Shape4 good = weights.weight[fc].shape();
+  weights.weight[fc] = Tensor(Shape4{good.c, good.n, good.h, good.w});
+  try {
+    nn::validate_weights(net, weights);
+    ADD_FAILURE() << "accepted a transposed fc weight";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos,
+              what.find("fc weight of op " + std::to_string(fc)))
+        << what;
+  }
+}
+
+TEST(Network, ValidateWeightsChecksCountsAndBiases) {
+  Rng rng(10);
+  const Network net = nn::tiny_cnn();
+  nn::NetWeights weights = nn::make_network_weights(net, rng);
+  weights.bias[0] = Tensor(); // an empty bias is "no bias"
+  EXPECT_NO_THROW(nn::validate_weights(net, weights));
+  nn::NetWeights short_list = weights;
+  short_list.bias.pop_back();
+  EXPECT_THROW(nn::validate_weights(net, short_list), Error);
+  nn::NetWeights no_weight = weights;
+  no_weight.weight[0] = Tensor();
+  EXPECT_THROW(nn::validate_weights(net, no_weight), Error);
+  nn::NetWeights wide_bias = weights;
+  wide_bias.bias[0] = Tensor(Shape4{1, net.ops()[0].conv.K + 1, 1, 1});
+  EXPECT_THROW(nn::validate_weights(net, wide_bias), Error);
+}
+
 } // namespace

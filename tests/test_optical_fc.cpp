@@ -1,12 +1,15 @@
 // Photonic fully-connected layers (broadcast-and-weight's original use).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/accelerator.hpp"
 #include "core/optical_conv_engine.hpp"
 #include "nn/conv_ref.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
+#include "runtime/batch_runner.hpp"
 
 namespace {
 
@@ -131,6 +134,46 @@ TEST(OpticalFc, LenetEndToEndFullyPhotonic) {
   ASSERT_EQ(2u, report.fc_layers.size());
   EXPECT_TRUE(report.argmax_match);
   EXPECT_LT(report.output_max_abs_err, 1e-6);
+}
+
+// Serving prices exactly the layers the Accelerator offloads: under
+// accelerate_fc the FC layers too. The serving constants used to collect
+// conv ops only, so on this LeNet-5 fleet run_open_loop reported 4.3462 mJ
+// and simulate_open_loop 3.5379 mJ for the same arrivals, and a request
+// cost 44.75 us serial in the admission loop but 66.70 us in
+// Accelerator::run.
+TEST(OpticalFc, ServingPricesTheOffloadedLayers) {
+  for (const bool accelerate_fc : {false, true}) {
+    SCOPED_TRACE(accelerate_fc ? "accelerate_fc" : "conv only");
+    PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+    cfg.accelerate_fc = accelerate_fc;
+    Rng rng(34);
+    const nn::Network net = nn::lenet5();
+    const nn::NetWeights weights = nn::make_network_weights(net, rng);
+    std::vector<Tensor> inputs;
+    for (int i = 0; i < 4; ++i)
+      inputs.push_back(nn::make_network_input(net, rng));
+    runtime::BatchRunnerOptions options;
+    options.num_pcus = 2;
+    options.simulate_values = false;
+    runtime::BatchRunner runner(cfg, net, weights, options);
+    const runtime::ArrivalSchedule arrivals =
+        runtime::uniform_arrivals(inputs.size(), 2.0e4);
+
+    runtime::OpenLoopReport served;
+    runner.run_open_loop(inputs, arrivals, &served);
+    const runtime::OpenLoopReport simulated =
+        runner.simulate_open_loop(arrivals);
+    EXPECT_EQ(served.total_energy, simulated.total_energy);
+
+    core::Accelerator acc(cfg, options.fidelity);
+    const core::NetworkRunReport run =
+        acc.run(net, weights, inputs[0], /*simulate_values=*/false,
+                /*compare_reference=*/false);
+    EXPECT_EQ(accelerate_fc ? 2u : 0u, run.fc_layers.size());
+    EXPECT_EQ(run.total_full_system_time,
+              runner.pool().pcu(0).request_time_serial());
+  }
 }
 
 } // namespace
