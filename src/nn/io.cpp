@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -130,8 +131,17 @@ void save_network_weights(const std::string& directory,
     if (weights.weight[i].empty()) continue;
     const std::string base = directory + "/" + prefix + "_";
     save_tensor(base + "w" + std::to_string(i) + ".pcnt", weights.weight[i]);
-    if (!weights.bias[i].empty())
-      save_tensor(base + "b" + std::to_string(i) + ".pcnt", weights.bias[i]);
+    const std::string bias = base + "b" + std::to_string(i) + ".pcnt";
+    if (!weights.bias[i].empty()) {
+      save_tensor(bias, weights.bias[i]);
+      continue;
+    }
+    // No bias, no file: remove one an earlier save left, or it would load.
+    std::error_code ec;
+    std::filesystem::remove(bias, ec);
+    PCNNA_CHECK_MSG(!ec, "cannot remove stale bias file '" << bias
+                                                            << "': "
+                                                            << ec.message());
   }
 }
 
@@ -150,8 +160,11 @@ NetWeights load_network_weights(const std::string& directory,
     weights.weight[i] = load_shaped(base + "w" + index + ".pcnt",
                                     kind + " weight of op " + index,
                                     shapes->weight);
-    weights.bias[i] = load_shaped(base + "b" + index + ".pcnt",
-                                  kind + " bias of op " + index, shapes->bias);
+    // An absent bias file is no bias, as the save writes it.
+    const std::string bias = base + "b" + index + ".pcnt";
+    if (std::filesystem::exists(bias))
+      weights.bias[i] =
+          load_shaped(bias, kind + " bias of op " + index, shapes->bias);
   }
   return weights;
 }

@@ -23,13 +23,15 @@ Tensor load_tensor(const std::string& path);
 
 /// Persist a network's weights as one file per parameterized op under
 /// `directory` (created by the caller): <prefix>_w<i>.pcnt / _b<i>.pcnt.
+/// An empty bias writes no bias file and removes one an earlier save left.
 void save_network_weights(const std::string& directory,
                           const std::string& prefix, const NetWeights& weights);
 
 /// Reload weights written by save_network_weights for `net`. Each tensor is
 /// checked against the shape `net` implies — conv weight {K, nc, m, m} and
 /// bias {1, K, 1, 1}, fc weight {out, inputs, 1, 1} and bias {1, out, 1, 1}
-/// — and a mismatch throws pcnna::Error naming the file and the field.
+/// — and a mismatch throws pcnna::Error naming the file and the field. A
+/// missing weight file throws; a missing bias file loads as no bias.
 NetWeights load_network_weights(const std::string& directory,
                                 const std::string& prefix, const Network& net);
 

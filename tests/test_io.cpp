@@ -136,6 +136,38 @@ TEST(TensorIo, NetworkWeightsRoundTripThroughReference) {
   }
 }
 
+// The save writes no file for an empty bias, and the load reads an absent
+// bias file as no bias, so tiny_cnn round-trips with its first conv's bias
+// empty and every other bias present. Saving again without a bias under a
+// prefix that held one leaves no stale bias to reload, and the weight file
+// stays required.
+TEST(TensorIo, NetworkWeightsRoundTripEmptyAndPresentBiases) {
+  Rng rng(9);
+  const nn::Network net = nn::tiny_cnn();
+  nn::NetWeights weights = nn::make_network_weights(net, rng);
+  const std::string dir = ::testing::TempDir();
+  nn::save_network_weights(dir, "biasless", weights);
+  ASSERT_FALSE(weights.bias[0].empty());
+  weights.bias[0] = Tensor();
+  nn::save_network_weights(dir, "biasless", weights);
+
+  const nn::NetWeights back = nn::load_network_weights(dir, "biasless", net);
+  ASSERT_EQ(weights.weight.size(), back.weight.size());
+  ASSERT_EQ(weights.bias.size(), back.bias.size());
+  std::size_t present = 0;
+  for (std::size_t i = 0; i < net.ops().size(); ++i) {
+    EXPECT_EQ(weights.weight[i], back.weight[i]) << i;
+    EXPECT_EQ(weights.bias[i].empty(), back.bias[i].empty()) << i;
+    EXPECT_EQ(weights.bias[i], back.bias[i]) << i;
+    if (!back.bias[i].empty()) ++present;
+  }
+  EXPECT_TRUE(back.bias[0].empty());
+  EXPECT_EQ(2u, present); // the second conv's and the fc's
+
+  std::remove((dir + "/biasless_w0.pcnt").c_str());
+  EXPECT_THROW(nn::load_network_weights(dir, "biasless", net), Error);
+}
+
 // A weight file whose shape disagrees with the network is rejected at load
 // time, naming the file and the field — here an fc weight saved transposed,
 // which has the right element count but the wrong shape.

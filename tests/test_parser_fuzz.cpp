@@ -1,8 +1,8 @@
-// Seeded mutation fuzzing of the three external-input parsers: arrival
-// traces, fault traces, and PCNT tensor files.
+// Seeded mutation fuzzing of the external-input parsers: arrival traces,
+// fault traces, PCNT tensor files, and the weight sets of a network.
 //
 // Each case starts from valid writer output (write_arrival_trace,
-// write_fault_trace, nn::save_tensor), applies one to three mutations drawn
+// write_fault_trace, nn::save_tensor, nn::save_network_weights), applies one to three mutations drawn
 // from a fixed seed — byte flips, truncation, token duplication or
 // deletion, sign and exponent edits — and feeds the result to the parser.
 // The parser must either throw pcnna::Error, or return a value that passes
@@ -25,6 +25,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/io.hpp"
+#include "nn/models.hpp"
+#include "nn/synth.hpp"
 #include "runtime/arrival.hpp"
 #include "runtime/fault_plan.hpp"
 
@@ -160,6 +162,7 @@ void expect_error_or_round_trip(const std::string& input, F parse_and_check) {
 
 constexpr std::size_t kTextCases = 1500;
 constexpr std::size_t kTensorCases = 400;
+constexpr std::size_t kWeightSetCases = 200;
 
 TEST(ParserFuzz, ArrivalTraceRejectsOrRoundTrips) {
   std::ostringstream base;
@@ -250,6 +253,73 @@ TEST(ParserFuzz, TensorFileRejectsOrRoundTrips) {
   }
   std::remove(path.c_str());
   std::remove(copy.c_str());
+}
+
+// Weight sets of tiny_cnn with a seeded subset of biases left empty. The
+// unmutated save must reload bit for bit, empty biases included; then one
+// of its files is deleted or mutated. A deleted bias file reads as no bias,
+// a deleted weight file is an error.
+TEST(ParserFuzz, NetworkWeightsRejectOrRoundTrip) {
+  const nn::Network net = nn::tiny_cnn();
+  Rng rng(5);
+  const nn::NetWeights base = nn::make_network_weights(net, rng);
+  const std::string dir = ::testing::TempDir();
+  std::vector<std::size_t> params;
+  for (std::size_t i = 0; i < net.ops().size(); ++i)
+    if (!base.weight[i].empty()) params.push_back(i);
+  ASSERT_FALSE(params.empty());
+  const auto read_file = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto expect_same = [&](const nn::NetWeights& a, const nn::NetWeights& b,
+                               const std::string& what) {
+    ASSERT_EQ(a.weight.size(), b.weight.size()) << what;
+    for (std::size_t i = 0; i < a.weight.size(); ++i) {
+      for (const auto& [x, y] : {std::pair(&a.weight[i], &b.weight[i]),
+                                 std::pair(&a.bias[i], &b.bias[i])}) {
+        ASSERT_TRUE(x->shape() == y->shape()) << what << " op " << i;
+        for (std::size_t e = 0; e < x->size(); ++e)
+          EXPECT_EQ(bits_of((*x)[e]), bits_of((*y)[e])) << what << " op " << i;
+      }
+    }
+  };
+
+  for (std::size_t c = 0; c < kWeightSetCases; ++c) {
+    const std::string what = "weight set case " + std::to_string(c);
+    nn::NetWeights weights = base;
+    for (std::size_t i : params)
+      if (rng.uniform_index(2) != 0) weights.bias[i] = nn::Tensor();
+    nn::save_network_weights(dir, "fuzzw", weights);
+    expect_same(weights, nn::load_network_weights(dir, "fuzzw", net), what);
+
+    const std::size_t op = params[pick(rng, params.size())];
+    const bool bias = rng.uniform_index(2) != 0;
+    const std::string path = dir + "/fuzzw_" + (bias ? "b" : "w") +
+                             std::to_string(op) + ".pcnt";
+    std::string input = "(deleted)";
+    if (rng.uniform_index(4) == 0) {
+      std::remove(path.c_str());
+    } else if (std::ifstream(path).good()) {
+      input = mutant(read_file(path), rng, mutate_bytes);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(input.data(), static_cast<std::streamsize>(input.size()));
+    }
+    expect_error_or_round_trip(
+        what + ", " + std::to_string(input.size()) + "-byte " + path, [&] {
+          const nn::NetWeights parsed =
+              nn::load_network_weights(dir, "fuzzw", net);
+          nn::validate_weights(net, parsed);
+          nn::save_network_weights(dir, "fuzzw-copy", parsed);
+          expect_same(parsed, nn::load_network_weights(dir, "fuzzw-copy", net),
+                      what);
+        });
+  }
+  for (const char* prefix : {"/fuzzw_", "/fuzzw-copy_"})
+    for (std::size_t op : params)
+      for (const char* kind : {"w", "b"})
+        std::remove((dir + prefix + kind + std::to_string(op) + ".pcnt").c_str());
 }
 
 } // namespace
