@@ -22,6 +22,13 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 } // namespace
 
+std::uint64_t derive_seed(std::uint64_t base, std::uint64_t id) {
+  std::uint64_t z = base + (id + 1) * 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : state_) word = splitmix64(sm);

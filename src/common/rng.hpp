@@ -68,4 +68,10 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
+/// Seed of child stream `id` of `base`: the SplitMix64 finalizer over
+/// base + (id + 1) * 2^64 / phi, the mixing Rng seeds itself with, so the
+/// streams of adjacent ids are decorrelated. Request seeds and the chip's
+/// per-bank fabrication streams are derived this way.
+std::uint64_t derive_seed(std::uint64_t base, std::uint64_t id);
+
 } // namespace pcnna

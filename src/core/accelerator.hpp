@@ -70,16 +70,17 @@ class Accelerator {
 
   const PcnnaConfig& config() const { return config_; }
 
-  /// Reseed the functional engine's noise/fabrication RNG. The batch
-  /// runtime calls this with a per-request seed before each run() so that
-  /// results are independent of request ordering and PCU assignment.
+  /// Reseed the functional engine's noise RNG. The batch runtime calls
+  /// this with a per-request seed before each run() so that results are
+  /// independent of request ordering and PCU assignment. The chip itself
+  /// is fabricated from PcnnaConfig::seed and does not change.
   void reseed_engine(std::uint64_t seed) { engine_.reseed_rng(seed); }
 
   /// Snapshot / restore the engine RNG mid-network. Pipelined serving runs
   /// a network as contiguous op ranges on different PCUs; carrying the RNG
   /// state across the stage boundary keeps the split run bit-identical to
   /// a whole-network run from the same request seed (the engine draws
-  /// noise/fabrication values strictly in layer order).
+  /// noise values strictly in layer order).
   Rng::State engine_rng_state() const { return engine_.rng_state(); }
   void set_engine_rng_state(const Rng::State& state) {
     engine_.set_rng_state(state);

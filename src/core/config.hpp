@@ -98,7 +98,11 @@ struct PcnnaConfig {
   /// (post-ReLU) run single-rail regardless.
   bool dual_rail_inputs = false;
   double adc_headroom = 4.0;      ///< ADC full scale = headroom * sqrt(group)
-  std::uint64_t seed = 1;         ///< fabrication + noise seed
+  /// Chip seed. It fabricates the chip: every ring's resonance offset and
+  /// stuck flag is a pure function of (seed, bank position, ring), the chip
+  /// stream of core/optical_conv_engine.hpp. It also seeds a standalone
+  /// engine's noise generator; serving reseeds the noise per request.
+  std::uint64_t seed = 1;
   /// Intra-image parallelism of the functional engine: number of host
   /// threads sweeping kernel locations of one conv layer (1 = sequential).
   /// Outputs are bit-identical for any value — pixels are partitioned into

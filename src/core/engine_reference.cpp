@@ -1,5 +1,7 @@
 // FROZEN reference conv engine — verbatim snapshot of the pre-rewrite
 // OpticalConvEngine conv2d path (see engine_reference.hpp). Do not optimize.
+// Its one change since: banks and the usable-range probe are fabricated
+// from the chip stream (bank_fab), like the engine's.
 #include "core/engine_reference.hpp"
 
 #include <cmath>
@@ -226,8 +228,9 @@ nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
+  Rng probe = bank_fab(config_.seed, kProbeBank).disorder;
   const double usable =
-      reference_usable_range(config_, plan.group_size, rng_);
+      reference_usable_range(config_, plan.group_size, probe);
   PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
   const double denom = 0.95 * usable;
   const double recover = x_scale * w_absmax / denom;
@@ -240,8 +243,9 @@ nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
     const phot::WdmGrid grid(slice.size());
     programs[g].reserve(K);
     for (std::size_t k = 0; k < K; ++k) {
-      phot::WeightBank bank(grid, config_.bank, rng_);
-      inject_faults(config_, bank, rng_, stats);
+      BankFab fab = bank_fab(config_.seed, g * K + k);
+      phot::WeightBank bank(grid, config_.bank, fab.disorder);
+      inject_faults(config_, bank, fab.stuck, stats);
       std::vector<double> targets(slice.size());
       for (std::uint64_t i = 0; i < slice.size(); ++i) {
         double w = weights[k * n_kernel + slice.begin + i] / w_absmax * denom;
@@ -361,8 +365,9 @@ nn::Tensor ReferenceConvEngine::run_per_channel(const LayerPlan& plan,
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
+  Rng probe = bank_fab(config_.seed, kProbeBank).disorder;
   const double usable =
-      reference_usable_range(config_, plan.group_size, rng_);
+      reference_usable_range(config_, plan.group_size, probe);
   PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
   const double denom = 0.95 * usable;
   const double recover = x_scale * w_absmax / denom;
@@ -372,8 +377,9 @@ nn::Tensor ReferenceConvEngine::run_per_channel(const LayerPlan& plan,
     const phot::WdmGrid grid(plan.groups[g].size());
     banks[g].reserve(K);
     for (std::size_t k = 0; k < K; ++k) {
-      banks[g].emplace_back(grid, config_.bank, rng_);
-      inject_faults(config_, banks[g].back(), rng_, stats);
+      BankFab fab = bank_fab(config_.seed, g * K + k);
+      banks[g].emplace_back(grid, config_.bank, fab.disorder);
+      inject_faults(config_, banks[g].back(), fab.stuck, stats);
       ++stats.banks_built;
       stats.total_ring_area += banks[g].back().total_area();
     }

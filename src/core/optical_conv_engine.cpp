@@ -30,11 +30,13 @@
 //    exactly like the reference — the loop interchange to K independent
 //    accumulation chains changes the schedule, never the per-accumulator
 //    addition order;
-//  * RNG draw order is pinned: all setup draws (measured_usable_range, then
-//    bank fabrication and inject_stuck_faults on the first pass) happen
-//    sequentially in construction order, a layer whose input or weights are
-//    all zero draws nothing, and hot-loop draws (laser RIN, photodiode noise)
-//    take the values of sequential pixel order — when engine_threads > 1
+//  * fabrication never touches the engine generator: every bank, the
+//    usable-range probe's included, is built from its position's chip
+//    streams (optical_conv_engine.hpp), so it is the same bank whatever
+//    ran before it. The engine generator draws noise only, a layer whose
+//    input or weights are all zero draws nothing, and hot-loop draws (laser
+//    RIN, photodiode noise) take the values of sequential pixel order —
+//    when engine_threads > 1
 //    each pixel tile draws from its own generator, skipped ahead on the
 //    calling thread to the tile's first draw (Rng::discard_normals leaves
 //    the state bitwise where that many normal() calls would), and the
@@ -129,18 +131,18 @@ struct LayerScale {
   }
 };
 
-/// Scale a layer, probing the usable weight range with a scratch bank of
-/// `probe_channels` rings. Returns nullopt, having drawn nothing, when the
+/// Scale a layer, probing the chip's usable weight range at
+/// `probe_channels` rings. Returns nullopt, having probed nothing, when the
 /// input or the weights are all zero: such a layer outputs its bias alone.
 std::optional<LayerScale> scale_layer(const PcnnaConfig& cfg,
                                       const nn::Tensor& input,
                                       const nn::Tensor& weights,
-                                      std::size_t probe_channels, Rng& rng) {
+                                      std::size_t probe_channels) {
   LayerScale s;
   s.x_scale = input.abs_max();
   s.w_absmax = weights.abs_max();
   if (s.x_scale == 0.0 || s.w_absmax == 0.0) return std::nullopt;
-  const double usable = measured_usable_range(cfg, probe_channels, rng);
+  const double usable = measured_usable_range(cfg, probe_channels);
   PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
   s.denom = 0.95 * usable;
   s.recover = s.x_scale * s.w_absmax / s.denom;
@@ -591,15 +593,24 @@ void build_patch_map(const nn::ConvLayerParams& layer, const nn::Shape4& in,
 
 } // namespace
 
-void inject_stuck_faults(const PcnnaConfig& cfg, phot::WeightBank& bank,
-                         Rng& rng, EngineStats& st) {
-  if (cfg.stuck_ring_rate <= 0.0) return;
+BankFab bank_fab(std::uint64_t chip_seed, std::uint64_t position) {
+  const std::uint64_t bank = derive_seed(chip_seed, position);
+  return {Rng(derive_seed(bank, 0)), Rng(derive_seed(bank, 1))};
+}
+
+std::size_t fabricate_bank(const PcnnaConfig& cfg, std::uint64_t position,
+                           const phot::WdmGrid& grid, phot::WeightBank& bank) {
+  BankFab fab = bank_fab(cfg.seed, position);
+  bank.refabricate(grid, fab.disorder);
+  if (cfg.stuck_ring_rate <= 0.0) return 0;
+  std::size_t stuck = 0;
   for (std::size_t i = 0; i < bank.channels(); ++i) {
-    if (rng.uniform() < cfg.stuck_ring_rate) {
+    if (fab.stuck.uniform() < cfg.stuck_ring_rate) {
       bank.fail_ring(i);
-      ++st.stuck_rings;
+      ++stuck;
     }
   }
+  return stuck;
 }
 
 double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels,
@@ -608,6 +619,11 @@ double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels,
   const phot::WdmGrid grid(channels);
   phot::WeightBank bank(grid, cfg.bank, rng);
   return measured_usable_range(bank);
+}
+
+double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels) {
+  Rng disorder = bank_fab(cfg.seed, kProbeBank).disorder;
+  return measured_usable_range(cfg, channels, disorder);
 }
 
 double measured_usable_range(phot::WeightBank& bank) {
@@ -751,7 +767,7 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
   const nn::Shape4 out_shape{1, K, side, side};
 
   const std::optional<LayerScale> scale =
-      scale_layer(config_, input, weights, plan.group_size, rng_);
+      scale_layer(config_, input, weights, plan.group_size);
   if (!scale) return bias_only(out_shape, bias);
 
   // A full-kernel layer is one pass of nc * m * m rings per kernel. A
@@ -797,9 +813,10 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
         batch.clear();
         const std::size_t last = std::min(first + batch_cap, n_banks);
         for (std::size_t b = first; b < last; ++b) {
-          batch.emplace_back(phot::WdmGrid(plan.groups[b / K].size()),
-                             config_.bank, rng_);
-          inject_stuck_faults(config_, batch.back(), rng_, stats);
+          const phot::WdmGrid grid(plan.groups[b / K].size());
+          Rng unused;
+          batch.emplace_back(grid, config_.bank, unused);
+          stats.stuck_rings += fabricate_bank(config_, b, grid, batch.back());
         }
       }
       program_banks(batch, first, prog, bank_threads, pool_.get(), scratch_,
@@ -884,7 +901,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   const std::size_t group_size =
       std::min<std::size_t>(config_.max_wavelengths, in);
   const std::optional<LayerScale> scale =
-      scale_layer(config_, input, weights, group_size, rng_);
+      scale_layer(config_, input, weights, group_size);
   if (!scale) return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
 
   const AnalogChain chain = make_chain(config_, out_n);
@@ -910,6 +927,10 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
   std::vector<double> acc(out_n, 0.0);
   std::vector<double> powers, targets;
   std::vector<phot::WeightBank::ChannelSplit> splits;
+  // One bank, sized for the widest group; fabricate_bank rebuilds it in
+  // place as each position.
+  Rng sizing;
+  phot::WeightBank bank(phot::WdmGrid(group_size), config_.bank, sizing);
   for (std::size_t begin = 0; begin < in; begin += group_size) {
     const std::size_t end = std::min(begin + group_size, in);
     const std::size_t width = end - begin;
@@ -926,8 +947,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     targets.resize(width);
     splits.resize(width);
     for (std::size_t o = 0; o < out_n; ++o) {
-      phot::WeightBank bank(grid, config_.bank, rng_);
-      inject_stuck_faults(config_, bank, rng_, st);
+      st.stuck_rings +=
+          fabricate_bank(config_, begin / group_size * out_n + o, grid, bank);
       for (std::size_t i = 0; i < width; ++i) {
         double w = weights[o * in + begin + i] / scale->w_absmax * scale->denom;
         if (config_.enable_quantization) w = quantize_weight(weight_dac, w);

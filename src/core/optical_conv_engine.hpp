@@ -100,36 +100,62 @@ struct EngineStats {
   double total_ring_area = 0.0;        ///< [m^2]
 };
 
-/// Failure injection: freeze each ring's heater at its parked drive with
-/// probability PcnnaConfig::stuck_ring_rate.
-///
-/// Draw-order contract (pinned by EngineRngContract tests): when
-/// stuck_ring_rate > 0 this consumes exactly one rng.uniform() per ring, in
-/// ascending ring index, regardless of whether the ring ends up stuck; when
-/// stuck_ring_rate <= 0 it consumes nothing. The engine calls it only
-/// during sequential layer setup (bank construction order), never from the
-/// pixel loops, so intra-image parallelism cannot perturb fault patterns.
-void inject_stuck_faults(const PcnnaConfig& cfg, phot::WeightBank& bank,
-                         Rng& rng, EngineStats& st);
+// The chip stream
+// ---------------
+// A PcnnaConfig describes one chip, fabricated once from PcnnaConfig::seed
+// (paper SS IV: the rings are built once and only retuned per layer). Every
+// bank the engine programs is a fixed position on it: bank g * K + k of a
+// conv layer (group g, kernel k; per-channel passes retune the same
+// positions), bank g * out + o of an FC layer (input group g, output o),
+// and kProbeBank for the usable-range probe. Each position owns two
+// generators derived from (seed, position) with derive_seed: the disorder
+// stream draws one normal per ring in ascending ring order when
+// bank.ring.fab_sigma > 0, and the stuck stream one uniform per ring in
+// ascending ring order when stuck_ring_rate > 0 (ring r is stuck when its
+// uniform is below the rate). Ring r of a position thus has its resonance
+// offset and stuck flag as a pure function of (seed, position, r): the same
+// in every layer, at every bank width, thread count and request seed, and
+// independent of the order banks are built in. The engine's own generator
+// draws noise only.
+
+/// Bank position of the usable-range probe, apart from every layer bank.
+inline constexpr std::uint64_t kProbeBank = ~std::uint64_t{0};
+
+/// The two fabrication generators of bank `position` on the chip of
+/// `chip_seed`.
+struct BankFab {
+  Rng disorder; ///< resonance offsets, one normal per ring
+  Rng stuck;    ///< stuck flags, one uniform per ring
+};
+BankFab bank_fab(std::uint64_t chip_seed, std::uint64_t position);
+
+/// Rebuild `bank` in place as bank `position` of the chip on `grid`
+/// (WeightBank::refabricate from the disorder stream), then freeze the
+/// heaters of the rings the stuck stream marks, at their parked drive.
+/// Returns how many it froze. Allocates nothing when `bank` has held a grid
+/// at least as wide, so pool workers may fabricate banks the calling thread
+/// sized.
+std::size_t fabricate_bank(const PcnnaConfig& cfg, std::uint64_t position,
+                           const phot::WdmGrid& grid, phot::WeightBank& bank);
 
 /// Empirically measure the symmetric weight range a bank of `channels`
 /// rings can represent: program every ring to the positive/negative
 /// extreme and probe the middle channel. Accounts for the cumulative
 /// through-path insertion loss and crosstalk that the single-ring closed
-/// form misses.
-///
-/// Draw-order contract (pinned by EngineRngContract tests): consumes
-/// exactly the fabrication draws of constructing one `channels`-ring bank —
-/// one rng.normal() per ring in ascending ring index when
-/// bank.ring.fab_sigma > 0, nothing otherwise. The probe calibrations and
-/// weight queries draw nothing. Called once per conv2d invocation, before
-/// any layer banks are built.
+/// form misses. The bank is built from `rng` (one normal per ring in
+/// ascending ring order when bank.ring.fab_sigma > 0, nothing otherwise);
+/// the probe calibrations and weight queries draw nothing.
 double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels,
                              Rng& rng);
 
+/// The chip's usable range at `channels` rings: the probe above on the
+/// chip's probe bank, kProbeBank, built from its disorder stream with no
+/// stuck heaters. The engine scales every layer by it.
+double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels);
+
 /// Re-probe variant over an *existing* bank: same hi/lo middle-channel
 /// probe as above, but against `bank`'s current physical state — stuck
-/// rings (WeightBank::fail_ring, inject_stuck_faults) and accumulated
+/// rings (WeightBank::fail_ring, fabricate_bank) and accumulated
 /// fabrication disorder included — instead of constructing a pristine one.
 /// Draws nothing; the probe is two tunings plus weight queries. The
 /// bank's programmed weights are clobbered (it ends at the all-negative
@@ -230,16 +256,15 @@ class OpticalConvEngine {
                              const nn::Tensor& bias,
                              EngineStats* stats = nullptr);
 
-  /// Reset the internal noise/fabrication RNG to the config seed (makes two
-  /// runs bit-identical).
+  /// Reset the noise RNG to the config seed (makes two runs bit-identical).
   void reset_rng() { rng_.reseed(config_.seed); }
 
-  /// Reseed the noise/fabrication RNG to an explicit seed. The batch runtime
-  /// reseeds per request so a request's output is the same no matter which
-  /// PCU serves it or in what order.
+  /// Reseed the noise RNG to an explicit seed. The batch runtime reseeds
+  /// per request so a request's output is the same no matter which PCU
+  /// serves it or in what order.
   void reseed_rng(std::uint64_t seed) { rng_.reseed(seed); }
 
-  /// Snapshot the noise/fabrication RNG mid-stream. The pipelined serving
+  /// Snapshot the noise RNG mid-stream. The pipelined serving
   /// runtime captures the state after one stage's layer range and restores
   /// it on the next stage's PCU, so a split run draws exactly the values a
   /// whole-network run from the same request seed would.

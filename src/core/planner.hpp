@@ -64,9 +64,10 @@ struct LayerStrategy {
   double latency = 0.0;
 
   /// Calibration artifact: measured usable symmetric weight range of one
-  /// plan.group_size-ring bank under the winning candidate, probed with a
-  /// fabrication Rng seeded from the configuration seed (deterministic, so
-  /// a cached strategy is bit-identical to a freshly searched one).
+  /// plan.group_size-ring bank under the winning candidate, probed on the
+  /// chip's probe bank (core::measured_usable_range(cfg, channels); the
+  /// engine scales layers by the same probe), so a cached strategy is
+  /// bit-identical to a freshly searched one.
   double usable_range = 0.0;
 
   /// Feasible candidates the search evaluated (infeasible mappings that

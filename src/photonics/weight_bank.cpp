@@ -14,13 +14,19 @@ WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
       through_loss_factor_(from_db(-config.ring.insertion_loss_db)) {
   PCNNA_CHECK(config.calibration_iterations >= 0);
   rings_.reserve(grid.channels());
+  refabricate(grid, rng);
+}
+
+void WeightBank::refabricate(const WdmGrid& grid, Rng& rng) {
+  grid_ = grid;
+  rings_.clear();
   for (std::size_t i = 0; i < grid.channels(); ++i) {
-    MicroringConfig ring_cfg = config.ring;
+    MicroringConfig ring_cfg = config_.ring;
     // Bias the design resonance blue of the channel so that the one-sided
     // (red) thermal tuning can always reach the channel even with worst-case
     // fabrication offsets.
     ring_cfg.design_wavelength =
-        grid.wavelength(i) - 4.0 * config.ring.fab_sigma;
+        grid.wavelength(i) - 4.0 * config_.ring.fab_sigma;
     rings_.emplace_back(ring_cfg, rng);
   }
   targets_.assign(grid.channels(), 0.0);

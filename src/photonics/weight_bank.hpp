@@ -41,6 +41,14 @@ class WeightBank {
   /// Build one ring per grid channel. `rng` drives fabrication disorder.
   WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng);
 
+  /// Rebuild this bank in place as the constructor would build it on
+  /// `grid`: new rings drawn from `rng` in ascending channel order, parked
+  /// at weight zero, none stuck. Reuses the capacity of the ring and target
+  /// buffers, so it allocates nothing when `grid` is no wider than the
+  /// widest grid this bank has held: a pool thread may refabricate a bank
+  /// its calling thread built.
+  void refabricate(const WdmGrid& grid, Rng& rng);
+
   std::size_t channels() const { return rings_.size(); }
   const WeightBankConfig& config() const { return config_; }
   const MicroringResonator& ring(std::size_t i) const { return rings_.at(i); }

@@ -157,9 +157,10 @@ struct StageTimings {
 
 /// Activation + engine-RNG hand-off between consecutive pipeline stages.
 /// Carrying the RNG state keeps a split run bit-identical to a
-/// whole-network run from the same request seed: the engine draws noise /
-/// fabrication values strictly in layer order, so stage n+1 resumes the
-/// stream exactly where stage n left it.
+/// whole-network run from the same request seed: the engine draws noise
+/// values strictly in layer order, so stage n+1 resumes the stream exactly
+/// where stage n left it (the chips of PCUs that share a config seed are
+/// the same chip).
 struct StageHandoff {
   nn::Tensor activation;
   Rng::State rng;

@@ -59,7 +59,8 @@ const char* priority_class_name(PriorityClass priority);
 struct InferenceRequest {
   /// Dense id in [0, batch); doubles as the slot index for its result.
   std::uint64_t id = 0;
-  /// Engine noise/fabrication seed for this request (derive_request_seed).
+  /// Engine noise seed for this request (derive_request_seed). The chip a
+  /// PCU serves on is fabricated from its PcnnaConfig::seed instead.
   std::uint64_t seed = 0;
   /// Simulated arrival timestamp [s]. 0 for the closed-batch path (all
   /// requests present at t = 0); set from an ArrivalSchedule for open-loop
@@ -100,9 +101,9 @@ using SloSchedule = std::vector<RequestSlo>;
 /// schedule means every request runs the primary model (id 0).
 using ModelSchedule = std::vector<std::uint32_t>;
 
-/// Per-request seed derived from the runner's base seed by a SplitMix64
-/// mixing step: decorrelated across ids, reproducible from (base, id) alone,
-/// and independent of which PCU executes the request.
+/// Per-request seed derived from the runner's base seed (derive_seed):
+/// decorrelated across ids, reproducible from (base, id) alone, and
+/// independent of which PCU executes the request.
 std::uint64_t derive_request_seed(std::uint64_t base_seed,
                                   std::uint64_t request_id);
 

@@ -1,6 +1,6 @@
 // PR 3 hot-path rewrite: A/B bit-identity against the frozen reference
 // engine, scratch-buffer reuse, determinism under intra-image parallelism,
-// and the pinned RNG draw-order contracts.
+// and the chip stream every bank is fabricated from.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,11 +12,14 @@
 #include "common/rng.hpp"
 #include "core/engine_reference.hpp"
 #include "core/optical_conv_engine.hpp"
+#include "core/scheduler.hpp"
 #include "nn/conv_params.hpp"
 #include "nn/conv_ref.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
 #include "nn/tensor.hpp"
+#include "photonics/weight_bank.hpp"
+#include "photonics/wdm.hpp"
 #include "runtime/batch_runner.hpp"
 
 namespace {
@@ -364,74 +367,170 @@ TEST(EngineScratchReuse, BatchRunnerEngineThreadsBitIdentical) {
     EXPECT_TRUE(expected[i].output == got[i].output) << "request " << i;
 }
 
-// --- pinned RNG draw-order contracts ---------------------------------------
-// inject_stuck_faults: exactly one uniform per ring, ascending ring index,
-// regardless of outcome. A manual replica driven by a second RNG at the
-// same seed must reproduce the stuck pattern and leave its generator at the
-// identical state.
-TEST(EngineRngContract, InjectStuckFaultsDrawOrderPinned) {
+// --- the chip stream ---------------------------------------------------------
+// Every bank is a fixed position on a chip fabricated from the config seed:
+// ring r of position b draws its resonance offset and its stuck flag from
+// b's own streams, so both are pure functions of (seed, b, r).
+
+PcnnaConfig faulty_chip() {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
-  cfg.stuck_ring_rate = 0.4;
+  cfg.bank.ring.fab_sigma = 0.05e-9;
+  cfg.stuck_ring_rate = 0.3;
+  return cfg;
+}
+
+// Ring r draws the r-th normal of its position's disorder stream and the
+// r-th uniform of its stuck stream, whether or not it ends up stuck.
+TEST(ChipStream, RingDrawsArePinnedToItsPositionsStreams) {
+  const PcnnaConfig cfg = faulty_chip();
   const std::size_t channels = 9;
+  for (std::uint64_t position : {0ull, 7ull, 1000ull}) {
+    const phot::WdmGrid grid(channels);
+    Rng sizing;
+    phot::WeightBank bank(grid, cfg.bank, sizing);
+    const std::size_t stuck = core::fabricate_bank(cfg, position, grid, bank);
 
-  Rng bank_rng(5);
-  phot::WeightBank bank(phot::WdmGrid(channels), cfg.bank, bank_rng);
-
-  Rng draw(11);
-  Rng replica = draw; // value copy: identical stream
-  EngineStats st;
-  core::inject_stuck_faults(cfg, bank, draw, st);
-
-  std::size_t expected_stuck = 0;
-  for (std::size_t i = 0; i < channels; ++i) {
-    const bool stuck = replica.uniform() < cfg.stuck_ring_rate;
-    if (stuck) ++expected_stuck;
-    EXPECT_EQ(stuck, bank.ring(i).stuck()) << "ring " << i;
+    core::BankFab replica = core::bank_fab(cfg.seed, position);
+    std::size_t expected_stuck = 0;
+    for (std::size_t r = 0; r < channels; ++r) {
+      const double offset = replica.disorder.normal(0.0, cfg.bank.ring.fab_sigma);
+      EXPECT_EQ(grid.wavelength(r) - 4.0 * cfg.bank.ring.fab_sigma + offset,
+                bank.ring(r).natural_resonance())
+          << "position " << position << " ring " << r;
+      const bool want = replica.stuck.uniform() < cfg.stuck_ring_rate;
+      EXPECT_EQ(want, bank.ring(r).stuck())
+          << "position " << position << " ring " << r;
+      if (want) ++expected_stuck;
+    }
+    EXPECT_EQ(expected_stuck, stuck);
+    EXPECT_EQ(expected_stuck, bank.stuck_rings());
   }
-  EXPECT_EQ(expected_stuck, st.stuck_rings);
-  EXPECT_EQ(expected_stuck, bank.stuck_rings());
-  // Both generators consumed exactly `channels` uniforms.
-  EXPECT_EQ(replica.next_u64(), draw.next_u64());
 }
 
-TEST(EngineRngContract, InjectStuckFaultsZeroRateDrawsNothing) {
-  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
-  cfg.stuck_ring_rate = 0.0;
-  Rng bank_rng(5);
-  phot::WeightBank bank(phot::WdmGrid(4), cfg.bank, bank_rng);
-  Rng draw(11);
-  Rng replica = draw;
-  EngineStats st;
-  core::inject_stuck_faults(cfg, bank, draw, st);
-  EXPECT_EQ(0u, st.stuck_rings);
-  EXPECT_EQ(replica.next_u64(), draw.next_u64());
+// A ring is the same ring at every bank width, whatever was fabricated
+// before it and whatever the bank held: refabricating resets it. Another
+// seed or another position is another ring.
+TEST(ChipStream, RingIsTheSameAtEveryWidthAndBuildOrder) {
+  const PcnnaConfig cfg = faulty_chip();
+  const auto build = [&](std::uint64_t seed, std::uint64_t position,
+                         std::size_t width, phot::WeightBank& bank) {
+    PcnnaConfig c = cfg;
+    c.seed = seed;
+    core::fabricate_bank(c, position, phot::WdmGrid(width), bank);
+  };
+  Rng sizing;
+  phot::WeightBank wide(phot::WdmGrid(24), cfg.bank, sizing);
+  phot::WeightBank reused(phot::WdmGrid(24), cfg.bank, sizing);
+  for (std::uint64_t position : {0ull, 3ull, 41ull}) {
+    build(cfg.seed, position, 24, wide);
+    for (std::size_t width : {1u, 5u, 9u, 24u}) {
+      // Dirty the reused bank with another position and a tuning first.
+      build(cfg.seed, position + 1, 24, reused);
+      reused.tune(std::vector<double>(24, 0.5));
+      build(cfg.seed, position, width, reused);
+      ASSERT_EQ(width, reused.channels());
+      for (std::size_t r = 0; r < width; ++r) {
+        EXPECT_EQ(wide.ring(r).natural_resonance(),
+                  reused.ring(r).natural_resonance())
+            << "position " << position << " width " << width << " ring " << r;
+        EXPECT_EQ(wide.ring(r).stuck(), reused.ring(r).stuck())
+            << "position " << position << " width " << width << " ring " << r;
+      }
+    }
+  }
+  phot::WeightBank other(phot::WdmGrid(24), cfg.bank, sizing);
+  build(cfg.seed, 0, 24, wide);
+  build(cfg.seed + 1, 0, 24, other);
+  EXPECT_NE(wide.ring(0).natural_resonance(), other.ring(0).natural_resonance());
+  build(cfg.seed, 1, 24, other);
+  EXPECT_NE(wide.ring(0).natural_resonance(), other.ring(0).natural_resonance());
 }
 
-// measured_usable_range: consumes exactly the fabrication draws of one
-// bank construction (one normal per ring when fab_sigma > 0); the probe
-// calibrations draw nothing.
-TEST(EngineRngContract, MeasuredUsableRangeDrawOrderPinned) {
-  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
-  cfg.bank.ring.fab_sigma = 0.05e-9; // enable fabrication disorder draws
+// The usable-range probe is the chip's probe bank: built from its disorder
+// stream alone (never stuck, even when every layer ring is), and the same
+// value however many layers ran before it.
+TEST(ChipStream, ProbeBankIsPristineAndFixedBySeed) {
+  PcnnaConfig cfg = faulty_chip();
+  cfg.stuck_ring_rate = 1.0;
   const std::size_t channels = 7;
+  Rng disorder = core::bank_fab(cfg.seed, core::kProbeBank).disorder;
+  const double manual = core::measured_usable_range(cfg, channels, disorder);
+  const double probed = core::measured_usable_range(cfg, channels);
+  EXPECT_GT(probed, 0.0);
+  EXPECT_EQ(manual, probed);
 
-  Rng draw(21);
-  Rng replica = draw;
-  const double usable = core::measured_usable_range(cfg, channels, draw);
-  EXPECT_GT(usable, 0.0);
+  PcnnaConfig reseeded = cfg;
+  reseeded.seed = cfg.seed + 1;
+  EXPECT_NE(probed, core::measured_usable_range(reseeded, channels));
 
-  // Replica: construct the same bank (fab draws only), no calibration.
-  phot::WeightBank bank(phot::WdmGrid(channels), cfg.bank, replica);
-  EXPECT_EQ(replica.next_u64(), draw.next_u64());
+  const LayerData d = make_data(kLayerA);
+  OpticalConvEngine engine(cfg);
+  engine.conv2d(d.input, d.weights, d.bias, kLayerA.s, kLayerA.p);
+  EXPECT_EQ(probed, core::measured_usable_range(cfg, channels));
 }
 
-TEST(EngineRngContract, MeasuredUsableRangeZeroFabSigmaDrawsNothing) {
-  PcnnaConfig cfg = PcnnaConfig::ideal(); // fab_sigma = 0
-  ASSERT_EQ(0.0, cfg.bank.ring.fab_sigma);
-  Rng draw(33);
-  Rng replica = draw;
-  core::measured_usable_range(cfg, 5, draw);
-  EXPECT_EQ(replica.next_u64(), draw.next_u64());
+// Inside the engine, bank g * K + k of every layer is that chip position,
+// under both allocations: its stuck rings are the ones fabricate_bank
+// freezes there, the program statistics are the same at every thread count
+// and request seed, and with noise off a layer leaves the engine generator
+// where it found it.
+TEST(ChipStream, EngineBanksAreTheSameAcrossLayersThreadsAndRequestSeeds) {
+  const nn::ConvLayerParams layers[] = {
+      kLayerA, kLayerB, {"wide", 7, 5, 0, 1, 6, 6}};
+  for (RingAllocation allocation :
+       {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
+    PcnnaConfig cfg = faulty_chip();
+    cfg.stuck_ring_rate = 0.05;
+    cfg.max_wavelengths = 24;
+    cfg.allocation = allocation;
+    for (const nn::ConvLayerParams& layer : layers) {
+      SCOPED_TRACE(::testing::Message()
+                   << layer.name << " " << core::ring_allocation_name(allocation));
+      const core::LayerPlan plan = core::Scheduler(cfg).plan(layer);
+      std::size_t expected_stuck = 0;
+      Rng sizing;
+      phot::WeightBank bank(phot::WdmGrid(plan.group_size), cfg.bank, sizing);
+      for (std::size_t b = 0; b < plan.groups.size() * layer.K; ++b)
+        expected_stuck += core::fabricate_bank(
+            cfg, b, phot::WdmGrid(plan.groups[b / layer.K].size()), bank);
+
+      const LayerData d = make_data(layer);
+      PcnnaConfig quiet = cfg;
+      quiet.enable_noise = false;
+      OpticalConvEngine silent(quiet);
+      const Rng::State before = silent.rng_state();
+      EngineStats first;
+      silent.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &first);
+      expect_rng_state_equal(before, silent.rng_state());
+      EXPECT_EQ(expected_stuck, first.stuck_rings);
+      EXPECT_EQ(plan.groups.size() * layer.K, first.banks_built);
+
+      nn::Tensor seed_one;
+      for (std::size_t threads : {1u, 4u}) {
+        for (std::uint64_t seed : {1ull, 99ull}) {
+          PcnnaConfig noisy = cfg;
+          noisy.engine_threads = threads;
+          OpticalConvEngine engine(noisy);
+          engine.reseed_rng(seed);
+          EngineStats st;
+          const nn::Tensor out =
+              engine.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &st);
+          EXPECT_EQ(first.stuck_rings, st.stuck_rings);
+          EXPECT_EQ(first.banks_built, st.banks_built);
+          EXPECT_EQ(first.total_heater_power, st.total_heater_power);
+          EXPECT_EQ(first.total_ring_area, st.total_ring_area);
+          EXPECT_EQ(first.mean_calibration_error, st.mean_calibration_error);
+          EXPECT_EQ(first.max_calibration_error, st.max_calibration_error);
+          if (seed == 1) {
+            if (seed_one.empty()) seed_one = out;
+            EXPECT_TRUE(seed_one == out) << "threads=" << threads;
+          } else {
+            EXPECT_FALSE(seed_one == out) << "noise follows the request seed";
+          }
+        }
+      }
+    }
+  }
 }
 
 } // namespace
