@@ -46,8 +46,13 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                                       const nn::Tensor& input,
                                       std::size_t op_begin, std::size_t op_end,
                                       bool simulate_values,
-                                      bool compare_reference) {
+                                      bool compare_reference,
+                                      std::span<LayerProgram> programs) {
   nn::validate_weights(net, weights);
+  PCNNA_CHECK_MSG(programs.empty() || programs.size() == net.ops().size(),
+                  "got " << programs.size() << " layer programs for network '"
+                         << net.name() << "' of " << net.ops().size()
+                         << " ops");
   PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= net.ops().size(),
                   "op range [" << op_begin << ", " << op_end
                                << ") out of bounds for network '"
@@ -92,7 +97,8 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
         report.conv_layers.push_back(offload(
             *offloaded,
             [&](EngineStats& st) {
-              return engine_.conv2d(x, w, b, op.conv.s, op.conv.p, &st);
+              return engine_.conv2d(x, w, b, op.conv.s, op.conv.p, &st,
+                                    programs.empty() ? nullptr : &programs[i]);
             },
             [&] { return nn::conv2d_direct(x, w, b, op.conv.s, op.conv.p); }));
         break;
@@ -134,9 +140,10 @@ NetworkRunReport Accelerator::run_range(const nn::Network& net,
                                         const nn::Tensor& input,
                                         std::size_t op_begin,
                                         std::size_t op_end,
-                                        bool simulate_values) {
+                                        bool simulate_values,
+                                        std::span<LayerProgram> programs) {
   return run_ops(net, weights, input, op_begin, op_end, simulate_values,
-                 /*compare_reference=*/false);
+                 /*compare_reference=*/false, programs);
 }
 
 NetworkRunReport Accelerator::run(const nn::Network& net,
@@ -145,7 +152,7 @@ NetworkRunReport Accelerator::run(const nn::Network& net,
                                   bool simulate_values,
                                   bool compare_reference) {
   NetworkRunReport report = run_ops(net, weights, input, 0, net.ops().size(),
-                                    simulate_values, compare_reference);
+                                    simulate_values, compare_reference, {});
 
   if (compare_reference) {
     report.reference_output = nn::forward_reference(net, weights, input);

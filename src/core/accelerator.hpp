@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,10 +111,18 @@ class Accelerator {
   /// metrics, per layer or whole-network (the golden prefix is not
   /// replayed), and compute no golden layer unless simulate_values is
   /// false, where the golden result is the layer output.
+  ///
+  /// `programs`, when given, holds one LayerProgram per op of `net` for
+  /// these weights on this accelerator's chip (runtime::Pcu keeps them):
+  /// each simulated conv fills its op's program on first use and reads it
+  /// in place after. Without them every conv programs its banks afresh.
+  /// Outputs, EngineStats and the engine RNG state are the same bits
+  /// either way.
   NetworkRunReport run_range(const nn::Network& net,
                              const nn::NetWeights& weights,
                              const nn::Tensor& input, std::size_t op_begin,
-                             std::size_t op_end, bool simulate_values = true);
+                             std::size_t op_end, bool simulate_values = true,
+                             std::span<LayerProgram> programs = {});
 
   // Batch timing lives in runtime::BatchRunner / FleetReport: the old
   // Accelerator::run_batch / BatchReport pair was deprecated in PR 3 and
@@ -129,7 +138,8 @@ class Accelerator {
                            const nn::NetWeights& weights,
                            const nn::Tensor& input, std::size_t op_begin,
                            std::size_t op_end, bool simulate_values,
-                           bool compare_reference);
+                           bool compare_reference,
+                           std::span<LayerProgram> programs);
 
   PcnnaConfig config_;
   TimingFidelity fidelity_;

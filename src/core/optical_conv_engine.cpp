@@ -1,6 +1,7 @@
 #include "core/optical_conv_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -36,20 +37,22 @@
 //    ran before it. The engine generator draws noise only, a layer whose
 //    input or weights are all zero draws nothing, and hot-loop draws (laser
 //    RIN, photodiode noise) take the values of sequential pixel order —
-//    when engine_threads > 1
-//    each pixel tile draws from its own generator, skipped ahead on the
-//    calling thread to the tile's first draw (Rng::discard_normals leaves
-//    the state bitwise where that many normal() calls would), and the
-//    engine generator continues from the last tile's final state. This
-//    needs a per-pixel draw count that does not depend on the data
-//    (pd_draws_per_branch); otherwise the sweep stays on one thread;
-//  * bank tuning draws nothing, so it alone fans out during setup; its sums
-//    (calibration error, heater power, ring area) are reduced afterwards on
-//    the calling thread in the sequential (g, k, ring) order, the
-//    calibration error pass by pass;
-//  * run_conv programs the first pass before it reads the ADC statistics
-//    and builds the transfer table, patch map and worker scratch. That
-//    order changes no value; it is kept because building the tables before
+//    when engine_threads > 1 each pixel tile draws from its own generator,
+//    skipped ahead on the calling thread to the tile's first draw
+//    (Rng::discard_normals leaves the state bitwise where that many
+//    normal() calls would), and the engine generator continues from the
+//    last tile's final state. This needs a per-pixel draw count that does
+//    not depend on the data (pd_draws_per_branch); otherwise the sweep
+//    stays on one thread;
+//  * fabrication and tuning draw nothing from the engine generator, so a
+//    layer's program is a function of (config, weights): fill_program fans
+//    both out over the pool, reduces its sums (calibration error, heater
+//    power, ring area) on the calling thread in the sequential (g, k,
+//    ring) order, the calibration error pass by pass, and a LayerProgram
+//    replays them to every later call bit for bit;
+//  * run_conv fills the program before it reads the ADC statistics and
+//    builds the transfer table, patch map and worker scratch. That order
+//    changes no value; it is kept because building the tables before
 //    programming measured slower on perfbench's widefm_2x2 (ROADMAP).
 namespace pcnna::core {
 
@@ -102,54 +105,38 @@ double mean_square_scaled(const Range& values, double scale) {
   return acc / static_cast<double>(values.size());
 }
 
-/// Electronic scaling of one layer: inputs are normalized to [0, 1] and
-/// weights to the bank's representable range; `recover` undoes the product
-/// after detection.
-struct LayerScale {
-  double x_scale = 1.0;  ///< largest |input|
-  double w_absmax = 1.0; ///< largest |weight|
-  double denom = 1.0;    ///< bank weight that stands for |w| == w_absmax
-  double recover = 1.0;  ///< x_scale * w_absmax / denom
+/// ADC full scale for partial sums of `channels` normalized products, in
+/// units of sum_i x'_i * w'_i with x' in [0, 1] and |w'| <= denom.
+///
+/// A real deployment programs the back-end gain per layer from known
+/// weight and input statistics (the weights are on-chip already and the
+/// input buffer is observable); we model that range calibration as
+///   fs = headroom * sqrt(N * E[x'^2] * E[w'^2]),
+/// i.e. `headroom` standard deviations of the zero-mean random-sum model.
+double adc_full_scale(double headroom, std::size_t channels, double mean_x_sq,
+                      double mean_w_sq) {
+  const double variance =
+      static_cast<double>(channels) * mean_x_sq * mean_w_sq;
+  return std::max(1e-6, headroom * std::sqrt(variance));
+}
 
-  /// ADC full scale for partial sums of `channels` normalized products, in
-  /// units of sum_i x'_i * w'_i with x' in [0, 1] and |w'| <= denom.
-  ///
-  /// A real deployment programs the back-end gain per layer from known
-  /// weight and input statistics (the weights are on-chip already and the
-  /// input buffer is observable); we model that range calibration as
-  ///   fs = headroom * sqrt(N * E[x'^2] * E[w'^2]),
-  /// i.e. `headroom` standard deviations of the zero-mean random-sum model.
-  double adc_full_scale(double headroom, std::size_t channels,
-                        const nn::Tensor& input,
-                        const nn::Tensor& weights) const {
-    const double mean_w_sq =
-        mean_square_scaled(weights.data(), w_absmax) * denom * denom;
-    const double mean_x_sq = mean_square_scaled(input.data(), x_scale);
-    const double variance =
-        static_cast<double>(channels) * mean_x_sq * mean_w_sq;
-    return std::max(1e-6, headroom * std::sqrt(variance));
-  }
-};
-
-/// Scale a layer, probing the chip's usable weight range at
-/// `probe_channels` rings. Returns nullopt, having probed nothing, when the
-/// input or the weights are all zero: such a layer outputs its bias alone.
-std::optional<LayerScale> scale_layer(const PcnnaConfig& cfg,
-                                      const nn::Tensor& input,
-                                      const nn::Tensor& weights,
-                                      std::size_t probe_channels) {
-  LayerScale s;
-  s.x_scale = input.abs_max();
+/// Scale a layer's weights to the chip's usable range, probed at
+/// `probe_channels` rings. An all-zero layer (w_absmax == 0) probes
+/// nothing: it outputs its bias alone.
+WeightScale scale_weights(const PcnnaConfig& cfg, const nn::Tensor& weights,
+                          std::size_t probe_channels) {
+  WeightScale s;
   s.w_absmax = weights.abs_max();
-  if (s.x_scale == 0.0 || s.w_absmax == 0.0) return std::nullopt;
+  if (s.w_absmax == 0.0) return s;
   const double usable = measured_usable_range(cfg, probe_channels);
   PCNNA_CHECK_MSG(usable > 0.0, "weight bank has no usable signed range");
   s.denom = 0.95 * usable;
-  s.recover = s.x_scale * s.w_absmax / s.denom;
+  s.mean_w_sq =
+      mean_square_scaled(weights.data(), s.w_absmax) * s.denom * s.denom;
   return s;
 }
 
-/// Output of a layer that scale_layer found all zero: every location of
+/// Output of a layer whose input or weights are all zero: every location of
 /// output channel k reads bias k, or zero without a bias.
 nn::Tensor bias_only(const nn::Shape4& shape, const nn::Tensor& bias) {
   nn::Tensor out(shape);
@@ -389,31 +376,12 @@ void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
   rng = scratch.tile_rng[workers - 1];
 }
 
-/// Size the transposed SoA program arrays for one layer plan (K response
-/// chains per group slice).
-void size_bank_soa(const LayerPlan& plan, EngineScratch& s) {
-  const std::size_t K = plan.layer.K;
-  const std::size_t G = plan.groups.size();
-  s.group_base.assign(G + 1, 0);
-  for (std::size_t g = 0; g < G; ++g)
-    s.group_base[g + 1] = s.group_base[g] + plan.groups[g].size() * K;
-  s.drop_t.assign(s.group_base[G], 0.0);
-  s.thru_t.assign(s.group_base[G], 0.0);
-  s.baseline.assign(G * K, 0.0);
-}
-
-/// Banks each bank-programming worker tunes per batch under the full-kernel
-/// allocation. Bounds how many fabricated banks a layer holds at once (c5
-/// of LeNet-5 has 600 banks of 80 rings) while keeping the fork/join cost
-/// small against a bank's calibration.
-constexpr std::size_t kBanksPerWorker = 4;
-
 /// Per-layer constants of bank programming, shared read-only by all
 /// workers. Bank b of a layer is group b / K, kernel b % K.
 struct ProgramCtx {
   const LayerPlan* plan = nullptr;
   const nn::Tensor* weights = nullptr;
-  std::size_t channel_offset = 0; ///< pass * pass width
+  std::size_t pass_width = 0;
   double w_absmax = 1.0;
   double denom = 1.0;
   bool quantize = false;
@@ -421,26 +389,30 @@ struct ProgramCtx {
   const AnalogChain* chain = nullptr;
 };
 
-/// Tune bank b to its weight slice and flatten the response into the
-/// transposed SoA arrays, with one probe sweep. Stages the bank's targets
-/// and splits in its own rows `targets`/`splits` (width entries each).
-/// Writes only bank b's rows and SoA entries, so it is safe to run
+/// Tune `bank`, fabricated as bank b, to its weight slice of pass `pass`
+/// and write the pass's transposed SoA entries and baseline of the bank,
+/// with one probe sweep, plus each ring's calibration error |achieved -
+/// target| to `errors`. `targets`/`splits` are the worker's staging rows
+/// (width entries each). Writes only bank b's entries, so it is safe to run
 /// concurrently for distinct banks. Identical value sequence to the
-/// reference engine's per-bank programming block.
-void program_bank_soa(phot::WeightBank& bank, std::size_t b,
-                      const ProgramCtx& c, double* targets,
-                      phot::WeightBank::ChannelSplit* splits,
-                      EngineScratch& s) {
+/// reference engine's per-bank programming block: the achieved weight of
+/// ring i is split.drop - split.thru, bitwise what calibrate() returns.
+void program_bank(phot::WeightBank& bank, std::size_t b, std::size_t pass,
+                  const ProgramCtx& c, double* targets,
+                  phot::WeightBank::ChannelSplit* splits, double* errors,
+                  LayerProgram& prog) {
   const std::size_t K = c.plan->layer.K;
+  const std::size_t G = c.plan->groups.size();
   const std::size_t g = b / K;
   const std::size_t k = b % K;
   const GroupSlice& slice = c.plan->groups[g];
   const std::size_t width = slice.size();
   const std::size_t n_kernel = c.plan->layer.kernel_size();
+  const std::size_t channel_offset = pass * c.pass_width;
   const nn::Tensor& weights = *c.weights;
 
   for (std::size_t i = 0; i < width; ++i) {
-    double w = weights[k * n_kernel + c.channel_offset + slice.begin + i] /
+    double w = weights[k * n_kernel + channel_offset + slice.begin + i] /
                c.w_absmax * c.denom;
     if (c.quantize) w = quantize_weight(*c.weight_dac, w);
     targets[i] = w;
@@ -449,65 +421,28 @@ void program_bank_soa(phot::WeightBank& bank, std::size_t b,
 
   bank.channel_splits_into(std::span(splits, width));
   double base = 0.0;
-  for (std::size_t i = 0; i < width; ++i)
-    base += c.chain->dark_power * (splits[i].drop - splits[i].thru);
-  s.baseline[g * K + k] = c.chain->resp * base;
-  const std::size_t gb = s.group_base[g];
   for (std::size_t i = 0; i < width; ++i) {
-    s.drop_t[gb + i * K + k] = splits[i].drop;
-    s.thru_t[gb + i * K + k] = splits[i].thru;
+    base += c.chain->dark_power * (splits[i].drop - splits[i].thru);
+    errors[i] = std::abs((splits[i].drop - splits[i].thru) - targets[i]);
+  }
+  prog.baseline[(pass * G + g) * K + k] = c.chain->resp * base;
+  const std::size_t gb = pass * prog.group_base[G] + prog.group_base[g];
+  for (std::size_t i = 0; i < width; ++i) {
+    prog.drop_t[gb + i * K + k] = splits[i].drop;
+    prog.thru_t[gb + i * K + k] = splits[i].thru;
   }
 }
 
-/// Program banks[j] as bank first + j of the layer across `workers`
-/// workers (contiguous ThreadPool::chunk_begin ranges), then fold the
-/// calibration errors into `cal_err` on the calling thread in (bank, ring)
-/// order. The achieved weight of ring i is split.drop - split.thru,
-/// bitwise what calibrate() returns. Tuning draws no random numbers and
-/// every bank writes disjoint rows and SoA entries, so the result is
-/// bitwise independent of `workers`. The staging is sized here, before the
-/// fan-out, so pool threads never allocate.
-void program_banks(std::span<phot::WeightBank> banks, std::size_t first,
-                   const ProgramCtx& ctx, std::size_t workers,
-                   ThreadPool* pool, EngineScratch& s,
-                   CalibrationError& cal_err) {
-  const std::size_t n = banks.size();
-  const std::size_t stride = ctx.plan->group_size;
-  s.targets.resize(n * stride);
-  s.splits.resize(n * stride);
-
-  auto range = [&](std::size_t w) {
-    if (w >= workers) return; // pool wider than this layer's bank count
-    for (std::size_t j = ThreadPool::chunk_begin(n, w, workers);
-         j < ThreadPool::chunk_begin(n, w + 1, workers); ++j)
-      program_bank_soa(banks[j], first + j, ctx, &s.targets[j * stride],
-                       &s.splits[j * stride], s);
-  };
-  if (workers == 1) {
-    range(0);
-  } else {
-    pool->run(range);
-  }
-
-  const std::size_t K = ctx.plan->layer.K;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t width = ctx.plan->groups[(first + j) / K].size();
-    for (std::size_t i = j * stride; i < j * stride + width; ++i)
-      cal_err.add(std::abs((s.splits[i].drop - s.splits[i].thru) -
-                           s.targets[i]));
-  }
-}
-
-/// Fill the read-only sweep context from already-sized scratch. The single
-/// home of the laser-RIN sigma expression (must mirror LaserDiode::emit
-/// bit for bit).
+/// Fill the read-only sweep context from already-sized scratch and the
+/// layer's program, pointing at its pass-0 entries. The single home of the
+/// laser-RIN sigma expression (must mirror LaserDiode::emit bit for bit).
 SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
                         const AnalogChain& chain,
                         const phot::BalancedPhotodiode& pd,
                         const elec::Adc& adc, double bw, double adc_fs,
                         double recover, bool accumulate,
                         const nn::Tensor& bias, nn::Tensor& out,
-                        EngineScratch& s) {
+                        const EngineScratch& s, const LayerProgram& prog) {
   SweepCtx ctx;
   ctx.groups = plan.groups.data();
   ctx.n_groups = plan.groups.size();
@@ -515,10 +450,10 @@ SweepCtx make_sweep_ctx(const LayerPlan& plan, const PcnnaConfig& cfg,
   ctx.transfer_pad = s.transfer_pad;
   ctx.patch = s.patch.data();
   ctx.n_kernel = plan.layer.kernel_size();
-  ctx.drop_t = s.drop_t.data();
-  ctx.thru_t = s.thru_t.data();
-  ctx.baseline = s.baseline.data();
-  ctx.group_base = s.group_base.data();
+  ctx.drop_t = prog.drop_t.data();
+  ctx.thru_t = prog.thru_t.data();
+  ctx.baseline = prog.baseline.data();
+  ctx.group_base = prog.group_base.data();
   ctx.K = plan.layer.K;
   const std::size_t side = plan.layer.output_side();
   ctx.pixels = side * side;
@@ -687,7 +622,8 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
                                      const nn::Tensor& weights,
                                      const nn::Tensor& bias,
                                      std::size_t stride, std::size_t pad,
-                                     EngineStats* stats) {
+                                     EngineStats* stats,
+                                     LayerProgram* program) {
   PCNNA_CHECK_MSG(input.shape().n == 1, "batched inputs not supported");
   PCNNA_CHECK_MSG(input.shape().h == input.shape().w,
                   "PCNNA layers operate on square feature maps");
@@ -712,8 +648,10 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
       neg[i] = std::max(0.0, -input[i]);
     }
     EngineStats pos_stats, neg_stats;
-    nn::Tensor out = conv2d(pos, weights, bias, stride, pad, &pos_stats);
-    const nn::Tensor out_neg = conv2d(neg, weights, {}, stride, pad, &neg_stats);
+    nn::Tensor out =
+        conv2d(pos, weights, bias, stride, pad, &pos_stats, program);
+    const nn::Tensor out_neg =
+        conv2d(neg, weights, {}, stride, pad, &neg_stats, program);
     for (std::size_t i = 0; i < out.size(); ++i) out[i] -= out_neg[i];
     if (stats) {
       *stats = pos_stats;
@@ -752,23 +690,132 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
   st.recalibrations = plan.recalibrations;
   st.rings_used = plan.rings_total;
   st.wavelengths_used = plan.group_size;
-  return run_conv(plan, input, weights, bias, st);
+  if (!program) {
+    // No caller-kept program: fill the engine's own and drop it.
+    scratch_.program.filled = false;
+    program = &scratch_.program;
+  }
+  return run_conv(plan, input, weights, bias, st, *program);
+}
+
+void OpticalConvEngine::fill_program(const LayerPlan& plan,
+                                     const nn::Tensor& weights,
+                                     LayerProgram& prog) {
+  prog.filled = false;
+  prog.scale = scale_weights(config_, weights, plan.group_size);
+  if (prog.scale.w_absmax == 0.0) {
+    prog.filled = true;
+    return;
+  }
+  const std::size_t K = plan.layer.K;
+  const std::size_t G = plan.groups.size();
+  const std::size_t n_banks = G * K;
+  const std::size_t passes = channel_passes(plan.layer, plan.allocation);
+  const std::size_t stride = plan.group_size;
+
+  prog.group_base.resize(G + 1);
+  prog.group_base[0] = 0;
+  for (std::size_t g = 0; g < G; ++g)
+    prog.group_base[g + 1] = prog.group_base[g] + plan.groups[g].size() * K;
+  prog.drop_t.resize(passes * prog.group_base[G]);
+  prog.thru_t.resize(passes * prog.group_base[G]);
+  prog.baseline.resize(passes * n_banks);
+
+  const AnalogChain chain = make_chain(config_, K);
+  const elec::Dac weight_dac(config_.weight_dac);
+  const ProgramCtx ctx{&plan,
+                       &weights,
+                       core::pass_width(plan.layer, plan.allocation),
+                       prog.scale.w_absmax,
+                       prog.scale.denom,
+                       config_.enable_quantization,
+                       &weight_dac,
+                       &chain};
+
+  // Size every worker's bank and staging here, so pool threads never
+  // allocate: a malloc on a pool thread gives it its own glibc arena, and
+  // arenas touched by each new set of threads kept growing the RSS.
+  const std::size_t workers = bank_workers(n_banks);
+  EngineScratch& s = scratch_;
+  while (s.banks.size() < workers) {
+    Rng sizing;
+    s.banks.emplace_back(phot::WdmGrid(1), config_.bank, sizing);
+  }
+  for (std::size_t w = 0; w < workers; ++w) s.banks[w].reserve(stride);
+  s.targets.resize(workers * stride);
+  s.splits.resize(workers * stride);
+  s.cal_errors.resize(passes * n_banks * stride);
+  s.bank_totals.resize(n_banks);
+
+  // Each worker takes the next unprogrammed bank position, fabricates it
+  // from the chip stream into its own bank, and tunes it for every pass:
+  // per-channel passes retune the same rings, whose tuning is a function
+  // of fabrication and targets alone. Every bank writes its own entries,
+  // so which worker programs it changes no bit.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&](std::size_t w) {
+    if (w >= workers) return; // pool wider than this layer's bank count
+    phot::WeightBank& bank = s.banks[w];
+    double* targets = &s.targets[w * stride];
+    phot::WeightBank::ChannelSplit* splits = &s.splits[w * stride];
+    for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+         b < n_banks; b = next.fetch_add(1, std::memory_order_relaxed)) {
+      EngineScratch::BankTotals& totals = s.bank_totals[b];
+      totals.stuck_rings = fabricate_bank(
+          config_, b, phot::WdmGrid(plan.groups[b / K].size()), bank);
+      for (std::size_t pass = 0; pass < passes; ++pass)
+        program_bank(bank, b, pass, ctx, targets, splits,
+                     &s.cal_errors[(pass * n_banks + b) * stride], prog);
+      totals.heater_power = bank.total_heater_power();
+      totals.ring_area = bank.total_area();
+    }
+  };
+  if (workers == 1) {
+    work(0);
+  } else {
+    pool_->run(work);
+  }
+
+  // Fold in the sequential order: heater power and area bank by bank after
+  // the last pass, calibration error pass by pass in (bank, ring) order.
+  prog.banks_built = n_banks;
+  prog.stuck_rings = 0;
+  prog.heater_power = 0.0;
+  prog.ring_area = 0.0;
+  for (const EngineScratch::BankTotals& totals : s.bank_totals) {
+    prog.stuck_rings += totals.stuck_rings;
+    prog.heater_power += totals.heater_power;
+    prog.ring_area += totals.ring_area;
+  }
+  CalibrationError cal_err;
+  for (std::size_t row = 0; row < passes * n_banks; ++row) {
+    const double* errors = &s.cal_errors[row * stride];
+    for (std::size_t i = 0; i < plan.groups[row % n_banks / K].size(); ++i)
+      cal_err.add(errors[i]);
+  }
+  prog.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
+  prog.max_calibration_error = cal_err.max;
+  prog.filled = true;
 }
 
 nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
                                        const nn::Tensor& input,
                                        const nn::Tensor& weights,
                                        const nn::Tensor& bias,
-                                       EngineStats& stats) {
+                                       EngineStats& stats,
+                                       LayerProgram& prog) {
   const nn::ConvLayerParams& layer = plan.layer;
   const std::size_t K = layer.K;
   const std::size_t side = layer.output_side();
   const std::size_t pixels = side * side;
   const nn::Shape4 out_shape{1, K, side, side};
 
-  const std::optional<LayerScale> scale =
-      scale_layer(config_, input, weights, plan.group_size);
-  if (!scale) return bias_only(out_shape, bias);
+  const double x_scale = input.abs_max();
+  if (x_scale == 0.0) return bias_only(out_shape, bias);
+  if (!prog.filled) fill_program(plan, weights, prog);
+  const WeightScale& scale = prog.scale;
+  if (scale.w_absmax == 0.0) return bias_only(out_shape, bias);
+  const double recover = x_scale * scale.w_absmax / scale.denom;
 
   // A full-kernel layer is one pass of nc * m * m rings per kernel. A
   // per-channel layer is nc passes of m * m rings, and every pass is
@@ -776,68 +823,34 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
   const bool per_channel = plan.allocation == RingAllocation::kPerChannel;
   const std::size_t passes = channel_passes(layer, plan.allocation);
   const std::size_t pass_width = core::pass_width(layer, plan.allocation);
+  const std::size_t G = plan.groups.size();
+  const std::size_t pass_rows = prog.group_base.back();
+  PCNNA_CHECK_MSG(prog.group_base.size() == G + 1 &&
+                      pass_rows == pass_width * K &&
+                      prog.drop_t.size() == passes * pass_rows,
+                  "layer program does not fit the layer's plan");
+  stats.banks_built += prog.banks_built;
+  stats.stuck_rings += prog.stuck_rings;
+  stats.total_heater_power += prog.heater_power;
+  stats.total_ring_area += prog.ring_area;
+  stats.mean_calibration_error = prog.mean_calibration_error;
+  stats.max_calibration_error = prog.max_calibration_error;
 
   const AnalogChain chain = make_chain(config_, K);
   const phot::MachZehnderModulator mzm(config_.mzm);
   const phot::BalancedPhotodiode pd(config_.bank.photodiode);
   const elec::Dac input_dac(config_.input_dac);
-  const elec::Dac weight_dac(config_.weight_dac);
   elec::AdcConfig adc_cfg = config_.adc;
   adc_cfg.full_scale = 1.0;
   const elec::Adc adc(adc_cfg);
 
-  // Each pass programs every bank segment with its slice of the weights,
-  // flattening calibrated responses straight into transposed SoA form. Pass
-  // 0 fabricates and fault-injects the banks in (g, k) order, a batch at a
-  // time, and every batch is tuned across the pool. Full-kernel weights are
-  // fixed for the layer, so each batch is dropped once tuned; per-channel
-  // passes retune the same physical rings, so all G * K banks form one
-  // batch that lives across passes. Bank totals are folded in (g, k) order
-  // once the last pass has programmed.
-  const std::size_t G = plan.groups.size();
-  const std::size_t n_banks = G * K;
-  size_bank_soa(plan, scratch_);
-  const std::size_t bank_threads = bank_workers(n_banks);
-  const std::size_t batch_cap =
-      per_channel ? n_banks : bank_threads * kBanksPerWorker;
-  ProgramCtx prog{&plan, &weights, /*channel_offset=*/0, scale->w_absmax,
-                  scale->denom, config_.enable_quantization, &weight_dac,
-                  &chain};
-  CalibrationError cal_err;
-  std::vector<phot::WeightBank> batch;
-  batch.reserve(std::min(batch_cap, n_banks));
-  const auto program_pass = [&](std::size_t pass) {
-    prog.channel_offset = pass * pass_width;
-    for (std::size_t first = 0; first < n_banks; first += batch_cap) {
-      if (pass == 0) {
-        batch.clear();
-        const std::size_t last = std::min(first + batch_cap, n_banks);
-        for (std::size_t b = first; b < last; ++b) {
-          const phot::WdmGrid grid(plan.groups[b / K].size());
-          Rng unused;
-          batch.emplace_back(grid, config_.bank, unused);
-          stats.stuck_rings += fabricate_bank(config_, b, grid, batch.back());
-        }
-      }
-      program_banks(batch, first, prog, bank_threads, pool_.get(), scratch_,
-                    cal_err);
-      if (pass + 1 == passes) {
-        for (const phot::WeightBank& bank : batch) {
-          ++stats.banks_built;
-          stats.total_heater_power += bank.total_heater_power();
-          stats.total_ring_area += bank.total_area();
-        }
-      }
-    }
-  };
-  program_pass(0);
-
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
   // Per-layer ADC range calibration from weight and input statistics.
   const double adc_fs =
-      scale->adc_full_scale(config_.adc_headroom, pass_width, input, weights);
-  precompute_transfer(input, scale->x_scale, config_.enable_quantization,
-                      input_dac, mzm, scratch_);
+      adc_full_scale(config_.adc_headroom, pass_width,
+                     mean_square_scaled(input.data(), x_scale), scale.mean_w_sq);
+  precompute_transfer(input, x_scale, config_.enable_quantization, input_dac,
+                      mzm, scratch_);
   build_patch_map(layer, input.shape(), scratch_);
 
   const std::optional<std::size_t> branch_draws =
@@ -847,12 +860,14 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
   const std::size_t workers = prepare_workers(
       pixels, branch_draws.has_value(), plan.group_size, K);
   nn::Tensor out(out_shape);
-  SweepCtx ctx =
-      make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs,
-                     scale->recover, per_channel, bias, out, scratch_);
+  SweepCtx ctx = make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs,
+                                recover, per_channel, bias, out, scratch_,
+                                prog);
   for (std::size_t pass = 0; pass < passes; ++pass) {
-    if (pass > 0) program_pass(pass);
     ctx.patch_offset = pass * pass_width;
+    ctx.drop_t = prog.drop_t.data() + pass * pass_rows;
+    ctx.thru_t = prog.thru_t.data() + pass * pass_rows;
+    ctx.baseline = prog.baseline.data() + pass * G * K;
     sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
     stats.patches_streamed += pixels;
     if (bw > 0.0) stats.noise_draws += pixels * draws_per_pixel;
@@ -863,18 +878,13 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
     for (std::size_t k = 0; k < K; ++k) {
       const double b = bias.empty() ? 0.0 : bias[k];
       for (std::size_t l = k * pixels; l < (k + 1) * pixels; ++l)
-        out[l] = out[l] * scale->recover + b;
+        out[l] = out[l] * recover + b;
     }
   }
 
   for (const EngineScratch::Worker& w : scratch_.workers) {
     stats.optical_passes += w.optical_passes;
     stats.adc_conversions += w.adc_conversions;
-  }
-
-  if (cal_err.count > 0) {
-    stats.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
-    stats.max_calibration_error = cal_err.max;
   }
   return out;
 }
@@ -900,9 +910,12 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
 
   const std::size_t group_size =
       std::min<std::size_t>(config_.max_wavelengths, in);
-  const std::optional<LayerScale> scale =
-      scale_layer(config_, input, weights, group_size);
-  if (!scale) return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
+  const double x_scale = input.abs_max();
+  if (x_scale == 0.0) return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
+  const WeightScale scale = scale_weights(config_, weights, group_size);
+  if (scale.w_absmax == 0.0)
+    return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
+  const double recover = x_scale * scale.w_absmax / scale.denom;
 
   const AnalogChain chain = make_chain(config_, out_n);
   const phot::LaserDiode laser(config_.laser);
@@ -921,7 +934,8 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
 
   const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
   const double adc_fs =
-      scale->adc_full_scale(config_.adc_headroom, in, input, weights);
+      adc_full_scale(config_.adc_headroom, in,
+                     mean_square_scaled(input.data(), x_scale), scale.mean_w_sq);
 
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
@@ -939,7 +953,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     // Modulate this input slice once; all banks share the broadcast bundle.
     powers.resize(width);
     for (std::size_t i = 0; i < width; ++i) {
-      double x = input[begin + i] / scale->x_scale;
+      double x = input[begin + i] / x_scale;
       if (config_.enable_quantization) x = input_dac.convert(x);
       powers[i] = mzm.modulate(laser.emit(bw, rng_) * chain.bcast, x);
     }
@@ -950,7 +964,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
       st.stuck_rings +=
           fabricate_bank(config_, begin / group_size * out_n + o, grid, bank);
       for (std::size_t i = 0; i < width; ++i) {
-        double w = weights[o * in + begin + i] / scale->w_absmax * scale->denom;
+        double w = weights[o * in + begin + i] / scale.w_absmax * scale.denom;
         if (config_.enable_quantization) w = quantize_weight(weight_dac, w);
         targets[i] = w;
       }
@@ -980,7 +994,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     double v = acc[o];
     if (config_.enable_quantization) v = adc.convert(v / adc_fs) * adc_fs;
     ++st.adc_conversions;
-    out[o] = v * scale->recover + (bias.empty() ? 0.0 : bias[o]);
+    out[o] = v * recover + (bias.empty() ? 0.0 : bias[o]);
   }
 
   if (cal_err.count > 0) {

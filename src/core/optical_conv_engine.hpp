@@ -9,9 +9,10 @@
 // paper_defaults() it quantifies the analog error budget.
 //
 // Execution follows the paper SS IV exactly, as one loop for both ring
-// allocations: program the weight banks with the layer's kernels, then
-// evaluate all K kernels in parallel for one receptive-field location at a
-// time, locations in sequence. A full-kernel layer is one such pass over
+// allocations: program the weight banks with the layer's kernels (once per
+// layer and chip: a LayerProgram keeps the result), then evaluate all K
+// kernels in parallel for one receptive-field location at a time,
+// locations in sequence. A full-kernel layer is one such pass over
 // nc * m * m rings; a per-channel layer is nc passes over m * m rings whose
 // digitized partial sums add electronically. Within a pass, receptive
 // fields wider than the WDM budget split into segmented bank groups whose
@@ -37,13 +38,13 @@
 //    and the achieved weights (drop - thru) for the calibration error;
 //  * optional deterministic intra-image parallelism over
 //    PcnnaConfig::engine_threads workers, in two phases:
-//    - bank programming: banks are fabricated and fault-injected on the
-//      calling thread in (g, k) order, in bounded batches (full-kernel) or
-//      as one batch that every per-channel pass retunes, and each batch is
-//      tuned across the pool (tuning draws no random numbers; every bank
-//      writes its own SoA slice). Heater power, ring area, and calibration
-//      error are reduced afterwards on the calling thread in (g, k, ring)
-//      order. Pool threads never allocate: their staging is sized first;
+//    - filling a layer's program: each worker takes the next bank
+//      position, fabricates it into its own bank from the chip stream,
+//      and tunes it for every pass (neither depends on the order or the
+//      thread; every bank writes its own SoA slice). Heater power, ring
+//      area, and calibration error are reduced afterwards on the calling
+//      thread in (pass, g, k, ring) order. Pool threads never allocate:
+//      their banks and staging are sized first;
 //    - pixel sweep: kernel locations are partitioned into fixed tiles.
 //      Per-pixel accumulation order is unchanged. With noise enabled each
 //      tile draws inline from its own generator, which the calling thread
@@ -162,6 +163,45 @@ double measured_usable_range(const PcnnaConfig& cfg, std::size_t channels);
 /// extreme); recalibrate afterwards if the bank is still in service.
 double measured_usable_range(phot::WeightBank& bank);
 
+/// Weight-only scale of one layer: the inputs are normalized per call, the
+/// weights once.
+struct WeightScale {
+  double w_absmax = 0.0;  ///< largest |weight|; 0 for an all-zero layer
+  double denom = 1.0;     ///< bank weight that stands for |w| == w_absmax
+  /// Mean square of the bank weights, w / w_absmax * denom, behind the ADC
+  /// full scale.
+  double mean_w_sq = 0.0;
+};
+
+/// The program of one offloaded conv layer on one chip: every bank's
+/// calibrated response and what programming it contributes to EngineStats.
+/// It depends only on (config, weights), because fabrication reads the
+/// chip stream and tuning draws nothing, so a layer served again reads it
+/// in place instead of reprogramming. runtime::Pcu keeps one per (model,
+/// op); a call without one fills the engine's own and drops it.
+struct LayerProgram {
+  /// Set once every field below holds this layer's program.
+  bool filled = false;
+  WeightScale scale;
+  /// Transposed structure-of-arrays bank responses of every pass: for pass
+  /// p, group g, channel i and kernel k, the drop/through response lives at
+  /// p * group_base.back() + group_base[g] + i * K + k (contiguous in k so
+  /// the per-pixel MAC keeps K independent accumulation chains on
+  /// contiguous memory). Two doubles per weight.
+  std::vector<double> drop_t, thru_t;
+  /// Balanced baseline current per (pass, group, kernel):
+  /// baseline[(p * G + g) * K + k].
+  std::vector<double> baseline;
+  std::vector<std::size_t> group_base;
+  // EngineStats totals of programming every bank, replayed by each call.
+  std::uint64_t banks_built = 0;
+  std::uint64_t stuck_rings = 0;
+  double heater_power = 0.0;
+  double ring_area = 0.0;
+  double mean_calibration_error = 0.0;
+  double max_calibration_error = 0.0;
+};
+
 /// Layer-lifetime scratch of the engine hot path. Owned by the engine and
 /// reused across conv2d calls; per-layer precomputes are rebuilt at the top
 /// of each call, per-worker buffers are resized (capacity persists) and
@@ -178,28 +218,35 @@ struct EngineScratch {
   /// element index, or -1 for zero padding. Receptive-field order matches
   /// nn::receptive_field (channel-major, then ky, then kx).
   std::vector<std::int32_t> patch;
-  /// Transposed structure-of-arrays bank programs: for group g, channel i,
-  /// kernel k, the drop/through response lives at
-  /// group_base[g] + i * K + k (contiguous in k so the per-pixel MAC keeps
-  /// K independent accumulation chains on contiguous memory).
-  std::vector<double> drop_t, thru_t;
-  /// Balanced baseline current per (group, kernel): baseline[g * K + k].
-  std::vector<double> baseline;
-  std::vector<std::size_t> group_base;
+  /// The program of a call that brings none of its own.
+  LayerProgram program;
   /// Noise generator of each pixel tile, positioned at the tile's first
   /// draw in sequential pixel order (see docs/architecture.md for the
   /// determinism argument). Workers draw from a stack copy and store the
   /// final state back; the engine generator continues from the last one.
   std::vector<Rng> tile_rng;
 
-  // --- bank-programming staging (layer setup only) ---
-  /// Weight targets and probed splits of the banks being programmed, one
-  /// row of plan.group_size entries per bank. Sized on the calling thread
-  /// before the workers fan out, so pool threads never allocate; the
-  /// calibration error is reduced from them in (bank, ring) order after
-  /// the workers join.
+  // --- program-fill staging (a layer's first call only) ---
+  // Sized on the calling thread before the workers fan out, so pool
+  // threads never allocate.
+  /// One bank per programming worker, refabricated in place as each bank
+  /// position it programs.
+  std::vector<phot::WeightBank> banks;
+  /// Weight targets and probed splits of each worker's bank, one row of
+  /// plan.group_size entries per worker.
   std::vector<double> targets;
   std::vector<phot::WeightBank::ChannelSplit> splits;
+  /// Calibration error of every ring, row (pass * banks + bank) of
+  /// plan.group_size entries, and heater power, ring area and stuck rings
+  /// of every bank: folded on the calling thread in (pass, bank, ring)
+  /// and bank order once the workers join.
+  std::vector<double> cal_errors;
+  struct BankTotals {
+    double heater_power = 0.0;
+    double ring_area = 0.0;
+    std::size_t stuck_rings = 0;
+  };
+  std::vector<BankTotals> bank_totals;
 
   // --- per-worker hot-loop buffers ---
   struct Worker {
@@ -242,9 +289,17 @@ class OpticalConvEngine {
   /// `input` [1, C, H, W] (values must be >= 0 — photonic amplitude
   /// encoding; normalize or ReLU first), `weights` [K, C, m, m], optional
   /// `bias` [1, K, 1, 1]. Returns [1, K, Ho, Wo].
+  ///
+  /// `program`, when given, is these weights' program on this engine's
+  /// chip: the first call whose input is not all zero fills it, on the
+  /// engine's pool, and later calls read it in place. The caller keys it
+  /// to (config, weights). Without one, the call fills the engine's own
+  /// program and drops it. Outputs, EngineStats and the RNG state are the
+  /// same bits either way.
   nn::Tensor conv2d(const nn::Tensor& input, const nn::Tensor& weights,
                     const nn::Tensor& bias, std::size_t stride,
-                    std::size_t pad, EngineStats* stats = nullptr);
+                    std::size_t pad, EngineStats* stats = nullptr,
+                    LayerProgram* program = nullptr);
 
   /// Photonic fully-connected layer (the original broadcast-and-weight use
   /// case, Tait et al.): `weights` [out, in, 1, 1], `bias` [1, out, 1, 1]
@@ -274,13 +329,20 @@ class OpticalConvEngine {
   void set_rng_state(const Rng::State& state) { rng_.set_state(state); }
 
  private:
-  /// Run one planned conv layer: scale it, then let each pass program its
-  /// banks (fabricating them on pass 0) and sweep every kernel location.
+  /// Run one planned conv layer: fill `program` unless it is filled, then
+  /// sweep every kernel location pass by pass through its banks.
   /// Full-kernel plans run 1 pass of nc * m * m rings; per-channel plans
   /// run nc passes of m * m rings and rescale and bias after the last one.
   nn::Tensor run_conv(const LayerPlan& plan, const nn::Tensor& input,
                       const nn::Tensor& weights, const nn::Tensor& bias,
-                      EngineStats& stats);
+                      EngineStats& stats, LayerProgram& program);
+
+  /// Program every bank of every pass of the layer into `program`: probe
+  /// the chip's usable range, then fabricate each bank position from the
+  /// chip stream and tune it, across the pool, and fold the banks' totals
+  /// on the calling thread.
+  void fill_program(const LayerPlan& plan, const nn::Tensor& weights,
+                    LayerProgram& program);
 
   /// Decide the worker count for one layer's pixel sweep and make the pool
   /// and per-worker scratch (sized for `group_size` channels and K kernel

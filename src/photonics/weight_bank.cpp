@@ -13,7 +13,7 @@ WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
       pd_(config.photodiode),
       through_loss_factor_(from_db(-config.ring.insertion_loss_db)) {
   PCNNA_CHECK(config.calibration_iterations >= 0);
-  rings_.reserve(grid.channels());
+  reserve(grid.channels());
   refabricate(grid, rng);
 }
 
@@ -37,6 +37,12 @@ void WeightBank::refabricate(const WdmGrid& grid, Rng& rng) {
     drop_targets_[i] = zero_drop;
     apply_drop_target(i, zero_drop);
   }
+}
+
+void WeightBank::reserve(std::size_t channels) {
+  rings_.reserve(channels);
+  targets_.reserve(channels);
+  drop_targets_.reserve(channels);
 }
 
 double WeightBank::max_weight() const {

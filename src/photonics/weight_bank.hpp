@@ -49,6 +49,10 @@ class WeightBank {
   /// its calling thread built.
   void refabricate(const WdmGrid& grid, Rng& rng);
 
+  /// Make room for `channels` rings, so that refabricating on a grid that
+  /// wide allocates nothing.
+  void reserve(std::size_t channels);
+
   std::size_t channels() const { return rings_.size(); }
   const WeightBankConfig& config() const { return config_; }
   const MicroringResonator& ring(std::size_t i) const { return rings_.at(i); }

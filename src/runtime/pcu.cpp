@@ -105,6 +105,7 @@ std::uint32_t Pcu::add_model(const nn::Network& net,
   slot.whole = range_timings(config_, fidelity_, net, 0, net.ops().size(),
                              &slot.swap_time);
   models_.push_back(slot);
+  programs_.emplace_back(net.ops().size());
   return static_cast<std::uint32_t>(models_.size() - 1);
 }
 
@@ -138,8 +139,9 @@ StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
   } else {
     accelerator_.set_engine_rng_state(*rng);
   }
-  core::NetworkRunReport run = accelerator_.run_range(
-      *slot.net, *slot.weights, input, op_begin, op_end, simulate_values);
+  core::NetworkRunReport run =
+      accelerator_.run_range(*slot.net, *slot.weights, input, op_begin,
+                             op_end, simulate_values, programs_[model]);
 
   StageHandoff handoff;
   handoff.activation = std::move(run.output);
@@ -160,9 +162,9 @@ RequestResult Pcu::serve(const InferenceRequest& request,
   // request's own seed, so the output is identical whether this request is
   // the first thing this PCU ever ran or the thousandth.
   accelerator_.reseed_engine(request.seed);
-  core::NetworkRunReport run = accelerator_.run(
-      *slot.net, *slot.weights, request.input, simulate_values,
-      /*compare_reference=*/false);
+  core::NetworkRunReport run = accelerator_.run_range(
+      *slot.net, *slot.weights, request.input, 0, slot.net->ops().size(),
+      simulate_values, programs_[request.model_id]);
 
   RequestResult result;
   result.id = request.id;

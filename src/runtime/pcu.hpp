@@ -334,6 +334,12 @@ class Pcu {
   std::string tag_;
   PcuStats stats_;
   std::vector<ModelSlot> models_;
+  /// The layer programs of each registered model, one per op: the first
+  /// request that runs a conv op fills its program and later ones read it
+  /// (core::LayerProgram; 16 B per weight). Apart from models_, whose
+  /// timing constants the admission loop reads from other threads: only
+  /// the thread that owns this Pcu touches these.
+  std::vector<std::vector<core::LayerProgram>> programs_;
 };
 
 } // namespace pcnna::runtime
