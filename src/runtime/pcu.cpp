@@ -105,8 +105,18 @@ std::uint32_t Pcu::add_model(const nn::Network& net,
   slot.whole = range_timings(config_, fidelity_, net, 0, net.ops().size(),
                              &slot.swap_time);
   models_.push_back(slot);
-  programs_.emplace_back(net.ops().size());
+  programs_.emplace_back();
   return static_cast<std::uint32_t>(models_.size() - 1);
+}
+
+std::span<core::LayerProgram> Pcu::programs(std::uint32_t model,
+                                            bool simulate_values) {
+  if (!simulate_values) return {};
+  std::vector<core::LayerProgram>& programs = programs_[model];
+  // Sized by the model's first simulated request: a timing-only fleet of
+  // thousands of PCUs never pays for them.
+  if (programs.empty()) programs.resize(models_[model].net->ops().size());
+  return programs;
 }
 
 const Pcu::ModelSlot& Pcu::timings(std::uint32_t model) const {
@@ -141,7 +151,8 @@ StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,
   }
   core::NetworkRunReport run =
       accelerator_.run_range(*slot.net, *slot.weights, input, op_begin,
-                             op_end, simulate_values, programs_[model]);
+                             op_end, simulate_values,
+                             programs(model, simulate_values));
 
   StageHandoff handoff;
   handoff.activation = std::move(run.output);
@@ -164,7 +175,7 @@ RequestResult Pcu::serve(const InferenceRequest& request,
   accelerator_.reseed_engine(request.seed);
   core::NetworkRunReport run = accelerator_.run_range(
       *slot.net, *slot.weights, request.input, 0, slot.net->ops().size(),
-      simulate_values, programs_[request.model_id]);
+      simulate_values, programs(request.model_id, simulate_values));
 
   RequestResult result;
   result.id = request.id;

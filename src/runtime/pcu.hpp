@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -214,10 +215,12 @@ class Pcu {
   /// Number of registered models (>= 1).
   std::size_t num_models() const { return models_.size(); }
 
-  /// Serve one request: reseed the engine to the request's seed (so the
-  /// result does not depend on what this PCU served before), run the
-  /// request's model (request.model_id), and price it. `simulate_values`
-  /// as in core::Accelerator::run.
+  /// Serve one request: reseed the engine's noise to the request's seed
+  /// (so the result does not depend on what this PCU served before), run
+  /// the request's model (request.model_id), and price it. The run reads
+  /// this PCU's layer programs of the model; the first request that
+  /// reaches a conv op fills its program. `simulate_values` as in
+  /// core::Accelerator::run.
   ///
   /// Preconditions: request.model_id < num_models() and the request's
   /// input matches that model's input shape (throws pcnna::Error
@@ -326,6 +329,11 @@ class Pcu {
 
   const ModelSlot& timings(std::uint32_t model) const;
 
+  /// The layer programs of registered model `model`, one per op; none
+  /// when values are not simulated.
+  std::span<core::LayerProgram> programs(std::uint32_t model,
+                                         bool simulate_values);
+
   std::size_t index_;
   core::PcnnaConfig config_;
   core::TimingFidelity fidelity_;
@@ -334,11 +342,12 @@ class Pcu {
   std::string tag_;
   PcuStats stats_;
   std::vector<ModelSlot> models_;
-  /// The layer programs of each registered model, one per op: the first
-  /// request that runs a conv op fills its program and later ones read it
-  /// (core::LayerProgram; 16 B per weight). Apart from models_, whose
-  /// timing constants the admission loop reads from other threads: only
-  /// the thread that owns this Pcu touches these.
+  /// The layer programs of each registered model, one per op once the
+  /// model is first served: the first request that runs a conv op fills
+  /// its program and later ones read it (core::LayerProgram; 16 B per
+  /// weight). Apart from models_, whose timing constants the admission
+  /// loop reads from other threads: only the thread that owns this Pcu
+  /// touches these.
   std::vector<std::vector<core::LayerProgram>> programs_;
 };
 
