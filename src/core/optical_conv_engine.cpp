@@ -44,12 +44,12 @@
 //    last tile's final state. This needs a per-pixel draw count that does
 //    not depend on the data (pd_draws_per_branch); otherwise the sweep
 //    stays on one thread;
-//  * fabrication and tuning draw nothing from the engine generator, so a
-//    layer's program is a function of (config, weights): fill_program fans
-//    both out over the pool, reduces its sums (calibration error, heater
-//    power, ring area) on the calling thread in the sequential (g, k,
-//    ring) order, the calibration error pass by pass, and a LayerProgram
-//    replays them to every later call bit for bit;
+//  * a layer's program is therefore a function of (config, weights):
+//    fill_program fans fabrication and tuning out over the pool, reduces
+//    their sums (calibration error, heater power, ring area) on the
+//    calling thread in the sequential (g, k, ring) order, the calibration
+//    error pass by pass, and a LayerProgram replays them to every later
+//    call bit for bit;
 //  * run_conv fills the program before it reads the ADC statistics and
 //    builds the transfer table, patch map and worker scratch. That order
 //    changes no value; it is kept because building the tables before
@@ -758,8 +758,7 @@ void OpticalConvEngine::fill_program(const LayerPlan& plan,
     phot::WeightBank& bank = s.banks[w];
     double* targets = &s.targets[w * stride];
     phot::WeightBank::ChannelSplit* splits = &s.splits[w * stride];
-    for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-         b < n_banks; b = next.fetch_add(1, std::memory_order_relaxed)) {
+    for (std::size_t b = next++; b < n_banks; b = next++) {
       EngineScratch::BankTotals& totals = s.bank_totals[b];
       totals.stuck_rings = fabricate_bank(
           config_, b, phot::WdmGrid(plan.groups[b / K].size()), bank);
