@@ -2,7 +2,8 @@
 //
 // Each digest covers three requests of one network under one config, run
 // twice: through one core::Accelerator (run_range over the whole network
-// after a reseed) and through one runtime::Pcu (serve for the first two
+// after a reseed, with layer programs the first request fills and the
+// others read) and through one runtime::Pcu (serve for the first two
 // requests, and the third as a two-stage serve_stage pipeline that hands
 // the engine RNG state across the split). It hashes every output bit,
 // every offloaded layer's EngineStats, the served EngineWork, and the
@@ -118,10 +119,11 @@ std::uint64_t engine_digest(const nn::Network& net, PcnnaConfig config,
 
   Fnv1a h;
   core::Accelerator accelerator(config);
+  std::vector<core::LayerProgram> programs(ops);
   for (const runtime::InferenceRequest& request : requests) {
     accelerator.reseed_engine(request.seed);
-    const core::NetworkRunReport run =
-        accelerator.run_range(net, weights, request.input, 0, ops);
+    const core::NetworkRunReport run = accelerator.run_range(
+        net, weights, request.input, 0, ops, true, programs);
     hash_tensor(h, run.output);
     for (const core::LayerRunReport& layer : run.conv_layers)
       hash_stats(h, layer.engine);
@@ -152,7 +154,8 @@ std::uint64_t engine_digest(const nn::Network& net, PcnnaConfig config,
 /// Recorded before fabrication moved to the chip stream, which re-recorded
 /// only the stuck_5pct and disorder_50pm digests: their rings now draw from
 /// their bank positions' own streams instead of the request's noise stream.
-/// ideal, paper_defaults and small_core draw nothing at fabrication.
+/// ideal, paper_defaults and small_core draw nothing at fabrication. Layer
+/// programs came after and changed no digest.
 const std::map<std::string, std::uint64_t> kExpected = {
     {"lenet5/disorder_50pm", 0x10ec3ac31da6eff6ull},
     {"lenet5/ideal", 0x22cbc4c169b9e5aaull},

@@ -405,6 +405,14 @@ TEST(ChipStream, RingDrawsArePinnedToItsPositionsStreams) {
     EXPECT_EQ(expected_stuck, stuck);
     EXPECT_EQ(expected_stuck, bank.stuck_rings());
   }
+
+  // At a zero rate no ring is stuck.
+  PcnnaConfig healthy = cfg;
+  healthy.stuck_ring_rate = 0.0;
+  Rng sizing;
+  phot::WeightBank bank(phot::WdmGrid(channels), cfg.bank, sizing);
+  EXPECT_EQ(0u, core::fabricate_bank(healthy, 0, phot::WdmGrid(channels), bank));
+  EXPECT_EQ(0u, bank.stuck_rings());
 }
 
 // A ring is the same ring at every bank width, whatever was fabricated
@@ -448,16 +456,26 @@ TEST(ChipStream, RingIsTheSameAtEveryWidthAndBuildOrder) {
 
 // The usable-range probe is the chip's probe bank: built from its disorder
 // stream alone (never stuck, even when every layer ring is), and the same
-// value however many layers ran before it.
+// value however many layers ran before it. Probing a bank built from a
+// given generator draws exactly that bank's fabrication: one normal per
+// ring, or nothing without disorder.
 TEST(ChipStream, ProbeBankIsPristineAndFixedBySeed) {
   PcnnaConfig cfg = faulty_chip();
   cfg.stuck_ring_rate = 1.0;
   const std::size_t channels = 7;
   Rng disorder = core::bank_fab(cfg.seed, core::kProbeBank).disorder;
+  Rng replica = disorder;
   const double manual = core::measured_usable_range(cfg, channels, disorder);
   const double probed = core::measured_usable_range(cfg, channels);
   EXPECT_GT(probed, 0.0);
   EXPECT_EQ(manual, probed);
+  phot::WeightBank built(phot::WdmGrid(channels), cfg.bank, replica);
+  EXPECT_EQ(replica.next_u64(), disorder.next_u64());
+
+  Rng untouched(33);
+  Rng unmoved = untouched;
+  core::measured_usable_range(PcnnaConfig::ideal(), 5, untouched);
+  EXPECT_EQ(unmoved.next_u64(), untouched.next_u64());
 
   PcnnaConfig reseeded = cfg;
   reseeded.seed = cfg.seed + 1;
