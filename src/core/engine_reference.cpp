@@ -1,7 +1,8 @@
 // FROZEN reference conv engine — verbatim snapshot of the pre-rewrite
 // OpticalConvEngine conv2d path (see engine_reference.hpp). Do not optimize.
-// Its one change since: banks and the usable-range probe are fabricated
-// from the chip stream (bank_fab), like the engine's.
+// Fabrication is the one exception to the snapshot: banks and the
+// usable-range probe come from the chip stream (bank_fab), as in the
+// engine, so both engines build the same chip.
 #include "core/engine_reference.hpp"
 
 #include <cmath>

@@ -15,7 +15,8 @@
 //
 // DO NOT optimize or otherwise modify this path; it is the frozen baseline.
 // It intentionally shares nothing with optical_conv_engine.cpp so changes
-// there cannot leak in here.
+// there cannot leak in here, except the chip it runs on: its banks and its
+// usable-range probe are fabricated from the same chip stream (bank_fab).
 #pragma once
 
 #include <cstdint>
