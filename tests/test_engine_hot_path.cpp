@@ -379,8 +379,8 @@ PcnnaConfig faulty_chip() {
   return cfg;
 }
 
-// Ring r draws the r-th normal of its position's disorder stream and the
-// r-th uniform of its stuck stream, whether or not it ends up stuck.
+// Ring r draws the r-th normal of its position's disorder stream (its stuck
+// stream is pinned by EngineRngContract.InjectStuckFaultsDrawOrderPinned).
 TEST(ChipStream, RingDrawsArePinnedToItsPositionsStreams) {
   const PcnnaConfig cfg = faulty_chip();
   const std::size_t channels = 9;
@@ -388,31 +388,16 @@ TEST(ChipStream, RingDrawsArePinnedToItsPositionsStreams) {
     const phot::WdmGrid grid(channels);
     Rng sizing;
     phot::WeightBank bank(grid, cfg.bank, sizing);
-    const std::size_t stuck = core::fabricate_bank(cfg, position, grid, bank);
+    core::fabricate_bank(cfg, position, grid, bank);
 
-    core::BankFab replica = core::bank_fab(cfg.seed, position);
-    std::size_t expected_stuck = 0;
+    Rng replica = core::bank_fab(cfg.seed, position).disorder;
     for (std::size_t r = 0; r < channels; ++r) {
-      const double offset = replica.disorder.normal(0.0, cfg.bank.ring.fab_sigma);
+      const double offset = replica.normal(0.0, cfg.bank.ring.fab_sigma);
       EXPECT_EQ(grid.wavelength(r) - 4.0 * cfg.bank.ring.fab_sigma + offset,
                 bank.ring(r).natural_resonance())
           << "position " << position << " ring " << r;
-      const bool want = replica.stuck.uniform() < cfg.stuck_ring_rate;
-      EXPECT_EQ(want, bank.ring(r).stuck())
-          << "position " << position << " ring " << r;
-      if (want) ++expected_stuck;
     }
-    EXPECT_EQ(expected_stuck, stuck);
-    EXPECT_EQ(expected_stuck, bank.stuck_rings());
   }
-
-  // At a zero rate no ring is stuck.
-  PcnnaConfig healthy = cfg;
-  healthy.stuck_ring_rate = 0.0;
-  Rng sizing;
-  phot::WeightBank bank(phot::WdmGrid(channels), cfg.bank, sizing);
-  EXPECT_EQ(0u, core::fabricate_bank(healthy, 0, phot::WdmGrid(channels), bank));
-  EXPECT_EQ(0u, bank.stuck_rings());
 }
 
 // A ring is the same ring at every bank width, whatever was fabricated
@@ -456,26 +441,16 @@ TEST(ChipStream, RingIsTheSameAtEveryWidthAndBuildOrder) {
 
 // The usable-range probe is the chip's probe bank: built from its disorder
 // stream alone (never stuck, even when every layer ring is), and the same
-// value however many layers ran before it. Probing a bank built from a
-// given generator draws exactly that bank's fabrication: one normal per
-// ring, or nothing without disorder.
+// value however many layers ran before it.
 TEST(ChipStream, ProbeBankIsPristineAndFixedBySeed) {
   PcnnaConfig cfg = faulty_chip();
   cfg.stuck_ring_rate = 1.0;
   const std::size_t channels = 7;
   Rng disorder = core::bank_fab(cfg.seed, core::kProbeBank).disorder;
-  Rng replica = disorder;
   const double manual = core::measured_usable_range(cfg, channels, disorder);
   const double probed = core::measured_usable_range(cfg, channels);
   EXPECT_GT(probed, 0.0);
   EXPECT_EQ(manual, probed);
-  phot::WeightBank built(phot::WdmGrid(channels), cfg.bank, replica);
-  EXPECT_EQ(replica.next_u64(), disorder.next_u64());
-
-  Rng untouched(33);
-  Rng unmoved = untouched;
-  core::measured_usable_range(PcnnaConfig::ideal(), 5, untouched);
-  EXPECT_EQ(unmoved.next_u64(), untouched.next_u64());
 
   PcnnaConfig reseeded = cfg;
   reseeded.seed = cfg.seed + 1;
@@ -549,6 +524,87 @@ TEST(ChipStream, EngineBanksAreTheSameAcrossLayersThreadsAndRequestSeeds) {
       }
     }
   }
+}
+
+// --- pinned RNG draw-order contracts ---------------------------------------
+// Stuck-fault injection (fabricate_bank's second stage): exactly one uniform
+// per ring from the position's stuck stream, ascending ring index,
+// regardless of outcome. A manual replica of that stream must reproduce the
+// stuck pattern and the count.
+TEST(EngineRngContract, InjectStuckFaultsDrawOrderPinned) {
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.stuck_ring_rate = 0.4;
+  const std::size_t channels = 9;
+  const phot::WdmGrid grid(channels);
+
+  std::size_t total_stuck = 0;
+  for (std::uint64_t position : {0ull, 7ull, 1000ull}) {
+    Rng sizing;
+    phot::WeightBank bank(grid, cfg.bank, sizing);
+    const std::size_t stuck = core::fabricate_bank(cfg, position, grid, bank);
+
+    Rng replica = core::bank_fab(cfg.seed, position).stuck;
+    std::size_t expected_stuck = 0;
+    for (std::size_t r = 0; r < channels; ++r) {
+      const bool want = replica.uniform() < cfg.stuck_ring_rate;
+      if (want) ++expected_stuck;
+      EXPECT_EQ(want, bank.ring(r).stuck())
+          << "position " << position << " ring " << r;
+    }
+    EXPECT_EQ(expected_stuck, stuck);
+    EXPECT_EQ(expected_stuck, bank.stuck_rings());
+    total_stuck += stuck;
+  }
+  EXPECT_GT(total_stuck, 0u);
+}
+
+// At a zero rate injection freezes nothing: every ring is exactly the one
+// the position's disorder stream built.
+TEST(EngineRngContract, InjectStuckFaultsZeroRateDrawsNothing) {
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.bank.ring.fab_sigma = 0.05e-9;
+  cfg.stuck_ring_rate = 0.0;
+  const phot::WdmGrid grid(4);
+  Rng sizing;
+  phot::WeightBank bank(grid, cfg.bank, sizing);
+  EXPECT_EQ(0u, core::fabricate_bank(cfg, 0, grid, bank));
+  EXPECT_EQ(0u, bank.stuck_rings());
+
+  Rng disorder = core::bank_fab(cfg.seed, 0).disorder;
+  const phot::WeightBank pristine(grid, cfg.bank, disorder);
+  for (std::size_t r = 0; r < grid.channels(); ++r) {
+    EXPECT_FALSE(bank.ring(r).stuck()) << "ring " << r;
+    EXPECT_EQ(pristine.ring(r).natural_resonance(),
+              bank.ring(r).natural_resonance())
+        << "ring " << r;
+  }
+}
+
+// measured_usable_range: consumes exactly the fabrication draws of one
+// bank construction (one normal per ring when fab_sigma > 0); the probe
+// calibrations draw nothing.
+TEST(EngineRngContract, MeasuredUsableRangeDrawOrderPinned) {
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.bank.ring.fab_sigma = 0.05e-9; // enable fabrication disorder draws
+  const std::size_t channels = 7;
+
+  Rng draw(21);
+  Rng replica = draw;
+  const double usable = core::measured_usable_range(cfg, channels, draw);
+  EXPECT_GT(usable, 0.0);
+
+  // Replica: construct the same bank (fab draws only), no calibration.
+  phot::WeightBank bank(phot::WdmGrid(channels), cfg.bank, replica);
+  EXPECT_EQ(replica.next_u64(), draw.next_u64());
+}
+
+TEST(EngineRngContract, MeasuredUsableRangeZeroFabSigmaDrawsNothing) {
+  PcnnaConfig cfg = PcnnaConfig::ideal(); // fab_sigma = 0
+  ASSERT_EQ(0.0, cfg.bank.ring.fab_sigma);
+  Rng draw(33);
+  Rng replica = draw;
+  core::measured_usable_range(cfg, 5, draw);
+  EXPECT_EQ(replica.next_u64(), draw.next_u64());
 }
 
 } // namespace
