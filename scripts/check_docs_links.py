@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Fail on dead relative links in README.md / docs/*.md, and on orphans.
+"""Fail on dead links and dead repo paths in README.md / docs/*.md, and on
+orphans.
 
-Stdlib only (CI's docs job runs it with a bare python3). Two checks:
+Stdlib only (CI's docs job runs it with a bare python3). Three checks:
 
 1. Dead links: every inline markdown link [text](target) whose target is
    not an absolute URL or in-page anchor must resolve (relative to the
    linking file's directory) to a path that exists inside the repo.
-2. Orphan docs: every docs/*.md file must be reachable from README.md by
+2. Dead code paths: every backticked path that starts with one of the
+   repo's source directories (`src/`, `tests/`, `bench/`, `examples/`,
+   `scripts/`, `perfbench/`, `docs/`) must exist, relative to the repo
+   root. A `:line` suffix is dropped, only the span's first word is read
+   (so `scripts/trace_summary.py TRACE.json` checks the script), and a
+   glob such as `tests/test_*.cpp` must match at least one path.
+3. Orphan docs: every docs/*.md file must be reachable from README.md by
    following relative markdown links between .md files — a doc nobody
    links to is a doc nobody reads, and it silently rots.
 
@@ -19,6 +26,11 @@ from pathlib import Path
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+REPO_DIRS = ("src/", "tests/", "bench/", "examples/", "scripts/",
+             "perfbench/", "docs/")
+LINE_SUFFIX = re.compile(r"(:\d+(-\d+)?)+$")
 
 
 def md_links(md: Path) -> list[tuple[str, str, int]]:
@@ -38,7 +50,26 @@ def md_links(md: Path) -> list[tuple[str, str, int]]:
     return links
 
 
-def check_file(md: Path, repo_root: Path) -> list[str]:
+def code_paths(md: Path) -> list[tuple[str, str, int]]:
+    """(path, original span, 1-based line) per backticked repo path in
+    `md`, fenced code blocks skipped, `:line` suffixes dropped."""
+    text = md.read_text(encoding="utf-8")
+    # Blank out fenced blocks but keep their newlines, so line numbers
+    # still count from the original text.
+    text = FENCE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+    paths = []
+    for match in CODE_SPAN.finditer(text):
+        span = match.group(1)
+        if not span.startswith(REPO_DIRS):
+            continue
+        path = LINE_SUFFIX.sub("", span.split()[0])
+        line = text.count("\n", 0, match.start()) + 1
+        paths.append((path, span, line))
+    return paths
+
+
+def check_file(md: Path, repo_root: Path) -> tuple[list[str], int]:
+    """Problems in `md`, and how many backticked repo paths it names."""
     dead = []
     for path, target, line in md_links(md):
         resolved = (md.parent / path).resolve()
@@ -49,7 +80,13 @@ def check_file(md: Path, repo_root: Path) -> list[str]:
             continue
         if not resolved.exists():
             dead.append(f"{md}:{line}: dead link: {target}")
-    return dead
+    paths = code_paths(md)
+    for path, span, line in paths:
+        found = (any(repo_root.glob(path)) if any(c in path for c in "*?[")
+                 else (repo_root / path).exists())
+        if not found:
+            dead.append(f"{md}:{line}: dead repo path: `{span}`")
+    return dead, len(paths)
 
 
 def find_orphans(readme: Path, docs: list[Path]) -> list[str]:
@@ -79,16 +116,19 @@ def main() -> int:
     files = [readme] + docs
     problems = []
     checked = 0
+    paths = 0
     for md in files:
         if not md.exists():
             problems.append(f"expected file is missing: {md}")
             continue
         checked += 1
-        problems.extend(check_file(md, repo_root))
+        dead, named = check_file(md, repo_root)
+        problems.extend(dead)
+        paths += named
     problems.extend(find_orphans(readme, docs))
     for line in problems:
         print(line)
-    print(f"checked {checked} files: "
+    print(f"checked {checked} files and {paths} repo paths: "
           f"{'FAIL' if problems else 'OK'} ({len(problems)} problems)")
     return 1 if problems else 0
 

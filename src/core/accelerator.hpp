@@ -70,6 +70,7 @@ class Accelerator {
                        TimingFidelity fidelity = TimingFidelity::kPaper);
 
   const PcnnaConfig& config() const { return config_; }
+  TimingFidelity fidelity() const { return fidelity_; }
 
   /// Reseed the functional engine's noise RNG. The batch runtime calls
   /// this with a per-request seed before each run() so that results are

@@ -21,8 +21,6 @@ struct GroupSlice {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
   std::uint64_t size() const { return end - begin; }
-
-  friend bool operator==(const GroupSlice&, const GroupSlice&) = default;
 };
 
 /// Complete mapping of one conv layer onto the hardware.
@@ -62,10 +60,6 @@ struct LayerPlan {
   /// ADC conversions over the whole layer (one per kernel per location per
   /// accumulation step that must be digitized).
   std::uint64_t adc_conversions = 0;
-
-  /// Memberwise equality; the planner tests use it to check that cached
-  /// strategies are bit-identical to freshly searched ones.
-  friend bool operator==(const LayerPlan&, const LayerPlan&) = default;
 };
 
 // The ring allocation's geometry: the one place the simulator turns the

@@ -48,10 +48,6 @@ struct LayerTiming {
 
   /// Which constraint dominates full_system_time.
   std::string bottleneck;
-
-  /// Memberwise equality (doubles compared exactly); the planner tests use
-  /// it to check cached strategies are bit-identical to fresh ones.
-  friend bool operator==(const LayerTiming&, const LayerTiming&) = default;
 };
 
 /// Per-location stage times of the kFull pipeline. The closed-form model

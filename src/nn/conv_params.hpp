@@ -25,13 +25,18 @@ struct ConvLayerParams {
   std::uint64_t nc = 0; ///< input feature map number of channels
   std::uint64_t K = 0;  ///< number of kernels (output channels)
 
-  /// Throws pcnna::Error if the shape is degenerate (zero dims, kernel
-  /// larger than the padded input, zero stride).
+  /// Throws pcnna::Error if the shape is degenerate: a zero dimension or
+  /// stride, a kernel larger than the padded input, or padding p >= m (a
+  /// kernel placed wholly inside the padding sees only zeros; poplibs'
+  /// validateLayerParams rejects it too).
   void validate() const {
     PCNNA_CHECK_MSG(n > 0 && m > 0 && nc > 0 && K > 0 && s > 0,
                     "layer '" << name << "': all of n,m,nc,K,s must be > 0");
     PCNNA_CHECK_MSG(n + 2 * p >= m, "layer '" << name
                                               << "': kernel larger than padded input");
+    PCNNA_CHECK_MSG(p < m, "layer '" << name << "': padding p = " << p
+                                     << " must be smaller than the kernel m = "
+                                     << m);
   }
 
   /// Eq. (1): Ninput = n * n * nc.

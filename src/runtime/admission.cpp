@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/planner.hpp"
 #include "runtime/pcu_pool.hpp"
 #include "runtime/telemetry.hpp"
 
@@ -1029,8 +1028,8 @@ class AdmissionRun {
         if (health_[p] == HealthState::kFailed) return; // dead already
         enter_health(p, HealthState::kFailed, e.time);
         // A crash supersedes any pending detection and aborts a repair in
-        // progress (the repair never completes: no repairs count, no
-        // epoch bump — the banks were never re-trimmed).
+        // progress (the repair never completes and does not count: the
+        // banks were never re-trimmed).
         set_timer(p, faults_.health_aware ? TimerKind::kDetectCrash
                                           : TimerKind::kNone,
                   faults_.health_aware ? e.time + faults_.detection_latency
@@ -1092,8 +1091,7 @@ class AdmissionRun {
 
   /// Back in service healthy with freshly re-trimmed, unprogrammed banks,
   /// after a quarantine repair or a kRecover: the next dispatch
-  /// recalibrates from cold, and every calibration artifact planned for
-  /// this configuration goes stale (its plan-cache epoch is bumped).
+  /// recalibrates from cold.
   void rejoin(std::size_t p, double t) {
     enter_health(p, HealthState::kHealthy, t);
     excluded_[p] = 0;
@@ -1102,10 +1100,6 @@ class AdmissionRun {
     force_cold_[p] = 1;
     result_.fault.repairs += 1;
     result_.fault.per_pcu[p].repairs += 1;
-    if (faults_.plan_cache == nullptr) return;
-    faults_.plan_cache->bump_epoch(core::plan_config_key(
-        pool_.pcu(p).config(), pool_.pcu(p).fidelity()));
-    result_.fault.plan_epoch_bumps += 1;
   }
 
   /// Move PCU p into `state` at time t, closing the dwell bucket of the

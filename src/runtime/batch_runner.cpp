@@ -605,10 +605,12 @@ void BatchRunner::print_report(const OpenLoopReport& report, std::ostream& os,
                    std::to_string(report.fault.crash_losses)});
     table.add_row({"transient corruptions",
                    std::to_string(report.fault.transient_corruptions)});
-    // Retry / quarantine rows only when the machinery actually acted:
-    // a fault-blind run (health_aware == false) injects faults but never
-    // retries, quarantines, or repairs — printing those all-zero rows
-    // suggests the feature ran when it was structurally disabled.
+    // Retry / quarantine / repair rows only when that machinery actually
+    // acted: a fault-blind run (health_aware == false) injects faults but
+    // never retries or quarantines — printing those all-zero rows suggests
+    // the feature ran when it was structurally disabled. A blind run still
+    // counts the repairs of external kRecover events, so "repairs" has its
+    // own gate.
     if (report.fault.retries > 0) {
       table.add_row({"retries", std::to_string(report.fault.retries)});
       table.add_row({"recovered requests",
@@ -616,17 +618,13 @@ void BatchRunner::print_report(const OpenLoopReport& report, std::ostream& os,
     }
     table.add_row({"failed requests",
                    std::to_string(report.failed_requests)});
-    if (report.fault.quarantines + report.fault.repairs +
-            report.fault.plan_epoch_bumps >
-        0) {
+    if (report.fault.quarantines > 0)
       table.add_row({"quarantines",
                      std::to_string(report.fault.quarantines)});
+    if (report.fault.repairs > 0)
       table.add_row({"repairs",
                      std::to_string(report.fault.repairs) + " (" +
                          format_time(report.fault.repair_time) + ")"});
-      table.add_row({"plan epoch bumps",
-                     std::to_string(report.fault.plan_epoch_bumps)});
-    }
     if (report.retry_latency.count > 0) {
       table.add_row({"retry latency p99",
                      format_time(report.retry_latency.p99)});

@@ -28,10 +28,6 @@
 
 #include "runtime/request_queue.hpp"
 
-namespace pcnna::core {
-class PlanCache;
-} // namespace pcnna::core
-
 namespace pcnna::runtime {
 
 /// What a FaultEvent does to its PCU when the virtual clock reaches it.
@@ -161,8 +157,9 @@ struct FaultOptions {
   /// pulled from dispatch, lost/corrupted requests are retried (per
   /// `retry`), and detected degrades trigger quarantine/repair. False is
   /// the fault-blind baseline: faults still strike, but the dispatcher
-  /// keeps routing to dead PCUs and nothing is ever retried or repaired —
-  /// every request a crash touches is permanently lost.
+  /// keeps routing to dead PCUs, nothing is retried or quarantined, and
+  /// every request a crash touches is permanently lost. Only an external
+  /// kRecover event repairs a PCU (and counts as a repair) in a blind run.
   bool health_aware = true;
   /// Delay [s] between a fault striking and the health system acting on
   /// it: a crash's loss is noticed (and its retry clock started) only at
@@ -174,12 +171,6 @@ struct FaultOptions {
   /// Fixed extra repair time [s] a quarantined PCU pays on top of the full
   /// recalibration (Pcu::swap_time of its programmed model).
   double repair_time = 0.0;
-  /// Optional plan cache shared with core::Planner integrations: every
-  /// completed repair re-trims the PCU's banks, so its configuration's
-  /// recalibration epoch is bumped (core::PlanCache::bump_epoch(key)) and
-  /// stale calibration artifacts are lazily invalidated. Borrowed; may be
-  /// null.
-  core::PlanCache* plan_cache = nullptr;
 
   bool enabled() const { return !schedule.empty(); }
 };
@@ -257,8 +248,6 @@ struct FaultReport {
   std::size_t repairs = 0;     ///< fleet-total completed repairs
   /// Virtual time PCUs spent paying quarantine repairs [s].
   double repair_time = 0.0;
-  /// Recalibration-epoch bumps issued to FaultOptions::plan_cache.
-  std::size_t plan_epoch_bumps = 0;
   /// Every destroyed attempt, in loss order.
   std::vector<FaultedAttempt> attempts;
   /// Every permanent loss, in loss order.

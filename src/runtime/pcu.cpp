@@ -26,8 +26,6 @@ Pcu::Pcu(std::size_t index, const core::PcnnaConfig& config,
          core::TimingFidelity fidelity, const nn::Network& net,
          const nn::NetWeights& weights, WarmupPolicy warmup, std::string tag)
     : index_(index),
-      config_(config),
-      fidelity_(fidelity),
       accelerator_(config, fidelity),
       warmup_policy_(warmup),
       tag_(std::move(tag)) {
@@ -102,7 +100,7 @@ std::uint32_t Pcu::add_model(const nn::Network& net,
   ModelSlot slot;
   slot.net = &net;
   slot.weights = &weights;
-  slot.whole = range_timings(config_, fidelity_, net, 0, net.ops().size(),
+  slot.whole = range_timings(config(), fidelity(), net, 0, net.ops().size(),
                              &slot.swap_time);
   models_.push_back(slot);
   programs_.emplace_back();
@@ -132,7 +130,7 @@ StageTimings Pcu::stage_timings(std::uint32_t model, std::size_t op_begin,
   PCNNA_CHECK_MSG(op_begin <= op_end && op_end <= slot.net->ops().size(),
                   "stage range [" << op_begin << ", " << op_end
                                   << ") out of bounds for model " << model);
-  return range_timings(config_, fidelity_, *slot.net, op_begin, op_end);
+  return range_timings(config(), fidelity(), *slot.net, op_begin, op_end);
 }
 
 StageHandoff Pcu::serve_stage(std::uint32_t model, std::size_t op_begin,

@@ -198,12 +198,10 @@ class Pcu {
   const PcuStats& stats() const { return stats_; }
   WarmupPolicy warmup_policy() const { return warmup_policy_; }
   const std::string& tag() const { return tag_; }
-  /// This PCU's hardware model (with any engine-thread override applied).
-  /// With fidelity(), identifies the PCU's plan-cache configuration key
-  /// (core::plan_config_key) — the fault-tolerant admission loop bumps that
-  /// key's recalibration epoch when a repair re-trims this PCU's banks.
-  const core::PcnnaConfig& config() const { return config_; }
-  core::TimingFidelity fidelity() const { return fidelity_; }
+  /// This PCU's hardware model (with any engine-thread override applied)
+  /// and timing fidelity: the accelerator's own.
+  const core::PcnnaConfig& config() const { return accelerator_.config(); }
+  core::TimingFidelity fidelity() const { return accelerator_.fidelity(); }
 
   /// Register another model this PCU can be programmed with (borrowed;
   /// must outlive the Pcu). Returns the new model id (dense, starting at
@@ -335,8 +333,6 @@ class Pcu {
                                          bool simulate_values);
 
   std::size_t index_;
-  core::PcnnaConfig config_;
-  core::TimingFidelity fidelity_;
   core::Accelerator accelerator_;
   WarmupPolicy warmup_policy_;
   std::string tag_;

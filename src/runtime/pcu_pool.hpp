@@ -490,12 +490,11 @@ class PcuPool {
   /// lose the in-flight request at fault time and kill the PCU until its
   /// kRecover; degrades inflate the PCU's service times (and downgrade its
   /// capability under the capability-sensitive policies) until detection
-  /// quarantines it for a full recalibration repair — which bumps the
-  /// PCU's configuration epoch in FaultOptions::plan_cache when one is
-  /// attached. Lost/corrupted requests re-enqueue with deadline-aware
-  /// exponential backoff and re-dispatch to a healthy capable PCU, keeping
-  /// their id (hence their per-request seed: a successful retry is
-  /// bit-identical to an undisturbed serve). Retries that cannot meet
+  /// quarantines it for a full recalibration repair. Lost/corrupted
+  /// requests re-enqueue with deadline-aware exponential backoff and
+  /// re-dispatch to a healthy capable PCU, keeping their id (hence their
+  /// per-request seed: a successful retry is bit-identical to an
+  /// undisturbed serve). Retries that cannot meet
   /// their deadline flow into the ordinary shed_expired path; requests
   /// that exhaust the retry budget — or outlive the whole fleet — land in
   /// AdmissionResult::fault.losses and appear in no schedule entry.

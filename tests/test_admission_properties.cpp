@@ -31,7 +31,6 @@
 
 #include "common/rng.hpp"
 #include "core/config.hpp"
-#include "core/planner.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
 #include "runtime/pcu_pool.hpp"
@@ -743,7 +742,8 @@ TEST(AdmissionInvariants, PipelineScheduleBitIdenticalAcrossEngineThreads) {
 
 using golden::Fnv1a;
 
-std::uint64_t admission_digest(const AdmissionResult& r) {
+std::uint64_t admission_digest(const AdmissionResult& r,
+                               const runtime::FaultOptions& faults) {
   Fnv1a h;
   h.u64(r.schedule.size());
   for (const ScheduledService& s : r.schedule) {
@@ -791,10 +791,16 @@ std::uint64_t admission_digest(const AdmissionResult& r) {
   h.u64(r.autoscaler.scale_downs);
   h.f64(r.autoscaler.mean_active);
   const runtime::FaultReport& f = r.fault;
+  // The digests were recorded when the report also counted plan-cache
+  // epoch bumps: one per repair in the health-aware cases, which attached
+  // a cache, and none elsewhere (blind runs repair on kRecover events
+  // without a cache). Hash the value that count had.
+  const std::size_t epoch_bumps =
+      faults.enabled() && faults.health_aware ? f.repairs : 0;
   for (const std::size_t v :
        {f.injections, f.transient_corruptions, f.crash_losses, f.retries,
         f.recovered_requests, f.lost_requests, f.quarantines, f.repairs,
-        f.plan_epoch_bumps})
+        epoch_bumps})
     h.u64(v);
   h.f64(f.repair_time);
   h.u64(f.attempts.size());
@@ -909,8 +915,7 @@ struct GoldenCase {
 /// Every policy x {plain, finite-deadline shedding, autoscaler, blind
 /// faults, health-aware faults}, named "<policy>/<variant>".
 std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
-                                     double interval,
-                                     core::PlanCache* plan_cache) {
+                                     double interval) {
   std::vector<GoldenCase> cases;
   for (const DispatchPolicy policy : runtime::kAllDispatchPolicies) {
     const std::string name = runtime::dispatch_policy_name(policy);
@@ -931,7 +936,6 @@ std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
     aware.faults.detection_latency = 0.5 * interval;
     aware.faults.retry.backoff_base = 0.25 * interval;
     aware.faults.repair_time = 2.0 * interval;
-    aware.faults.plan_cache = plan_cache;
     cases.push_back({name + "/plain", plain});
     cases.push_back({name + "/shed", shed});
     cases.push_back({name + "/autoscaler", scaled});
@@ -941,11 +945,13 @@ std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
   return cases;
 }
 
-/// Expect `r` to hash to the digest recorded for `name`.
+/// Expect `r`, the result of case `c`, to hash to the digest recorded for
+/// its name.
 void expect_digest(const std::map<std::string, std::uint64_t>& expected,
-                   const std::string& name, const AdmissionResult& r) {
+                   const GoldenCase& c, const AdmissionResult& r) {
   ASSERT_GT(r.schedule.size(), 0u);
-  golden::expect_digest(expected, name, admission_digest(r));
+  golden::expect_digest(expected, c.name,
+                        admission_digest(r, c.options.faults));
 }
 
 TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
@@ -978,9 +984,7 @@ TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
       10.0 * interval);
   ASSERT_FALSE(faults.empty());
 
-  core::PlanCache plan_cache;
-  std::vector<GoldenCase> cases =
-      golden_cases(faults, interval, &plan_cache);
+  std::vector<GoldenCase> cases = golden_cases(faults, interval);
   AdmissionOptions serial;
   serial.policy = DispatchPolicy::kLeastLoaded;
   serial.double_buffer = false;
@@ -1039,7 +1043,7 @@ TEST(AdmissionGolden, DigestsMatchThePreMergeLoop) {
                 PcuPool other = build(c.warmup);
                 return admit(other, stream, c.options);
               }();
-    expect_digest(expected, c.name, r);
+    expect_digest(expected, c, r);
   }
 
   // Telemetry of one run dispatched at admission (no queue-depth samples:
@@ -1098,9 +1102,7 @@ TEST(AdmissionGolden, WideFleetDigestsMatchTheScanningLoop) {
   const runtime::FaultSchedule faults = golden_faults(
       kPcus, 40.0 * interval, stream.back().arrival_time, 10.0 * interval);
   ASSERT_FALSE(faults.empty());
-  core::PlanCache plan_cache;
-  const std::vector<GoldenCase> cases =
-      golden_cases(faults, interval, &plan_cache);
+  const std::vector<GoldenCase> cases = golden_cases(faults, interval);
 
   const std::map<std::string, std::uint64_t> expected = {
       {"earliest-free/plain", 0x3f9675aa0f2f4771ull},
@@ -1136,7 +1138,7 @@ TEST(AdmissionGolden, WideFleetDigestsMatchTheScanningLoop) {
   };
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.name);
-    expect_digest(expected, c.name, admit(pool, stream, c.options));
+    expect_digest(expected, c, admit(pool, stream, c.options));
   }
 }
 

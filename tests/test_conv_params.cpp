@@ -1,6 +1,8 @@
 // Table I parameter algebra and the paper's worked numbers (Eqs. 1-3, 6).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/conv_params.hpp"
 #include "nn/models.hpp"
 
@@ -94,6 +96,19 @@ TEST(ConvParams, ValidateRejectsDegenerate) {
   EXPECT_THROW((ConvLayerParams{"z", 4, 7, 0, 1, 1, 1}).validate(), pcnna::Error);
   // But fine with enough padding.
   EXPECT_NO_THROW((ConvLayerParams{"z", 4, 7, 2, 1, 1, 1}).validate());
+  // Padding as wide as the kernel or wider: the outermost kernel
+  // placements would see only padding.
+  EXPECT_THROW((ConvLayerParams{"z", 8, 1, 1, 1, 1, 1}).validate(), pcnna::Error);
+  EXPECT_NO_THROW((ConvLayerParams{"z", 8, 3, 2, 1, 1, 1}).validate());
+  try {
+    (ConvLayerParams{"wide_pad", 8, 3, 3, 1, 1, 1}).validate();
+    ADD_FAILURE() << "accepted padding p = m";
+  } catch (const pcnna::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(std::string::npos, what.find("wide_pad")) << what;
+    EXPECT_NE(std::string::npos, what.find("p = 3")) << what;
+    EXPECT_NE(std::string::npos, what.find("m = 3")) << what;
+  }
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Fault-tolerant serving: the deterministic fault generator and trace
 // format, health-aware dispatch, retry with backoff (bit-identical
-// re-execution), quarantine/repair with plan-cache epoch bumps, and the
-// fault-blind baseline that motivates all of it.
+// re-execution), quarantine/repair, and the fault-blind baseline that
+// motivates all of it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/config.hpp"
-#include "core/planner.hpp"
 #include "nn/models.hpp"
 #include "nn/synth.hpp"
 #include "runtime/batch_runner.hpp"
@@ -381,9 +380,9 @@ TEST(FaultTolerance, BlindDispatchLosesWhatHealthAwareRecovers) {
   EXPECT_EQ(blind_report.requests, aware_report.requests);
 }
 
-// --- Degrade, quarantine, repair, and the plan-cache epoch. ---
+// --- Degrade, quarantine, and repair. ---
 
-TEST(FaultTolerance, QuarantineRepairsDriftAndBumpsThePlanEpoch) {
+TEST(FaultTolerance, QuarantineRepairsDrift) {
   const Served s = make_served(2);
   const PcnnaConfig config = PcnnaConfig::paper_defaults();
   const std::size_t kRequests = 200;
@@ -394,26 +393,18 @@ TEST(FaultTolerance, QuarantineRepairsDriftAndBumpsThePlanEpoch) {
   const ArrivalSchedule arrivals =
       runtime::poisson_arrivals(kRequests, 0.5 * capacity, 31);
 
-  core::PlanCache cache;
-  const std::uint64_t key = core::plan_config_key(
-      probe.pool().pcu(1).config(), probe.pool().pcu(1).fidelity());
-  const std::uint64_t epoch_before = cache.epoch(key);
-
   BatchRunnerOptions dopts = options(2);
   dopts.faults.schedule = {
       {10.0 * interval, 1, FaultKind::kDegrade, 2.0},
   };
   dopts.faults.detection_latency = interval;
   dopts.faults.repair_time = 3.0 * interval;
-  dopts.faults.plan_cache = &cache;
   BatchRunner runner(config, s.net, s.weights, dopts);
   const OpenLoopReport report = runner.simulate_open_loop(arrivals);
 
   EXPECT_EQ(1u, report.fault.quarantines);
   EXPECT_EQ(1u, report.fault.repairs);
   EXPECT_GE(report.fault.repair_time, dopts.faults.repair_time);
-  EXPECT_EQ(1u, report.fault.plan_epoch_bumps);
-  EXPECT_EQ(epoch_before + 1, cache.epoch(key));
 
   ASSERT_EQ(2u, report.fault.per_pcu.size());
   const runtime::PcuHealthStats& h = report.fault.per_pcu[1];
@@ -429,6 +420,49 @@ TEST(FaultTolerance, QuarantineRepairsDriftAndBumpsThePlanEpoch) {
   // Nothing was permanently lost: drift slows, it does not destroy.
   EXPECT_EQ(0u, report.failed_requests);
   EXPECT_EQ(kRequests, report.served_requests);
+}
+
+// A fault-blind run never quarantines or retries, but an external kRecover
+// still repairs the crashed PCU. The printed report shows that repair and
+// no zero-filled quarantine row.
+TEST(FaultTolerance, BlindRunReportsRecoverRepairWithoutQuarantineRow) {
+  Rng rng(21);
+  const nn::Network net = nn::lenet5();
+  const nn::NetWeights weights = nn::make_network_weights(net, rng);
+  std::vector<nn::Tensor> inputs;
+  for (std::size_t i = 0; i < 8; ++i)
+    inputs.push_back(nn::make_network_input(net, rng));
+  const PcnnaConfig config = PcnnaConfig::paper_defaults();
+
+  BatchRunner probe(config, net, weights, options(2));
+  const double interval = probe.pool().pcu(0).request_interval_overlapped();
+  const double warmup = probe.pool().pcu(0).warmup_time();
+
+  BatchRunnerOptions bopts = options(2);
+  bopts.faults.health_aware = false;
+  bopts.faults.schedule = {
+      {warmup + 0.5 * interval, 1, FaultKind::kCrash, 1.0},
+      {warmup + 2.5 * interval, 1, FaultKind::kRecover, 1.0},
+  };
+  BatchRunner runner(config, net, weights, bopts);
+  OpenLoopReport report;
+  runner.run_open_loop(inputs, ArrivalSchedule(inputs.size(), 0.0), &report);
+
+  EXPECT_EQ(2u, report.fault.injections);
+  EXPECT_EQ(1u, report.fault.repairs);
+  EXPECT_EQ(0u, report.fault.quarantines);
+  EXPECT_EQ(0u, report.fault.retries);
+  ASSERT_EQ(2u, report.fault.per_pcu.size());
+  EXPECT_EQ(1u, report.fault.per_pcu[1].repairs);
+
+  std::ostringstream os;
+  BatchRunner::print_report(report, os, "blind recover");
+  // Rows of the summary table start a line with their label cell; the
+  // per-PCU health table names both only as column headers.
+  const std::string text = "\n" + os.str();
+  EXPECT_NE(std::string::npos, text.find("\n| repairs ")) << text;
+  EXPECT_EQ(std::string::npos, text.find("\n| quarantines ")) << text;
+  EXPECT_EQ(std::string::npos, text.find("\n| retries ")) << text;
 }
 
 // An undetected degrade (blind mode) inflates service times for the rest

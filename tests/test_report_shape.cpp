@@ -1,9 +1,9 @@
 // Regression tests for the shape of the printed OpenLoopReport.
 //
 // The fault section of print_report once printed "retries", "recovered
-// requests", "quarantines", "repairs", "plan epoch bumps", and "retry
-// latency p99" rows whenever any fault was injected — including fault-blind
-// runs (health_aware == false) where the retry/quarantine machinery is
+// requests", "quarantines", "repairs", and "retry latency p99" rows
+// whenever any fault was injected — including fault-blind runs
+// (health_aware == false) where the retry/quarantine machinery is
 // structurally disabled and those rows are guaranteed zeros. The rows are
 // now gated on the machinery actually acting; these tests pin the gating
 // by printing hand-built reports and asserting on the rendered rows.
@@ -62,7 +62,6 @@ TEST(ReportShape, FaultBlindRunHidesRetryAndQuarantineRows) {
   EXPECT_EQ(std::string::npos, text.find("recovered requests"));
   EXPECT_EQ(std::string::npos, text.find("quarantines"));
   EXPECT_EQ(std::string::npos, text.find("repairs"));
-  EXPECT_EQ(std::string::npos, text.find("plan epoch bumps"));
   EXPECT_EQ(std::string::npos, text.find("retry latency"));
 }
 
@@ -75,7 +74,6 @@ TEST(ReportShape, HealthAwareRunPrintsTheFullFaultSection) {
   r.fault.quarantines = 1;
   r.fault.repairs = 1;
   r.fault.repair_time = 0.25;
-  r.fault.plan_epoch_bumps = 1;
   r.retry_latency.count = 2;
   r.retry_latency.p99 = 0.5;
 
@@ -85,7 +83,6 @@ TEST(ReportShape, HealthAwareRunPrintsTheFullFaultSection) {
   EXPECT_NE(std::string::npos, text.find("recovered requests"));
   EXPECT_NE(std::string::npos, text.find("quarantines"));
   EXPECT_NE(std::string::npos, text.find("repairs"));
-  EXPECT_NE(std::string::npos, text.find("plan epoch bumps"));
   EXPECT_NE(std::string::npos, text.find("retry latency p99"));
 }
 
@@ -101,7 +98,6 @@ TEST(ReportShape, RetriesWithoutQuarantinesPrintsOnlyRetryRows) {
   EXPECT_NE(std::string::npos, text.find("retries"));
   EXPECT_NE(std::string::npos, text.find("recovered requests"));
   EXPECT_EQ(std::string::npos, text.find("quarantines"));
-  EXPECT_EQ(std::string::npos, text.find("plan epoch bumps"));
 }
 
 } // namespace
