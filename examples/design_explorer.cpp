@@ -10,12 +10,15 @@
 //                   [--json]
 //
 // --json emits the same report as a machine-readable JSON document instead
-// of tables (for sweeping this binary from scripts).
+// of tables (for sweeping this binary from scripts). A malformed number, a
+// signed count or a design point PcnnaConfig::validate() rejects exits 2
+// with a message naming the flag or the config field.
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
 #include "common/report.hpp"
@@ -34,8 +37,23 @@ namespace {
   std::cerr << "usage: " << argv0
             << " [--network alexnet|vgg16|lenet5] [--ndac N] [--clock-ghz F]"
                " [--max-wavelengths N] [--allocation full|per-channel]"
-               " [--fidelity paper|full]\n";
+               " [--fidelity paper|full] [--json]\n";
   std::exit(2);
+}
+
+/// `text` parsed whole as a T; from_chars takes no sign for an unsigned T,
+/// so a count rejects "-1" instead of wrapping it.
+template <class T>
+T parse_number(const char* argv0, const std::string& flag,
+               const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end) {
+    std::cerr << argv0 << ": bad value '" << text << "' for " << flag << '\n';
+    usage(argv0);
+  }
+  return value;
 }
 
 } // namespace
@@ -59,11 +77,11 @@ int main(int argc, char** argv) {
     if (arg == "--network") {
       network = next();
     } else if (arg == "--ndac") {
-      cfg.num_input_dacs = std::stoul(next());
+      cfg.num_input_dacs = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--clock-ghz") {
-      cfg.fast_clock = std::stod(next()) * u::GHz;
+      cfg.fast_clock = parse_number<double>(argv[0], arg, next()) * u::GHz;
     } else if (arg == "--max-wavelengths") {
-      cfg.max_wavelengths = std::stoul(next());
+      cfg.max_wavelengths = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--allocation") {
       const std::string v = next();
       if (v == "full") {
@@ -98,7 +116,12 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  cfg.validate();
+  try {
+    cfg.validate();
+  } catch (const Error& e) {
+    std::cerr << argv[0] << ": " << e.what() << '\n';
+    return 2;
+  }
   const core::TimingModel timing(cfg, fidelity);
   const core::RingCountModel rings;
   const core::Scheduler scheduler(cfg);

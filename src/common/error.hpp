@@ -25,6 +25,15 @@ namespace detail {
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }
+
+template <class T>
+[[noreturn]] void throw_field_failure(const char* path, const char* field,
+                                      const T& value, const char* rule) {
+  std::ostringstream os;
+  if (*path) os << path << '.';
+  os << field << " = " << value << " must be " << rule;
+  throw Error(os.str());
+}
 } // namespace detail
 
 } // namespace pcnna
@@ -45,6 +54,15 @@ namespace detail {
       ::pcnna::detail::throw_check_failure(#expr, __FILE__, __LINE__,         \
                                            pcnna_check_os_.str());            \
     }                                                                         \
+  } while (false)
+
+/// Config-field check: unless `ok`, throws pcnna::Error naming the field
+/// under `path` with its value ("bank.ring.q_factor = 0.5 must be > 1"); an
+/// empty `path` is PcnnaConfig's top level. Formats nothing on success.
+#define PCNNA_CHECK_FIELD(path, field, ok, rule)                              \
+  do {                                                                        \
+    if (!(ok))                                                                \
+      ::pcnna::detail::throw_field_failure(path, #field, field, rule);        \
   } while (false)
 
 /// Debug-only check for hot paths; disappears when NDEBUG is defined.

@@ -34,12 +34,7 @@ std::optional<nn::ConvLayerParams> offloaded_layer(const PcnnaConfig& config,
 }
 
 Accelerator::Accelerator(PcnnaConfig config, TimingFidelity fidelity)
-    : config_(std::move(config)),
-      fidelity_(fidelity),
-      scheduler_(config_),
-      timing_(config_, fidelity),
-      energy_(config_),
-      engine_(config_) {}
+    : fidelity_(fidelity), engine_(std::move(config)) {}
 
 NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                                       const nn::NetWeights& weights,
@@ -61,6 +56,9 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                   "input does not match network '" << net.name()
                                                    << "' at op " << op_begin);
 
+  const Scheduler scheduler(config());
+  const TimingModel timing(config(), fidelity_);
+  const EnergyModel energy(config());
   NetworkRunReport report;
   nn::Tensor x = input;
   // Offload one layer to the optical core: price its plan, simulate it (or
@@ -70,8 +68,8 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                            const auto& simulate, const auto& golden) {
     LayerRunReport layer;
     layer.layer_name = params.name;
-    layer.timing = timing_.layer_time(params);
-    layer.energy = energy_.layer_energy(scheduler_.plan(params), layer.timing);
+    layer.timing = timing.layer_time(params);
+    layer.energy = energy.layer_energy(scheduler.plan(params), layer.timing);
     if (simulate_values) {
       nn::Tensor sim_out = simulate(layer.engine);
       if (compare_reference) compare_layer(sim_out, golden(), layer);
@@ -91,7 +89,7 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
     const nn::Tensor& b = weights.bias[i];
     const auto golden_fc = [&] { return nn::fully_connected(x, w, b); };
     const std::optional<nn::ConvLayerParams> offloaded =
-        offloaded_layer(config_, net, i);
+        offloaded_layer(config(), net, i);
     switch (op.kind) {
       case nn::OpKind::kConv:
         report.conv_layers.push_back(offload(

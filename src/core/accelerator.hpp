@@ -5,7 +5,9 @@
 // with feature maps round-tripping through off-chip DRAM; everything else
 // (ReLU, pooling, LRN, FC, softmax) runs in the electronic domain. Produces
 // per-layer timing, energy, and engine statistics, plus numerical-fidelity
-// metrics against the golden CPU reference.
+// metrics against the golden CPU reference. The engine holds the chip's
+// only PcnnaConfig; each run prices its layers with a Scheduler,
+// TimingModel and EnergyModel built from it on the stack.
 #pragma once
 
 #include <optional>
@@ -69,7 +71,7 @@ class Accelerator {
   explicit Accelerator(PcnnaConfig config,
                        TimingFidelity fidelity = TimingFidelity::kPaper);
 
-  const PcnnaConfig& config() const { return config_; }
+  const PcnnaConfig& config() const { return engine_.config(); }
   TimingFidelity fidelity() const { return fidelity_; }
 
   /// Reseed the functional engine's noise RNG. The batch runtime calls
@@ -125,13 +127,6 @@ class Accelerator {
                              std::size_t op_end, bool simulate_values = true,
                              std::span<LayerProgram> programs = {});
 
-  // Batch timing lives in runtime::BatchRunner / FleetReport: the old
-  // Accelerator::run_batch / BatchReport pair was deprecated in PR 3 and
-  // deleted in PR 4 (ROADMAP deprecation plan step 3). Field mapping:
-  // images -> FleetReport::requests, time_per_image -> request_time_serial,
-  // total_time -> makespan_sequential, images_per_second -> sequential_rps,
-  // energy_per_image -> energy_per_request.
-
  private:
   /// The op loop behind run() and run_range(). Runs each layer's golden
   /// reference beside its simulated values only when `compare_reference`.
@@ -142,11 +137,7 @@ class Accelerator {
                            bool compare_reference,
                            std::span<LayerProgram> programs);
 
-  PcnnaConfig config_;
   TimingFidelity fidelity_;
-  Scheduler scheduler_;
-  TimingModel timing_;
-  EnergyModel energy_;
   OpticalConvEngine engine_;
 };
 

@@ -70,15 +70,29 @@ PcnnaConfig PcnnaConfig::small_core() {
 }
 
 void PcnnaConfig::validate() const {
-  PCNNA_CHECK(fast_clock > 0.0);
-  PCNNA_CHECK(num_input_dacs >= 1);
-  PCNNA_CHECK(num_adcs >= 1);
-  PCNNA_CHECK(word_bits >= 1);
-  PCNNA_CHECK(sram_port_words >= 1);
-  PCNNA_CHECK(max_wavelengths >= 1);
-  PCNNA_CHECK(adc_headroom > 0.0);
-  PCNNA_CHECK(stuck_ring_rate >= 0.0 && stuck_ring_rate <= 1.0);
-  PCNNA_CHECK(engine_threads >= 1);
+  PCNNA_CHECK_FIELD("", fast_clock, fast_clock > 0.0, "> 0");
+  PCNNA_CHECK_FIELD("", num_input_dacs, num_input_dacs >= 1, ">= 1");
+  input_dac.validate("input_dac");
+  weight_dac.validate("weight_dac");
+  PCNNA_CHECK_FIELD("", num_adcs, num_adcs >= 1, ">= 1");
+  adc.validate("adc");
+  sram.validate("sram");
+  dram.validate("dram");
+  PCNNA_CHECK_FIELD("", word_bits, word_bits >= 1, ">= 1");
+  PCNNA_CHECK_FIELD("", sram_port_words, sram_port_words >= 1, ">= 1");
+  bank.ring.validate("bank.ring");
+  bank.photodiode.validate("bank.photodiode");
+  bank.validate("bank");
+  mzm.validate("mzm");
+  laser.validate("laser");
+  waveguide.validate("waveguide");
+  PCNNA_CHECK_FIELD("", max_wavelengths, max_wavelengths >= 1, ">= 1");
+  PCNNA_CHECK_FIELD("", ring_settle_time, ring_settle_time >= 0.0, ">= 0");
+  PCNNA_CHECK_FIELD("", stuck_ring_rate,
+                    stuck_ring_rate >= 0.0 && stuck_ring_rate <= 1.0,
+                    "in [0, 1]");
+  PCNNA_CHECK_FIELD("", adc_headroom, adc_headroom > 0.0, "> 0");
+  PCNNA_CHECK_FIELD("", engine_threads, engine_threads >= 1, ">= 1");
 }
 
 } // namespace pcnna::core

@@ -133,7 +133,8 @@ struct PcnnaConfig {
   /// runtime::PcuSpec).
   static PcnnaConfig small_core();
 
-  /// Throws pcnna::Error if fields are inconsistent.
+  /// Throws pcnna::Error naming the first bad field by its path, nested
+  /// device fields included ("bank.ring.q_factor = 0.5 must be > 1").
   void validate() const;
 
   /// Memberwise equality. The serving runtime uses this to detect whether

@@ -49,18 +49,4 @@ EnergyReport EnergyModel::layer_energy(const LayerPlan& plan,
   return e;
 }
 
-std::vector<EnergyReport> EnergyModel::network_energy(
-    const std::vector<nn::ConvLayerParams>& layers,
-    TimingFidelity fidelity) const {
-  const Scheduler scheduler(config_);
-  const TimingModel timing(config_, fidelity);
-  std::vector<EnergyReport> reports;
-  reports.reserve(layers.size());
-  for (const nn::ConvLayerParams& layer : layers) {
-    reports.push_back(
-        layer_energy(scheduler.plan(layer), timing.layer_time(layer)));
-  }
-  return reports;
-}
-
 } // namespace pcnna::core

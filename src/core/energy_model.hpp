@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/scheduler.hpp"
@@ -43,11 +42,6 @@ class EnergyModel {
   /// power-type consumers integrate over.
   EnergyReport layer_energy(const LayerPlan& plan,
                             const LayerTiming& timing) const;
-
-  /// Convenience: plan + time + price a conv stack at the given fidelity.
-  std::vector<EnergyReport> network_energy(
-      const std::vector<nn::ConvLayerParams>& layers,
-      TimingFidelity fidelity) const;
 
  private:
   PcnnaConfig config_;

@@ -82,12 +82,4 @@ LayerPlan Scheduler::plan(const nn::ConvLayerParams& layer) const {
   return plan;
 }
 
-std::vector<LayerPlan> Scheduler::plan_network(
-    const std::vector<nn::ConvLayerParams>& layers) const {
-  std::vector<LayerPlan> plans;
-  plans.reserve(layers.size());
-  for (const nn::ConvLayerParams& layer : layers) plans.push_back(plan(layer));
-  return plans;
-}
-
 } // namespace pcnna::core

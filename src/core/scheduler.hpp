@@ -85,15 +85,9 @@ class Scheduler {
  public:
   explicit Scheduler(PcnnaConfig config);
 
-  const PcnnaConfig& config() const { return config_; }
-
   /// Build the mapping for one layer. Throws if the working set cannot fit
   /// the SRAM cache or the layer is degenerate.
   LayerPlan plan(const nn::ConvLayerParams& layer) const;
-
-  /// Plans for a whole conv stack.
-  std::vector<LayerPlan> plan_network(
-      const std::vector<nn::ConvLayerParams>& layers) const;
 
  private:
   PcnnaConfig config_;

@@ -23,10 +23,9 @@ LocationStages location_stages(const PcnnaConfig& config, std::uint64_t fresh,
   return st;
 }
 
+// scheduler_ validates the config.
 TimingModel::TimingModel(PcnnaConfig config, TimingFidelity fidelity)
-    : config_(std::move(config)), fidelity_(fidelity), scheduler_(config_) {
-  config_.validate();
-}
+    : config_(std::move(config)), fidelity_(fidelity), scheduler_(config_) {}
 
 double TimingModel::updated_inputs_per_dac(
     const nn::ConvLayerParams& layer) const {

@@ -77,7 +77,6 @@ class TimingModel {
  public:
   TimingModel(PcnnaConfig config, TimingFidelity fidelity);
 
-  const PcnnaConfig& config() const { return config_; }
   TimingFidelity fidelity() const { return fidelity_; }
 
   /// Eq. (8): input values each DAC must convert per kernel location,

@@ -17,6 +17,7 @@ struct AdcConfig {
   double power = 44.6 * units::mW;       ///< active power draw (paper [17])
   double full_scale = 1.0;               ///< input range is [-fs, +fs]
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const AdcConfig&, const AdcConfig&) = default;
 };
 

@@ -20,6 +20,7 @@ struct DacConfig {
   double power = 350.0 * units::mW;     ///< active power draw
   double full_scale = 1.0;              ///< output range is [0, full_scale]
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const DacConfig&, const DacConfig&) = default;
 };
 

@@ -2,10 +2,13 @@
 
 namespace pcnna::elec {
 
-Dram::Dram(DramConfig config) : config_(config) {
-  PCNNA_CHECK(config.bandwidth > 0.0);
-  PCNNA_CHECK(config.first_access_latency >= 0.0);
-  PCNNA_CHECK(config.energy_per_byte >= 0.0);
+void DramConfig::validate(const char* path) const {
+  PCNNA_CHECK_FIELD(path, bandwidth, bandwidth > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, first_access_latency, first_access_latency >= 0.0,
+                    ">= 0");
+  PCNNA_CHECK_FIELD(path, energy_per_byte, energy_per_byte >= 0.0, ">= 0");
 }
+
+Dram::Dram(DramConfig config) : config_(config) { config.validate("dram"); }
 
 } // namespace pcnna::elec

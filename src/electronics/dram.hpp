@@ -18,6 +18,7 @@ struct DramConfig {
   double first_access_latency = 50.0 * units::ns; ///< row activate + CAS
   double energy_per_byte = 20.0 * units::pJ; ///< access energy
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const DramConfig&, const DramConfig&) = default;
 };
 

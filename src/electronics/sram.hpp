@@ -24,6 +24,7 @@ struct SramConfig {
   double access_energy = 2.0 * units::pJ;   ///< per-word access energy
   double retention_power = 25.0 * units::uW;///< static draw (paper [15] class)
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const SramConfig&, const SramConfig&) = default;
 };
 

@@ -7,11 +7,16 @@
 
 namespace pcnna::phot {
 
+void LaserConfig::validate(const char* path) const {
+  PCNNA_CHECK_FIELD(path, power, power > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, rin_db_per_hz, rin_db_per_hz < 0.0, "< 0");
+  PCNNA_CHECK_FIELD(path, wall_plug_efficiency,
+                    wall_plug_efficiency > 0.0 && wall_plug_efficiency <= 1.0,
+                    "in (0, 1]");
+}
+
 LaserDiode::LaserDiode(LaserConfig config) : config_(config) {
-  PCNNA_CHECK(config.power > 0.0);
-  PCNNA_CHECK(config.rin_db_per_hz < 0.0);
-  PCNNA_CHECK(config.wall_plug_efficiency > 0.0 &&
-              config.wall_plug_efficiency <= 1.0);
+  config.validate("laser");
 }
 
 double LaserDiode::emit(double bandwidth, Rng& rng) const {

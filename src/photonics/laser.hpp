@@ -21,6 +21,7 @@ struct LaserConfig {
   double rin_db_per_hz = -155.0;    ///< relative intensity noise [dB/Hz]
   double wall_plug_efficiency = 0.2;///< electrical->optical efficiency
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const LaserConfig&, const LaserConfig&) = default;
 };
 

@@ -8,18 +8,23 @@
 
 namespace pcnna::phot {
 
+void MicroringConfig::validate(const char* path) const {
+  PCNNA_CHECK_FIELD(path, design_wavelength, design_wavelength > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, q_factor, q_factor > 1.0, "> 1");
+  PCNNA_CHECK_FIELD(path, max_drop, max_drop > 0.0 && max_drop <= 1.0,
+                    "in (0, 1]");
+  PCNNA_CHECK_FIELD(path, insertion_loss_db, insertion_loss_db >= 0.0, ">= 0");
+  PCNNA_CHECK_FIELD(path, max_detuning, max_detuning > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, tuning_bits, tuning_bits >= 1 && tuning_bits <= 48,
+                    "in [1, 48]");
+  PCNNA_CHECK_FIELD(path, thermal_efficiency, thermal_efficiency > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, fab_sigma, fab_sigma >= 0.0, ">= 0");
+  PCNNA_CHECK_FIELD(path, footprint_side, footprint_side > 0.0, "> 0");
+}
+
 MicroringResonator::MicroringResonator(MicroringConfig config, Rng& rng)
     : config_(config), loss_factor_(from_db(-config.insertion_loss_db)) {
-  PCNNA_CHECK(config.design_wavelength > 0.0);
-  PCNNA_CHECK(config.q_factor > 1.0);
-  PCNNA_CHECK(config.max_drop > 0.0 && config.max_drop <= 1.0);
-  PCNNA_CHECK(config.insertion_loss_db >= 0.0);
-  PCNNA_CHECK(config.max_detuning > 0.0);
-  PCNNA_CHECK(config.tuning_bits >= 1 && config.tuning_bits <= 48);
-  PCNNA_CHECK(config.thermal_efficiency > 0.0);
-  PCNNA_CHECK(config.fab_sigma >= 0.0);
-  PCNNA_CHECK(config.footprint_side > 0.0);
-
+  config.validate("ring");
   const double offset =
       config.fab_sigma > 0.0 ? rng.normal(0.0, config.fab_sigma) : 0.0;
   natural_resonance_ = config.design_wavelength + offset;

@@ -29,6 +29,7 @@ struct MicroringConfig {
   /// Ring footprint (paper SS V-A cites 25 um x 25 um per ring [10]).
   double footprint_side = 25.0 * units::um;
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const MicroringConfig&,
                          const MicroringConfig&) = default;
 };

@@ -11,14 +11,19 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 }
 
+void MzmConfig::validate(const char* path) const {
+  PCNNA_CHECK_FIELD(path, v_pi, v_pi > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, insertion_loss_db, insertion_loss_db >= 0.0, ">= 0");
+  PCNNA_CHECK_FIELD(path, extinction_ratio_db, extinction_ratio_db > 0.0,
+                    "> 0");
+  PCNNA_CHECK_FIELD(path, bandwidth, bandwidth > 0.0, "> 0");
+}
+
 MachZehnderModulator::MachZehnderModulator(MzmConfig config)
     : config_(config),
       loss_factor_(from_db(-config.insertion_loss_db)),
       floor_(from_db(-config.extinction_ratio_db)) {
-  PCNNA_CHECK(config.v_pi > 0.0);
-  PCNNA_CHECK(config.insertion_loss_db >= 0.0);
-  PCNNA_CHECK(config.extinction_ratio_db > 0.0);
-  PCNNA_CHECK(config.bandwidth > 0.0);
+  config.validate("mzm");
 }
 
 double MachZehnderModulator::raw_transfer(double volts) const {

@@ -23,6 +23,7 @@ struct MzmConfig {
   bool predistort = true;           ///< apply arcsine predistortion
   double bandwidth = 20.0 * units::GHz; ///< 3 dB modulation bandwidth
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const MzmConfig&, const MzmConfig&) = default;
 };
 

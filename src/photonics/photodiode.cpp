@@ -6,11 +6,15 @@
 
 namespace pcnna::phot {
 
+void PhotodiodeConfig::validate(const char* path) const {
+  PCNNA_CHECK_FIELD(path, responsivity, responsivity > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, dark_current, dark_current >= 0.0, ">= 0");
+  PCNNA_CHECK_FIELD(path, temperature, temperature > 0.0, "> 0");
+  PCNNA_CHECK_FIELD(path, load_resistance, load_resistance > 0.0, "> 0");
+}
+
 Photodiode::Photodiode(PhotodiodeConfig config) : config_(config) {
-  PCNNA_CHECK(config.responsivity > 0.0);
-  PCNNA_CHECK(config.dark_current >= 0.0);
-  PCNNA_CHECK(config.temperature > 0.0);
-  PCNNA_CHECK(config.load_resistance > 0.0);
+  config.validate("photodiode");
 }
 
 double Photodiode::noise_sigma(double current, double bandwidth) const {

@@ -22,6 +22,7 @@ struct PhotodiodeConfig {
   bool enable_shot_noise = true;
   bool enable_thermal_noise = true;
 
+  void validate(const char* path) const; ///< throws naming a bad field
   friend bool operator==(const PhotodiodeConfig&,
                          const PhotodiodeConfig&) = default;
 };

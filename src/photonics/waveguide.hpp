@@ -17,6 +17,13 @@ struct WaveguideConfig {
   double propagation_loss_db_per_cm = 2.0; ///< silicon strip waveguide
   double splitter_excess_loss_db = 0.1;    ///< per 1x2 split stage
 
+  /// Throws pcnna::Error naming the first bad field under `path`.
+  void validate(const char* path) const {
+    PCNNA_CHECK_FIELD(path, propagation_loss_db_per_cm,
+                      propagation_loss_db_per_cm >= 0.0, ">= 0");
+    PCNNA_CHECK_FIELD(path, splitter_excess_loss_db,
+                      splitter_excess_loss_db >= 0.0, ">= 0");
+  }
   friend bool operator==(const WaveguideConfig&,
                          const WaveguideConfig&) = default;
 };
@@ -25,8 +32,7 @@ struct WaveguideConfig {
 class Waveguide {
  public:
   explicit Waveguide(WaveguideConfig config) : config_(config) {
-    PCNNA_CHECK(config.propagation_loss_db_per_cm >= 0.0);
-    PCNNA_CHECK(config.splitter_excess_loss_db >= 0.0);
+    config.validate("waveguide");
   }
 
   const WaveguideConfig& config() const { return config_; }

@@ -7,12 +7,17 @@
 
 namespace pcnna::phot {
 
+void WeightBankConfig::validate(const char* path) const {
+  PCNNA_CHECK_FIELD(path, calibration_iterations, calibration_iterations >= 0,
+                    ">= 0");
+}
+
 WeightBank::WeightBank(const WdmGrid& grid, WeightBankConfig config, Rng& rng)
     : grid_(grid),
       config_(config),
       pd_(config.photodiode),
       through_loss_factor_(from_db(-config.ring.insertion_loss_db)) {
-  PCNNA_CHECK(config.calibration_iterations >= 0);
+  config.validate("bank");
   reserve(grid.channels());
   refabricate(grid, rng);
 }

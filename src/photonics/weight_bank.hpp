@@ -32,6 +32,7 @@ struct WeightBankConfig {
   bool model_crosstalk = true;    ///< rings also act on neighboring channels
   int calibration_iterations = 4; ///< fixed-point crosstalk-cancel passes
 
+  void validate(const char* path) const; ///< calibration_iterations only
   friend bool operator==(const WeightBankConfig&,
                          const WeightBankConfig&) = default;
 };

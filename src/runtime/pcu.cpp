@@ -61,6 +61,7 @@ StageTimings range_timings(const core::PcnnaConfig& config,
   std::vector<double> nonrecal(layers.size(), 0.0);
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const core::LayerTiming t = timing.layer_time(layers[i]);
+    const core::LayerPlan plan = scheduler.plan(layers[i]);
     recal[i] = t.weight_load_time;
     nonrecal[i] =
         std::max(t.full_system_time - t.weight_load_time, t.dram_time);
@@ -69,7 +70,8 @@ StageTimings range_timings(const core::PcnnaConfig& config,
     // config needs for the layer (1 when the receptive field fits a
     // full-kernel bank; channel-group segments x per-channel passes
     // otherwise).
-    st.split_passes += scheduler.plan(layers[i]).cycles_per_location;
+    st.split_passes += plan.cycles_per_location;
+    st.energy += energy.layer_energy(plan, t).total();
   }
 
   // Steady-state interval: layer i's optical pass of image r overlaps the
@@ -88,8 +90,6 @@ StageTimings range_timings(const core::PcnnaConfig& config,
   // the interval is capped there.
   st.interval = std::min(st.interval, st.serial);
   st.pin = layers.empty() ? 0.0 : recal.front();
-  for (const core::EnergyReport& e : energy.network_energy(layers, fidelity))
-    st.energy += e.total();
   return st;
 }
 

@@ -4,9 +4,10 @@
 // of the fleet's registered models and serves InferenceRequests one at a
 // time. Since the fleet became heterogeneous, each Pcu carries its *own*
 // PcnnaConfig (ring/WDM budget, DAC counts, fidelity-limited usable range),
-// its warmup policy, and a free-form capability tag — a fleet can mix
-// big-budget PCUs for wide layers with small cheap ones. Besides the
-// functional run it prices each request two ways:
+// held once, in the accelerator's engine, plus its warmup policy and a
+// free-form capability tag — a fleet can mix big-budget PCUs for wide
+// layers with small cheap ones. Besides the functional run it prices each
+// request two ways:
 //
 //  * serial: the paper's single-image schedule — every layer pays its
 //    weight-bank reprogramming (MRR retuning + thermal settling) before its
@@ -198,8 +199,8 @@ class Pcu {
   const PcuStats& stats() const { return stats_; }
   WarmupPolicy warmup_policy() const { return warmup_policy_; }
   const std::string& tag() const { return tag_; }
-  /// This PCU's hardware model (with any engine-thread override applied)
-  /// and timing fidelity: the accelerator's own.
+  /// This PCU's hardware model (with any engine-thread override applied;
+  /// the engine's copy, the Pcu's only one) and timing fidelity.
   const core::PcnnaConfig& config() const { return accelerator_.config(); }
   core::TimingFidelity fidelity() const { return accelerator_.fidelity(); }
 
@@ -244,8 +245,8 @@ class Pcu {
                            double energy_so_far, bool simulate_values);
 
   /// Serving constants for the stage [op_begin, op_end) of `model`,
-  /// computed on demand from this PCU's timing/energy/plan models by the
-  /// same formula as the whole-model constants, which are exactly
+  /// computed on demand from this PCU's config by the same formula as the
+  /// whole-model constants, which are exactly
   /// stage_timings(model, 0, ops) (serial, interval, pin = warmup, energy,
   /// split_passes).
   StageTimings stage_timings(std::uint32_t model, std::size_t op_begin,

@@ -32,6 +32,13 @@ PcuPool::PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
                  const nn::Network& net, const nn::NetWeights& weights) {
   PCNNA_CHECK_MSG(!specs.empty(), "a PcuPool needs at least one PCU");
   nn::validate_weights(net, weights);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      specs[i].config.validate();
+    } catch (const Error& e) {
+      throw Error("PCU " + std::to_string(i) + ": " + e.what());
+    }
+  }
   pcus_.reserve(specs.size());
   const core::PcnnaConfig& reference = specs.front().config;
   std::size_t min_passes = std::numeric_limits<std::size_t>::max();

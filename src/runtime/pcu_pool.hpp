@@ -325,8 +325,9 @@ class PcuPool {
   /// and must outlive the pool; `specs` is consumed. `fidelity` applies
   /// fleet-wide (it selects the timing *model*, not a device budget).
   /// Throws if `specs` is empty, `weights` do not fit `net`
-  /// (nn::validate_weights, checked before any PCU is built) or any spec's
-  /// config cannot map the network (SRAM working-set overflow).
+  /// (nn::validate_weights) or a spec fails PcnnaConfig::validate ("PCU 3:
+  /// bank.ring.q_factor = 0.5 must be > 1"), all checked before any PCU is
+  /// built, or if any spec's config cannot map the network (SRAM overflow).
   PcuPool(std::vector<PcuSpec> specs, core::TimingFidelity fidelity,
           const nn::Network& net, const nn::NetWeights& weights);
 

@@ -75,14 +75,6 @@ TEST(Energy, DramEnergyMatchesTraffic) {
   EXPECT_NEAR(bytes * cfg.dram.energy_per_byte, e.dram, 1e-15);
 }
 
-TEST(Energy, NetworkEnergyCoversAllLayers) {
-  const EnergyModel model(PcnnaConfig::paper_defaults());
-  const auto reports =
-      model.network_energy(nn::alexnet_conv_layers(), TimingFidelity::kPaper);
-  ASSERT_EQ(5u, reports.size());
-  for (const auto& e : reports) EXPECT_GT(e.total(), 0.0) << e.layer_name;
-}
-
 TEST(Energy, PerChannelAllocationCostsMoreAdcAndDram) {
   PcnnaConfig pc = PcnnaConfig::paper_defaults();
   pc.allocation = core::RingAllocation::kPerChannel;

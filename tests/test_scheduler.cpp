@@ -132,14 +132,6 @@ TEST(Scheduler, OversizedWorkingSetThrows) {
   EXPECT_THROW(sched.plan(huge), Error);
 }
 
-TEST(Scheduler, PlanNetworkCoversAllLayers) {
-  const Scheduler sched(PcnnaConfig::paper_defaults());
-  const auto plans = sched.plan_network(nn::alexnet_conv_layers());
-  ASSERT_EQ(5u, plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i)
-    EXPECT_EQ(nn::alexnet_conv_layers()[i].name, plans[i].layer.name);
-}
-
 TEST(Scheduler, WeightDacConversionsEqualWeightCount) {
   for (auto allocation :
        {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
