@@ -152,12 +152,9 @@ int main() {
 
   for (const EngineCase& c : cases) {
     core::ReferenceConvEngine reference(c.config);
-    const nn::Tensor expected = [&] {
-      reference.reset_rng();
-      return reference.conv2d(data().input, data().weights, data().bias, 1, 1);
-    }();
+    const nn::Tensor expected =
+        reference.conv2d(data().input, data().weights, data().bias, 1, 1);
     const double ref_t = time_per_call([&] {
-      reference.reset_rng();
       reference.conv2d(data().input, data().weights, data().bias, 1, 1);
     });
     engine_row(std::string(c.name) + "_reference", ref_t, 0.0);
@@ -165,7 +162,6 @@ int main() {
     for (const std::size_t threads : {1u, 2u, 4u}) {
       core::OpticalConvEngine engine(with_threads(c.config, threads));
       // Bit-identity self-check before timing.
-      engine.reset_rng();
       const nn::Tensor got =
           engine.conv2d(data().input, data().weights, data().bias, 1, 1);
       if (!(got == expected)) {
@@ -175,7 +171,6 @@ int main() {
         ok = false;
       }
       const double t = time_per_call([&] {
-        engine.reset_rng();
         engine.conv2d(data().input, data().weights, data().bias, 1, 1);
       });
       engine_row(std::string(c.name) + "_t" + std::to_string(threads), t,

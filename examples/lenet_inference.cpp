@@ -6,7 +6,21 @@
 // paper-default impairments, and checks the classification against the
 // golden CPU reference. Demonstrates that the analog error budget leaves a
 // small CNN usable.
+//
+// Exits 0 only if every trial passes two gates that hold for every noise
+// realization, not just this one:
+//  * fidelity: the output stays within kMaxAbsErr of the reference (the
+//    paper-default noise reached 0.043 on these trials over 200 request
+//    seeds each);
+//  * classification: a trial whose reference top-2 margin is at least
+//    kDecisiveMargin classifies like the reference (the noise moved the
+//    top-2 gap by at most 0.057 over those seeds). Closer trials are near
+//    ties that the noise may flip (trials 1, 2 and 4 flipped in 0.5 %,
+//    28 % and 14 % of those realizations); they are printed, not gated.
+#include <algorithm>
+#include <functional>
 #include <iostream>
+#include <vector>
 
 #include "common/format.hpp"
 #include "common/rng.hpp"
@@ -16,13 +30,28 @@
 
 using namespace pcnna;
 
+namespace {
+
+constexpr double kMaxAbsErr = 0.1;
+constexpr double kDecisiveMargin = 0.06;
+
+/// Gap between the largest and second-largest entries of `t`.
+double top2_margin(const nn::Tensor& t) {
+  std::vector<double> v(t.data().begin(), t.data().end());
+  std::partial_sort(v.begin(), v.begin() + 2, v.end(), std::greater<>());
+  return v[0] - v[1];
+}
+
+} // namespace
+
 int main() {
   const nn::Network net = nn::lenet5();
   std::cout << "LeNet-5 through the photonic core (functional simulation)\n"
             << "  conv MACs: "
             << format_count(static_cast<double>(net.conv_macs())) << "\n\n";
 
-  int agree = 0;
+  int agree = 0, near_ties = 0;
+  bool ok = true;
   const int kTrials = 5;
   for (int trial = 0; trial < kTrials; ++trial) {
     Rng rng(1000 + trial);
@@ -39,11 +68,20 @@ int main() {
     std::size_t argmax = 0;
     for (std::size_t i = 1; i < report.output.size(); ++i)
       if (report.output[i] > report.output[argmax]) argmax = i;
+    const double margin = top2_margin(report.reference_output);
+    const bool decisive = margin >= kDecisiveMargin;
 
     std::cout << "trial " << trial << ": predicted class " << argmax
               << ", output RMSE vs reference "
-              << format_sci(report.output_rmse) << ", argmax "
-              << (report.argmax_match ? "MATCHES" : "DIFFERS") << '\n';
+              << format_sci(report.output_rmse) << ", max error "
+              << format_sci(report.output_max_abs_err) << ", argmax "
+              << (report.argmax_match ? "MATCHES" : "DIFFERS");
+    if (!decisive) {
+      std::cout << " (near tie: reference top-2 margin " << format_sci(margin)
+                << ", not gated)";
+      ++near_ties;
+    }
+    std::cout << '\n';
     for (const auto& layer : report.conv_layers) {
       std::cout << "    " << layer.layer_name << ": rings "
                 << layer.engine.rings_used << ", cal err "
@@ -52,8 +90,19 @@ int main() {
                 << '\n';
     }
     if (report.argmax_match) ++agree;
+    if (report.output_max_abs_err > kMaxAbsErr) {
+      std::cout << "    FAIL: max error above " << format_sci(kMaxAbsErr)
+                << '\n';
+      ok = false;
+    }
+    if (decisive && !report.argmax_match) {
+      std::cout << "    FAIL: top-2 margin " << format_sci(margin)
+                << " clears the noise, but the class differs\n";
+      ok = false;
+    }
   }
   std::cout << "\nClassification agreement with the CPU reference: " << agree
-            << "/" << kTrials << " trials\n";
-  return agree == kTrials ? 0 : 1;
+            << "/" << kTrials << " trials (" << near_ties
+            << " near ties not gated)\n";
+  return ok ? 0 : 1;
 }

@@ -20,8 +20,8 @@
 //      accounting,
 //   4. runs a small functional batch through the pipeline and checks each
 //      output is bit-identical to the sequential single-PCU reference
-//      (stage hand-off carries the engine RNG state, so splitting layers
-//      across chips never changes a single bit).
+//      (each op's noise is keyed by request seed and op, so splitting
+//      layers across chips never changes a single bit).
 #include <iostream>
 
 #include "common/format.hpp"

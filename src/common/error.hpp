@@ -5,9 +5,11 @@
 // uses PCNNA_DCHECK which compiles out in release builds.
 #pragma once
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace pcnna {
 
@@ -34,6 +36,14 @@ template <class T>
   os << field << " = " << value << " must be " << rule;
   throw Error(os.str());
 }
+
+template <class T>
+bool is_plus_inf(const T& value) {
+  if constexpr (std::is_floating_point_v<T>)
+    return value == std::numeric_limits<T>::infinity();
+  else
+    return false;
+}
 } // namespace detail
 
 } // namespace pcnna
@@ -58,8 +68,19 @@ template <class T>
 
 /// Config-field check: unless `ok`, throws pcnna::Error naming the field
 /// under `path` with its value ("bank.ring.q_factor = 0.5 must be > 1"); an
-/// empty `path` is PcnnaConfig's top level. Formats nothing on success.
+/// empty `path` is PcnnaConfig's top level. A field that passes `ok` at
+/// +inf is rejected too ("fast_clock = inf must be finite"), unless it is
+/// checked with PCNNA_CHECK_FIELD_OR_INF. Formats nothing on success.
 #define PCNNA_CHECK_FIELD(path, field, ok, rule)                              \
+  do {                                                                        \
+    PCNNA_CHECK_FIELD_OR_INF(path, field, ok, rule);                          \
+    if (::pcnna::detail::is_plus_inf(field))                                  \
+      ::pcnna::detail::throw_field_failure(path, #field, field, "finite");    \
+  } while (false)
+
+/// PCNNA_CHECK_FIELD for a field whose +inf is a deliberate idealization
+/// (docs/configuration.md lists them).
+#define PCNNA_CHECK_FIELD_OR_INF(path, field, ok, rule)                       \
   do {                                                                        \
     if (!(ok))                                                                \
       ::pcnna::detail::throw_field_failure(path, #field, field, rule);        \

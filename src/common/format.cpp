@@ -12,10 +12,21 @@ struct Prefix {
   const char* suffix;
 };
 
+/// `value` in `base_suffix` units with the largest of `prefixes` (ordered
+/// largest first) that it reaches. Below the smallest prefix, from 10^6 of
+/// the largest up, and when not finite, it prints in scientific notation in
+/// the base unit instead ("3.02e+65 s"), so no value prints more than six
+/// integer digits.
 std::string with_prefix(double value, const Prefix* prefixes, int n_prefixes,
                         int sig, const char* base_suffix) {
   if (value == 0.0) return std::string("0 ") + base_suffix;
   const double mag = std::abs(value);
+  if (!(mag >= prefixes[n_prefixes - 1].scale &&
+        mag < 1e6 * prefixes[0].scale)) {
+    std::string out = format_sci(value, sig);
+    if (*base_suffix) out.append(" ").append(base_suffix);
+    return out;
+  }
   const Prefix* chosen = &prefixes[n_prefixes - 1];
   for (int i = 0; i < n_prefixes; ++i) {
     if (mag >= prefixes[i].scale) {

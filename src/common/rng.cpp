@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <cstddef>
 
 #include "common/error.hpp"
 
@@ -35,22 +34,6 @@ void Rng::reseed(std::uint64_t seed) {
   // xoshiro must not be seeded with the all-zero state.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
   have_cached_normal_ = false;
-}
-
-Rng::State Rng::state() const {
-  State s;
-  for (std::size_t i = 0; i < 4; ++i) s.s[i] = state_[i];
-  s.have_cached_normal = have_cached_normal_;
-  s.cached_normal = cached_normal_;
-  return s;
-}
-
-void Rng::set_state(const State& state) {
-  PCNNA_CHECK_MSG((state.s[0] | state.s[1] | state.s[2] | state.s[3]) != 0,
-                  "xoshiro state must not be all zero");
-  for (std::size_t i = 0; i < 4; ++i) state_[i] = state.s[i];
-  have_cached_normal_ = state.have_cached_normal;
-  cached_normal_ = state.cached_normal;
 }
 
 std::uint64_t Rng::next_u64() {
@@ -104,24 +87,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double stddev) {
   PCNNA_DCHECK(stddev >= 0.0);
   return mean + stddev * normal();
-}
-
-void Rng::discard_normals(std::uint64_t n) {
-  if (n == 0) return;
-  if (have_cached_normal_) {
-    have_cached_normal_ = false;
-    if (--n == 0) return;
-  }
-  // The n remaining draws span ceil(n / 2) pairs of uniforms. Skip all but
-  // the last pair raw, then draw it through normal() so the spare cache
-  // (set by an odd n, stale but still part of state() by an even one) ends
-  // as n calls would leave it.
-  for (std::uint64_t i = 0; i < (n - 1) / 2; ++i) {
-    next_u64();
-    next_u64();
-  }
-  normal();
-  if (n % 2 == 0) normal();
 }
 
 } // namespace pcnna

@@ -2,7 +2,10 @@
 //
 // All stochastic parts of the simulator (noise injection, synthetic weight
 // and input generation, fabrication variation) draw from this generator so
-// that every experiment is reproducible from a single seed.
+// that every experiment is reproducible from a single seed. The simulator's
+// own streams are keyed: each is seeded with derive_seed from what it
+// models (a bank position of the chip; an op, pass and pixel of a request),
+// so a stream is never positioned, saved or handed on.
 #pragma once
 
 #include <cstdint>
@@ -15,27 +18,10 @@ namespace pcnna {
 /// implementation-defined). Seeded through SplitMix64.
 class Rng {
  public:
-  /// Complete generator state: the xoshiro words plus the Box–Muller
-  /// spare-normal cache. Capturing and restoring it around a draw sequence
-  /// continues the stream exactly — the pipelined serving runtime hands the
-  /// engine RNG from one PCU's stage to the next this way so a split run
-  /// draws the same values a whole-network run would.
-  struct State {
-    std::uint64_t s[4]{};
-    bool have_cached_normal = false;
-    double cached_normal = 0.0;
-  };
-
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) { reseed(seed); }
 
   /// Re-initialize the full state from a 64-bit seed.
   void reseed(std::uint64_t seed);
-
-  /// Snapshot the complete generator state.
-  State state() const;
-
-  /// Restore a snapshot taken with state().
-  void set_state(const State& state);
 
   /// Next raw 64-bit value.
   std::uint64_t next_u64();
@@ -55,13 +41,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Advance the generator exactly as `n` calls of normal() would, leaving
-  /// state() bitwise equal to theirs. Each skipped Box–Muller pair costs two
-  /// xoshiro steps and no transform; only the last pair is transformed,
-  /// because it sets the spare-normal cache. The threaded engine positions
-  /// each pixel tile's generator at the tile's first draw this way.
-  void discard_normals(std::uint64_t n);
-
  private:
   std::uint64_t state_[4]{};
   bool have_cached_normal_ = false;
@@ -70,8 +49,11 @@ class Rng {
 
 /// Seed of child stream `id` of `base`: the SplitMix64 finalizer over
 /// base + (id + 1) * 2^64 / phi, the mixing Rng seeds itself with, so the
-/// streams of adjacent ids are decorrelated. Request seeds and the chip's
-/// per-bank fabrication streams are derived this way.
+/// streams of adjacent ids are decorrelated. Request seeds, the chip's
+/// per-bank fabrication streams and the sensor noise of each op, pass and
+/// pixel are derived this way (counter-based, as in Salmon et al.,
+/// "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011): a stream is a
+/// pure function of its key, so nothing tracks a stream's position.
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t id);
 
 } // namespace pcnna

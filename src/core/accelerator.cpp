@@ -34,7 +34,9 @@ std::optional<nn::ConvLayerParams> offloaded_layer(const PcnnaConfig& config,
 }
 
 Accelerator::Accelerator(PcnnaConfig config, TimingFidelity fidelity)
-    : fidelity_(fidelity), engine_(std::move(config)) {}
+    : fidelity_(fidelity),
+      engine_(std::move(config)),
+      seed_(engine_.config().seed) {}
 
 NetworkRunReport Accelerator::run_ops(const nn::Network& net,
                                       const nn::NetWeights& weights,
@@ -90,6 +92,7 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
     const auto golden_fc = [&] { return nn::fully_connected(x, w, b); };
     const std::optional<nn::ConvLayerParams> offloaded =
         offloaded_layer(config(), net, i);
+    if (offloaded) engine_.reseed_rng(derive_seed(seed_, i));
     switch (op.kind) {
       case nn::OpKind::kConv:
         report.conv_layers.push_back(offload(

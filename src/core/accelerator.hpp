@@ -7,7 +7,8 @@
 // per-layer timing, energy, and engine statistics, plus numerical-fidelity
 // metrics against the golden CPU reference. The engine holds the chip's
 // only PcnnaConfig; each run prices its layers with a Scheduler,
-// TimingModel and EnergyModel built from it on the stack.
+// TimingModel and EnergyModel built from it on the stack. Each offloaded
+// op's sensor noise is keyed by (request seed, op index).
 #pragma once
 
 #include <optional>
@@ -74,21 +75,13 @@ class Accelerator {
   const PcnnaConfig& config() const { return engine_.config(); }
   TimingFidelity fidelity() const { return fidelity_; }
 
-  /// Reseed the functional engine's noise RNG. The batch runtime calls
-  /// this with a per-request seed before each run() so that results are
-  /// independent of request ordering and PCU assignment. The chip itself
-  /// is fabricated from PcnnaConfig::seed and does not change.
-  void reseed_engine(std::uint64_t seed) { engine_.reseed_rng(seed); }
-
-  /// Snapshot / restore the engine RNG mid-network. Pipelined serving runs
-  /// a network as contiguous op ranges on different PCUs; carrying the RNG
-  /// state across the stage boundary keeps the split run bit-identical to
-  /// a whole-network run from the same request seed (the engine draws
-  /// noise values strictly in layer order).
-  Rng::State engine_rng_state() const { return engine_.rng_state(); }
-  void set_engine_rng_state(const Rng::State& state) {
-    engine_.set_rng_state(state);
-  }
+  /// Set the request seed of later runs (initially PcnnaConfig::seed).
+  /// Op i of a network runs under the noise key derive_seed(seed, i), so a
+  /// layer's noise depends on the request and the op alone: not on request
+  /// order, PCU assignment, or the op range a run covers. The batch runtime
+  /// sets each request's seed before serving it. The chip itself is
+  /// fabricated from PcnnaConfig::seed and does not change.
+  void reseed_engine(std::uint64_t seed) { seed_ = seed; }
 
   /// Run a network end to end.
   ///
@@ -119,8 +112,7 @@ class Accelerator {
   /// these weights on this accelerator's chip (runtime::Pcu keeps them):
   /// each simulated conv fills its op's program on first use and reads it
   /// in place after. Without them every conv programs its banks afresh.
-  /// Outputs, EngineStats and the engine RNG state are the same bits
-  /// either way.
+  /// Outputs and EngineStats are the same bits either way.
   NetworkRunReport run_range(const nn::Network& net,
                              const nn::NetWeights& weights,
                              const nn::Tensor& input, std::size_t op_begin,
@@ -139,6 +131,7 @@ class Accelerator {
 
   TimingFidelity fidelity_;
   OpticalConvEngine engine_;
+  std::uint64_t seed_;
 };
 
 } // namespace pcnna::core

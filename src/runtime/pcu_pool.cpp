@@ -300,20 +300,15 @@ std::vector<RequestResult> PcuPool::serve_scheduled(
         }
         const StageService& span = s.stages[e.stage];
         StageHandoff in;
-        const nn::Tensor* input = nullptr;
-        const Rng::State* rng = nullptr;
-        if (e.stage == 0) {
-          input = &requests[s.id].input;
-        } else {
+        const nn::Tensor* input = &requests[s.id].input;
+        if (e.stage > 0) {
           in = handoffs[e.sched][e.stage - 1].get();
           input = &in.activation;
-          rng = &in.rng;
         }
         StageHandoff out = pcus_[p].serve_stage(
-            s.model, span.op_begin, span.op_end, *input, rng,
-            requests[s.id].seed, e.stage == 0 ? 0.0 : in.energy,
-            simulate_values);
-        if (e.stage > 0) out.work += in.work; // chain the work counters
+            s.model, span.op_begin, span.op_end, *input, requests[s.id].seed,
+            in.energy, simulate_values);
+        out.work += in.work; // chain the work counters
         if (e.stage + 1 < s.stages.size()) {
           chains[e.sched][e.stage].set_value(std::move(out));
         } else {

@@ -409,13 +409,12 @@ class PcuPool {
   /// assigned (one worker thread per PCU). An entry without stage spans
   /// runs whole on its PCU; an entry with stage spans runs as a chain —
   /// every stage executes on exactly the PCU its span names, handing the
-  /// activation and the engine RNG state to the next stage
-  /// (Pcu::serve_stage), so stage n of image i really does overlap stage
-  /// n-1 of image i+1 on the host. Each worker walks its own work in
-  /// virtual span-start order (ties in schedule order), which the
-  /// admission loop makes acyclic. Deterministic even on a heterogeneous
-  /// pool: the schedule is deterministic, so the same PCU — hence the same
-  /// device model — produces each output every run.
+  /// activation to the next stage (Pcu::serve_stage), so stage n of image
+  /// i really does overlap stage n-1 of image i+1 on the host. Each worker
+  /// walks its own work in virtual span-start order (ties in schedule
+  /// order), which the admission loop makes acyclic. Deterministic even on
+  /// a heterogeneous pool: the schedule is deterministic, so the same PCU —
+  /// hence the same device model — produces each output every run.
   ///
   /// `schedule` must reference request ids in [0, requests.size()), each
   /// at most once; ids absent from the schedule (load-shed or fault-lost

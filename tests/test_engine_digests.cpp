@@ -1,18 +1,17 @@
 // Golden digests of the functional engine.
 //
-// Each digest covers three requests of one network under one config, run
+// Each case covers three requests of one network under one config, run
 // twice: through one core::Accelerator (run_range over the whole network
 // after a reseed, with layer programs the first request fills and the
 // others read) and through one runtime::Pcu (serve for the first two
-// requests, and the third as a two-stage serve_stage pipeline that hands
-// the engine RNG state across the split). It hashes every output bit,
-// every offloaded layer's EngineStats, the served EngineWork, and the
-// engine RNG state each request leaves behind. The networks are LeNet-5,
-// tiny_cnn and a wide 64x64x4 two-conv net; the configs are ideal(),
-// paper_defaults(), small_core(), paper_defaults() with 5 % stuck heaters,
-// and paper_defaults() with 50 pm fabrication disorder. Every digest must
-// hold at engine_threads 1 and 4 alike. On a mismatch the failure message
-// is the map entry to paste.
+// requests, and the third as a two-stage serve_stage pipeline). Each case
+// has two digests: one of every offloaded layer's EngineStats and the
+// served EngineWork, which noise does not touch, and one of every output
+// bit. The networks are LeNet-5, tiny_cnn and a wide 64x64x4 two-conv net;
+// the configs are ideal(), paper_defaults(), small_core(), paper_defaults()
+// with 5 % stuck heaters, and paper_defaults() with 50 pm fabrication
+// disorder. Every digest must hold at engine_threads 1 and 4 alike. On a
+// mismatch the failure message is the map entry to paste.
 //
 // The engine's noise (Box-Muller: log, sqrt, cos) and its ring model go
 // through the C math library; the digests were recorded with glibc 2.36 on
@@ -69,12 +68,6 @@ void hash_tensor(Fnv1a& h, const nn::Tensor& t) {
   for (double v : t.data()) h.f64(v);
 }
 
-void hash_rng(Fnv1a& h, const Rng::State& s) {
-  for (std::uint64_t w : s.s) h.u64(w);
-  h.u64(s.have_cached_normal ? 1 : 0);
-  h.f64(s.cached_normal);
-}
-
 void hash_stats(Fnv1a& h, const core::EngineStats& s) {
   h.u64(s.locations);
   h.u64(s.optical_passes);
@@ -102,9 +95,14 @@ void hash_work(Fnv1a& h, const runtime::EngineWork& w) {
   h.u64(w.adc_conversions);
 }
 
-/// The digest of `net` under `config` at `threads` engine threads.
-std::uint64_t engine_digest(const nn::Network& net, PcnnaConfig config,
-                            std::size_t threads) {
+struct Digests {
+  std::uint64_t work = 0;    ///< EngineStats and EngineWork
+  std::uint64_t outputs = 0; ///< output and activation bits
+};
+
+/// The digests of `net` under `config` at `threads` engine threads.
+Digests engine_digests(const nn::Network& net, PcnnaConfig config,
+                       std::size_t threads) {
   config.engine_threads = threads;
   Rng weight_rng(5);
   const nn::NetWeights weights = nn::make_network_weights(net, weight_rng);
@@ -117,61 +115,78 @@ std::uint64_t engine_digest(const nn::Network& net, PcnnaConfig config,
   }
   const std::size_t ops = net.ops().size();
 
-  Fnv1a h;
+  Fnv1a work, outputs;
   core::Accelerator accelerator(config);
   std::vector<core::LayerProgram> programs(ops);
   for (const runtime::InferenceRequest& request : requests) {
     accelerator.reseed_engine(request.seed);
     const core::NetworkRunReport run = accelerator.run_range(
         net, weights, request.input, 0, ops, true, programs);
-    hash_tensor(h, run.output);
+    hash_tensor(outputs, run.output);
     for (const core::LayerRunReport& layer : run.conv_layers)
-      hash_stats(h, layer.engine);
+      hash_stats(work, layer.engine);
     for (const core::LayerRunReport& layer : run.fc_layers)
-      hash_stats(h, layer.engine);
-    hash_rng(h, accelerator.engine_rng_state());
+      hash_stats(work, layer.engine);
   }
 
   runtime::Pcu pcu(0, config, core::TimingFidelity::kPaper, net, weights);
   for (std::size_t r = 0; r + 1 < kRequests; ++r) {
     const runtime::RequestResult result = pcu.serve(requests[r], true);
-    hash_tensor(h, result.output);
-    hash_work(h, result.work);
+    hash_tensor(outputs, result.output);
+    hash_work(work, result.work);
   }
   const runtime::InferenceRequest& last = requests.back();
   const std::size_t split = ops / 2;
-  const runtime::StageHandoff first = pcu.serve_stage(
-      0, 0, split, last.input, nullptr, last.seed, 0.0, true);
+  const runtime::StageHandoff first =
+      pcu.serve_stage(0, 0, split, last.input, last.seed, 0.0, true);
   const runtime::StageHandoff second = pcu.serve_stage(
-      0, split, ops, first.activation, &first.rng, 0, first.energy, true);
-  hash_work(h, first.work);
-  hash_tensor(h, second.activation);
-  hash_work(h, second.work);
-  hash_rng(h, second.rng);
-  return h.value();
+      0, split, ops, first.activation, last.seed, first.energy, true);
+  hash_work(work, first.work);
+  hash_tensor(outputs, second.activation);
+  hash_work(work, second.work);
+  return {work.value(), outputs.value()};
 }
 
-/// Recorded before fabrication moved to the chip stream, which re-recorded
-/// only the stuck_5pct and disorder_50pm digests: their rings now draw from
-/// their bank positions' own streams instead of the request's noise stream.
-/// ideal, paper_defaults and small_core draw nothing at fabrication. Layer
-/// programs came after and changed no digest.
-const std::map<std::string, std::uint64_t> kExpected = {
-    {"lenet5/disorder_50pm", 0x10ec3ac31da6eff6ull},
-    {"lenet5/ideal", 0x22cbc4c169b9e5aaull},
-    {"lenet5/paper_defaults", 0xc927f5552d25c9deull},
-    {"lenet5/small_core", 0xb25ee5372f6c6cc0ull},
-    {"lenet5/stuck_5pct", 0x4f0cde36042342d7ull},
-    {"tiny_cnn/disorder_50pm", 0x8124fa7497568f46ull},
-    {"tiny_cnn/ideal", 0x6fd6d8fc94c81bf2ull},
-    {"tiny_cnn/paper_defaults", 0xd3cca64a7bf22224ull},
-    {"tiny_cnn/small_core", 0x674a788135139c98ull},
-    {"tiny_cnn/stuck_5pct", 0x52a24941108575f7ull},
-    {"widefm/disorder_50pm", 0xd539ffd3a253c661ull},
-    {"widefm/ideal", 0x21b227683f22912full},
-    {"widefm/paper_defaults", 0xb71633542a5132c3ull},
-    {"widefm/small_core", 0xb78679f708fbb9baull},
-    {"widefm/stuck_5pct", 0x8a13c1356fab8c24ull},
+/// EngineStats and EngineWork of every case: recorded with the engine's
+/// noise drawn from one sequential stream per request, and unchanged by
+/// keying it per (request, op, pass, pixel).
+const std::map<std::string, std::uint64_t> kExpectedWork = {
+    {"lenet5/disorder_50pm", 0x60c4daba572059eaull},
+    {"lenet5/ideal", 0xdfb73bb8c1a8989eull},
+    {"lenet5/paper_defaults", 0x9ecccbb2b8e2063aull},
+    {"lenet5/small_core", 0xc01aaf0470f5269dull},
+    {"lenet5/stuck_5pct", 0xa1b27f4315c02e4bull},
+    {"tiny_cnn/disorder_50pm", 0xc0dcef89372fcf5cull},
+    {"tiny_cnn/ideal", 0x1870a47f887bcecaull},
+    {"tiny_cnn/paper_defaults", 0x6ab1682cd42b4d22ull},
+    {"tiny_cnn/small_core", 0x84a0c2e98b807eb5ull},
+    {"tiny_cnn/stuck_5pct", 0xd14d0885c865014dull},
+    {"widefm/disorder_50pm", 0xf3023a9eecd93bf1ull},
+    {"widefm/ideal", 0x69aed9583002100bull},
+    {"widefm/paper_defaults", 0x4053112bdd59f2e3ull},
+    {"widefm/small_core", 0x6bdac7efa8d206f6ull},
+    {"widefm/stuck_5pct", 0x706d7593edb8b3a4ull},
+};
+
+/// Output bits of every case. Keying the noise per (request, op, pass,
+/// pixel) re-recorded every case but the three ideal ones, which draw no
+/// noise.
+const std::map<std::string, std::uint64_t> kExpectedOutputs = {
+    {"lenet5/disorder_50pm", 0xec8da82524aa452dull},
+    {"lenet5/ideal", 0x6761feba17e6c685ull},
+    {"lenet5/paper_defaults", 0x945b533218cc0d2dull},
+    {"lenet5/small_core", 0xaab26a84a67b2531ull},
+    {"lenet5/stuck_5pct", 0xb592011cd796fe11ull},
+    {"tiny_cnn/disorder_50pm", 0x940faff3de11edf5ull},
+    {"tiny_cnn/ideal", 0x7c7f7771189784b9ull},
+    {"tiny_cnn/paper_defaults", 0x6584db62dc2b46ddull},
+    {"tiny_cnn/small_core", 0x8c3614e4cd2a7ff5ull},
+    {"tiny_cnn/stuck_5pct", 0xdaaace07da95ed2dull},
+    {"widefm/disorder_50pm", 0x2734c2dabe1e368dull},
+    {"widefm/ideal", 0x004e3df5ffca0065ull},
+    {"widefm/paper_defaults", 0x3cf33e712b0f0835ull},
+    {"widefm/small_core", 0x493fd74e60430015ull},
+    {"widefm/stuck_5pct", 0x321288f2c5db79b9ull},
 };
 
 /// One (network, config) pair per test, so the slow widefm digests spread
@@ -187,8 +202,10 @@ TEST_P(EngineGolden, DigestMatches) {
   const PcnnaConfig config = digest_configs().at(config_name);
   for (std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    expect_digest(kExpected, net_name + "/" + config_name,
-                  engine_digest(net, config, threads));
+    const std::string name = net_name + "/" + config_name;
+    const Digests digests = engine_digests(net, config, threads);
+    expect_digest(kExpectedWork, name, digests.work);
+    expect_digest(kExpectedOutputs, name, digests.outputs);
   }
 }
 

@@ -3,7 +3,6 @@
 // and the chip stream every bank is fabricated from.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -71,25 +70,27 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b) {
 
 /// Run the frozen reference and the rewritten engine on the same layer with
 /// engine_threads in {1, 2, 3, 4, 7}; every variant must be bit-identical.
-/// Each engine runs the layer twice without a reseed, so the second call
-/// also pins the RNG state the first one left behind. kLayerA draws 37
-/// normals per noisy pixel, so the uneven tile splits start mid Box–Muller
-/// pair.
+/// Each engine runs the layer under the config seed, then under another
+/// key, so both read the keyed noise streams, not only the default ones.
 void expect_ab_identity(PcnnaConfig cfg, const nn::ConvLayerParams& layer,
                         bool signed_input = false) {
   const LayerData d = make_data(layer, 42, signed_input);
+  const std::uint64_t keys[2] = {cfg.seed, derive_seed(cfg.seed, 77)};
   ReferenceConvEngine reference(cfg);
   EngineStats ref_stats[2];
   nn::Tensor expected[2];
-  for (int call = 0; call < 2; ++call)
+  for (int call = 0; call < 2; ++call) {
+    reference.reseed_rng(keys[call]);
     expected[call] = reference.conv2d(d.input, d.weights, d.bias, layer.s,
                                       layer.p, &ref_stats[call]);
+  }
 
   for (std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
     PcnnaConfig tcfg = cfg;
     tcfg.engine_threads = threads;
     OpticalConvEngine engine(tcfg);
     for (int call = 0; call < 2; ++call) {
+      engine.reseed_rng(keys[call]);
       EngineStats stats;
       const nn::Tensor got =
           engine.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &stats);
@@ -191,9 +192,9 @@ TEST(EngineAbIdentity, ManyBanksWithDisorderAndFaults) {
 }
 
 // Shot noise with zero dark current makes the photodiode draw count
-// data-dependent; the engine must fall back to the sequential noisy path
-// and still match the reference for any requested thread count.
-TEST(EngineAbIdentity, ShotOnlyZeroDarkFallsBackSequential) {
+// data-dependent. Each pixel draws from its own stream, so the sweep still
+// runs on the pool and matches the reference at every thread count.
+TEST(EngineAbIdentity, ShotOnlyZeroDarkRunsOnThePool) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.bank.photodiode.enable_thermal_noise = false;
   cfg.bank.photodiode.dark_current = 0.0;
@@ -202,9 +203,8 @@ TEST(EngineAbIdentity, ShotOnlyZeroDarkFallsBackSequential) {
 
 // Thermal noise into an infinite load with shot noise off: every branch
 // sigma is exactly zero, so the photodiodes draw nothing and each pixel
-// draws only its laser RIN normals. The threaded sweep must skip ahead by
-// that count, not by one draw per branch, and noise_draws must not count
-// branch draws that never happen.
+// draws only its laser RIN normals. noise_draws must not count branch
+// draws that never happen.
 TEST(EngineAbIdentity, ZeroPhotodiodeSigmaDrawsNoBranchNoise) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.bank.photodiode.enable_shot_noise = false;
@@ -225,9 +225,9 @@ TEST(EngineAbIdentity, ZeroPhotodiodeSigmaDrawsNoBranchNoise) {
 
 // --- scratch-buffer reuse -------------------------------------------------
 // One engine instance serving different layers (and the same layer twice)
-// must produce outputs bit-identical to a fresh engine per call. The RNG is
-// reset between calls (the serving runtime's per-request reseed pattern) so
-// the only thing that could differ is stale scratch state.
+// must produce outputs bit-identical to a fresh engine per call. Every call
+// draws its noise under the same key, so the only thing that could differ
+// is stale scratch state.
 TEST(EngineScratchReuse, AcrossLayersAndRepeatsBitIdentical) {
   for (std::size_t threads : {1u, 4u}) {
     PcnnaConfig cfg = PcnnaConfig::paper_defaults();
@@ -239,10 +239,8 @@ TEST(EngineScratchReuse, AcrossLayersAndRepeatsBitIdentical) {
     OpticalConvEngine shared(cfg);
     const nn::Tensor out_a1 =
         shared.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-    shared.reset_rng();
     const nn::Tensor out_b =
         shared.conv2d(b.input, b.weights, b.bias, kLayerB.s, kLayerB.p);
-    shared.reset_rng();
     const nn::Tensor out_a2 =
         shared.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
 
@@ -271,7 +269,6 @@ TEST(EngineScratchReuse, PerChannelAllocationAcrossLayers) {
   OpticalConvEngine shared(cfg);
   const nn::Tensor out_a =
       shared.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-  shared.reset_rng();
   const nn::Tensor out_b =
       shared.conv2d(b.input, b.weights, b.bias, kLayerB.s, kLayerB.p);
 
@@ -282,59 +279,33 @@ TEST(EngineScratchReuse, PerChannelAllocationAcrossLayers) {
               fresh_b.conv2d(b.input, b.weights, b.bias, kLayerB.s, kLayerB.p));
 }
 
-void expect_rng_state_equal(const Rng::State& a, const Rng::State& b) {
-  for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(a.s[w], b.s[w]) << "word " << w;
-  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cached_normal),
-            std::bit_cast<std::uint64_t>(b.cached_normal));
-}
-
-// After a threaded noisy conv, the engine RNG must sit at exactly the same
-// state as after a sequential one: the tiles split one stream and the
-// engine continues from the last tile's final state. Checked on the state
-// itself and by running a second conv afterwards, for both ring
-// allocations, starting from the config seed and from a state that holds a
-// cached Box–Muller normal (so every tile boundary shifts by one draw).
-TEST(EngineScratchReuse, RngStateUnperturbedByThreads) {
+// A threaded noisy conv must give the sequential one's bits under both
+// ring allocations, and a second call under the same key must repeat them:
+// nothing a call draws carries over to the next.
+TEST(EngineScratchReuse, NoiseUnperturbedByThreads) {
   const LayerData a = make_data(kLayerA);
-  Rng half_pair(99);
-  half_pair.normal();
-  const Rng::State cached = half_pair.state();
-  ASSERT_TRUE(cached.have_cached_normal);
-
   for (RingAllocation allocation :
        {RingAllocation::kFullKernel, RingAllocation::kPerChannel}) {
-    for (bool start_cached : {false, true}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "per_channel="
-                   << (allocation == RingAllocation::kPerChannel)
-                   << " start_cached=" << start_cached);
-      PcnnaConfig seq = PcnnaConfig::paper_defaults();
-      seq.allocation = allocation;
-      PcnnaConfig par = seq;
-      par.engine_threads = 4;
-      OpticalConvEngine sequential(seq);
-      OpticalConvEngine threaded(par);
-      if (start_cached) {
-        sequential.set_rng_state(cached);
-        threaded.set_rng_state(cached);
-      }
+    SCOPED_TRACE(core::ring_allocation_name(allocation));
+    PcnnaConfig seq = PcnnaConfig::paper_defaults();
+    seq.allocation = allocation;
+    PcnnaConfig par = seq;
+    par.engine_threads = 4;
+    OpticalConvEngine sequential(seq);
+    OpticalConvEngine threaded(par);
 
-      const nn::Tensor s1 =
-          sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-      const nn::Tensor t1 =
-          threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-      expect_rng_state_equal(sequential.rng_state(), threaded.rng_state());
-      const nn::Tensor s2 =
-          sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-      const nn::Tensor t2 =
-          threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
-      expect_rng_state_equal(sequential.rng_state(), threaded.rng_state());
+    const nn::Tensor s1 =
+        sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+    const nn::Tensor t1 =
+        threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+    const nn::Tensor s2 =
+        sequential.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
+    const nn::Tensor t2 =
+        threaded.conv2d(a.input, a.weights, a.bias, kLayerA.s, kLayerA.p);
 
-      EXPECT_TRUE(s1 == t1);
-      EXPECT_TRUE(s2 == t2); // second conv continues from identical RNG state
-      EXPECT_FALSE(s1 == s2); // noise: consecutive runs differ without reseed
-    }
+    EXPECT_TRUE(s1 == t1);
+    EXPECT_TRUE(s1 == s2); // same key, same noise
+    EXPECT_TRUE(t1 == t2);
   }
 }
 
@@ -465,8 +436,7 @@ TEST(ChipStream, ProbeBankIsPristineAndFixedBySeed) {
 // Inside the engine, bank g * K + k of every layer is that chip position,
 // under both allocations: its stuck rings are the ones fabricate_bank
 // freezes there, the program statistics are the same at every thread count
-// and request seed, and with noise off a layer leaves the engine generator
-// where it found it.
+// and request seed, and with noise off a layer draws no noise.
 TEST(ChipStream, EngineBanksAreTheSameAcrossLayersThreadsAndRequestSeeds) {
   const nn::ConvLayerParams layers[] = {
       kLayerA, kLayerB, {"wide", 7, 5, 0, 1, 6, 6}};
@@ -491,10 +461,9 @@ TEST(ChipStream, EngineBanksAreTheSameAcrossLayersThreadsAndRequestSeeds) {
       PcnnaConfig quiet = cfg;
       quiet.enable_noise = false;
       OpticalConvEngine silent(quiet);
-      const Rng::State before = silent.rng_state();
       EngineStats first;
       silent.conv2d(d.input, d.weights, d.bias, layer.s, layer.p, &first);
-      expect_rng_state_equal(before, silent.rng_state());
+      EXPECT_EQ(0u, first.noise_draws);
       EXPECT_EQ(expected_stuck, first.stuck_rings);
       EXPECT_EQ(plan.groups.size() * layer.K, first.banks_built);
 

@@ -1,6 +1,8 @@
 // Engineering-notation formatting.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/format.hpp"
 
 namespace {
@@ -58,6 +60,21 @@ TEST(Format, FixedAndSci) {
 
 TEST(Format, NegativeValues) {
   EXPECT_EQ("-2.20 us", format_time(-2.2e-6));
+}
+
+// Six integer digits at most: from 10^6 of the largest prefix up, below the
+// smallest, and when not finite, values print in scientific notation in
+// the base unit.
+TEST(Format, OutOfPrefixRangeIsScientific) {
+  EXPECT_EQ("999999 s", format_time(999'999.0));
+  EXPECT_EQ("1.00e+06 s", format_time(1e6));
+  EXPECT_EQ("3.02e+65 s", format_time(3.025e65));
+  EXPECT_EQ("-3.00e+70 s", format_time(-3e70));
+  EXPECT_EQ("8.82e+65 J", format_energy(8.8176e65));
+  EXPECT_EQ("2.00e+20", format_count(2e20));
+  EXPECT_EQ("1.00e-291 Hz", format_freq(1e-291));
+  EXPECT_EQ("5.00e-19 s", format_time(5e-19));
+  EXPECT_EQ("inf s", format_time(std::numeric_limits<double>::infinity()));
 }
 
 } // namespace

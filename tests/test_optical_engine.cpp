@@ -1,7 +1,6 @@
 // Functional optical convolution engine vs the golden CPU reference.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -121,13 +120,17 @@ TEST(Engine, DeterministicForSameSeed) {
   EXPECT_EQ(out_a, out_b);
 }
 
+// A call's noise is keyed: another key changes it, and setting the config
+// seed back reproduces the first call.
 TEST(Engine, ResetRngReproducesRun) {
-  OpticalConvEngine engine(PcnnaConfig::paper_defaults());
+  const PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  OpticalConvEngine engine(cfg);
   const auto d = make_layer({"t", 8, 3, 1, 1, 2, 4});
   const Tensor first = engine.conv2d(d.input, d.weights, d.bias, 1, 1);
-  engine.reset_rng();
-  const Tensor second = engine.conv2d(d.input, d.weights, d.bias, 1, 1);
-  EXPECT_EQ(first, second);
+  engine.reseed_rng(cfg.seed + 1);
+  EXPECT_NE(first, engine.conv2d(d.input, d.weights, d.bias, 1, 1));
+  engine.reseed_rng(cfg.seed);
+  EXPECT_EQ(first, engine.conv2d(d.input, d.weights, d.bias, 1, 1));
 }
 
 TEST(Engine, RejectsNegativeInputs) {
@@ -146,7 +149,7 @@ TEST(Engine, RejectsNonSquareInput) {
 
 // Under this config a nonzero layer draws at every step: the usable-range
 // probe and bank fabrication (disorder), fault injection, and the sweep
-// (noise). A call that leaves its generator unchanged skipped them all.
+// (noise). A call that builds no bank and draws no noise skipped them all.
 PcnnaConfig drawing_config(RingAllocation allocation) {
   PcnnaConfig cfg = PcnnaConfig::paper_defaults();
   cfg.bank.ring.fab_sigma = 0.05e-9;
@@ -155,14 +158,9 @@ PcnnaConfig drawing_config(RingAllocation allocation) {
   return cfg;
 }
 
-void expect_rng_unchanged(const Rng::State& before,
-                          const OpticalConvEngine& engine) {
-  const Rng::State after = engine.rng_state();
-  for (std::size_t w = 0; w < 4; ++w)
-    EXPECT_EQ(before.s[w], after.s[w]) << "word " << w;
-  EXPECT_EQ(before.have_cached_normal, after.have_cached_normal);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(before.cached_normal),
-            std::bit_cast<std::uint64_t>(after.cached_normal));
+void expect_nothing_drawn(const EngineStats& stats) {
+  EXPECT_EQ(0u, stats.banks_built);
+  EXPECT_EQ(0u, stats.noise_draws);
 }
 
 // A layer with all-zero weights or inputs outputs its bias alone and draws
@@ -173,9 +171,9 @@ TEST(Engine, ZeroWeightsYieldBiasOnly) {
     OpticalConvEngine engine(drawing_config(allocation));
     auto d = make_layer({"t", 6, 3, 0, 1, 1, 2});
     d.weights.fill(0.0);
-    const Rng::State before = engine.rng_state();
-    const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
-    expect_rng_unchanged(before, engine);
+    EngineStats stats;
+    const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0, &stats);
+    expect_nothing_drawn(stats);
     for (std::size_t k = 0; k < 2; ++k)
       for (std::size_t i = 0; i < 16; ++i)
         EXPECT_DOUBLE_EQ(d.bias.at(0, k, 0, 0), out[k * 16 + i])
@@ -189,9 +187,9 @@ TEST(Engine, ZeroInputsYieldBiasOnly) {
     OpticalConvEngine engine(drawing_config(allocation));
     auto d = make_layer({"t", 6, 3, 0, 1, 1, 2});
     d.input.fill(0.0);
-    const Rng::State before = engine.rng_state();
-    const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
-    expect_rng_unchanged(before, engine);
+    EngineStats stats;
+    const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0, &stats);
+    expect_nothing_drawn(stats);
     for (std::size_t k = 0; k < 2; ++k)
       for (std::size_t i = 0; i < 16; ++i)
         EXPECT_DOUBLE_EQ(d.bias.at(0, k, 0, 0), out[k * 16 + i])

@@ -5,8 +5,8 @@
 //  * golden bit-identity — for the same per-request seeds, a model served
 //    through a pinned multi-PCU pipeline, a data-parallel fleet, and the
 //    sequential single-PCU reference produce bitwise-equal outputs, and
-//    engine_threads never perturbs a single bit (the stage hand-off
-//    carries the engine RNG state across chip boundaries);
+//    engine_threads never perturbs a single bit (each op's noise is keyed
+//    by request seed and op, so every stage reseeds from the request seed);
 //  * a steady-state pinned pipeline records zero model swaps, pays each
 //    stage pin exactly once, and charges busy time to the stage PCUs;
 //  * kPipeline composes with deadlines, shedding, and the autoscaler

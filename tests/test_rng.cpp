@@ -1,9 +1,7 @@
 // Deterministic RNG: reproducibility and distribution sanity.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "common/mathutil.hpp"
@@ -91,36 +89,4 @@ TEST(Rng, UniformIndexCoversRangeWithoutBias) {
 TEST(Rng, UniformIndexRejectsZero) {
   Rng rng(31);
   EXPECT_THROW(rng.uniform_index(0), pcnna::Error);
-}
-
-// discard_normals(n) must leave the generator bitwise where n calls of
-// normal() leave it — xoshiro words, the spare-normal flag, and the spare
-// value itself — whether the stream starts on a fresh pair or holds a
-// cached normal. The threaded engine positions its pixel tiles this way.
-TEST(Rng, DiscardNormalsMatchesNormalCalls) {
-  for (bool start_cached : {false, true}) {
-    for (std::uint64_t n : {0u, 1u, 2u, 3u, 1000u, 1001u}) {
-      Rng drawn(37), skipped(37);
-      if (start_cached) {
-        drawn.normal();
-        skipped.normal();
-      }
-      ASSERT_EQ(start_cached, drawn.state().have_cached_normal);
-      for (std::uint64_t i = 0; i < n; ++i) drawn.normal();
-      skipped.discard_normals(n);
-
-      const Rng::State want = drawn.state();
-      const Rng::State got = skipped.state();
-      for (std::size_t w = 0; w < 4; ++w)
-        EXPECT_EQ(want.s[w], got.s[w])
-            << "word " << w << " n=" << n << " cached=" << start_cached;
-      EXPECT_EQ(want.have_cached_normal, got.have_cached_normal)
-          << "n=" << n << " cached=" << start_cached;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(want.cached_normal),
-                std::bit_cast<std::uint64_t>(got.cached_normal))
-          << "n=" << n << " cached=" << start_cached;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(drawn.normal()),
-                std::bit_cast<std::uint64_t>(skipped.normal()));
-    }
-  }
 }
