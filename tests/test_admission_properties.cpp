@@ -869,6 +869,17 @@ std::vector<InferenceRequest> golden_stream(const PcuPool& pool,
   return requests;
 }
 
+/// Sort `faults` in poisson_faults' (time, pcu, recover-first) order.
+void sort_faults(runtime::FaultSchedule& faults) {
+  std::sort(faults.begin(), faults.end(),
+            [](const runtime::FaultEvent& a, const runtime::FaultEvent& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.pcu != b.pcu) return a.pcu < b.pcu;
+              return a.kind == runtime::FaultKind::kRecover &&
+                     b.kind != runtime::FaultKind::kRecover;
+            });
+}
+
 /// Per-PCU fault timelines with uniform gaps (mean `mtbf`), every crash
 /// paired with a recover; merged in poisson_faults' (time, pcu,
 /// recover-first) order.
@@ -896,13 +907,7 @@ runtime::FaultSchedule golden_faults(std::size_t pcus, double mtbf,
       }
     }
   }
-  std::sort(faults.begin(), faults.end(),
-            [](const runtime::FaultEvent& a, const runtime::FaultEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.pcu != b.pcu) return a.pcu < b.pcu;
-              return a.kind == runtime::FaultKind::kRecover &&
-                     b.kind != runtime::FaultKind::kRecover;
-            });
+  sort_faults(faults);
   return faults;
 }
 
@@ -912,10 +917,12 @@ struct GoldenCase {
   runtime::WarmupPolicy warmup = runtime::WarmupPolicy::kRechargeAfterIdle;
 };
 
-/// Every policy x {plain, finite-deadline shedding, autoscaler, blind
-/// faults, health-aware faults}, named "<policy>/<variant>".
+/// Every policy x {plain, finite-deadline shedding, autoscaler (from
+/// `min_active` PCUs), blind faults, health-aware faults}, named
+/// "<policy>/<variant>".
 std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
-                                     double interval) {
+                                     double interval,
+                                     std::size_t min_active = 1) {
   std::vector<GoldenCase> cases;
   for (const DispatchPolicy policy : runtime::kAllDispatchPolicies) {
     const std::string name = runtime::dispatch_policy_name(policy);
@@ -925,7 +932,7 @@ std::vector<GoldenCase> golden_cases(const runtime::FaultSchedule& faults,
     shed.shed_expired = true;
     AdmissionOptions scaled = plain;
     scaled.autoscaler.enabled = true;
-    scaled.autoscaler.min_active = 1;
+    scaled.autoscaler.min_active = min_active;
     scaled.autoscaler.backlog_per_pcu = 1.5;
     scaled.autoscaler.shrink_after_idle = 3.0 * interval;
     AdmissionOptions blind = plain;
@@ -1139,6 +1146,183 @@ TEST(AdmissionGolden, WideFleetDigestsMatchTheScanningLoop) {
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.name);
     expect_digest(expected, c, admit(pool, stream, c.options));
+  }
+}
+
+// The same matrix on fleets where most PCUs stay untouched — never
+// dispatched, faulted or scaled — for many dispatches, so each dispatch
+// breaks ties among PCUs that score alike:
+//  * cold-512: 512 paper_defaults PCUs at about a sixteenth of their
+//    capacity, tiny_cnn pipelined over PCUs 300 and 301;
+//  * tie-192: 192 paper_defaults PCUs whose warmup policy runs pinned,
+//    recharge, recharge, pinned, ...: untouched PCUs of both policies
+//    score alike, so the lowest index must win across the two;
+//  * fast-high-192: 96 small_core PCUs, then 96 faster paper_defaults.
+// Each fleet's autoscaler starts below the fleet size, so untouched PCUs
+// start both active and inactive. On fast-high-192 it starts with every
+// small_core PCU and one paper PCU, so the capability-aware and affinity
+// runs grow and park the untouched small_core PCUs, which those policies
+// never dispatch to. Each fleet's fault schedule crashes, degrades and
+// recovers one of its last three PCUs before any dispatch reaches them.
+// Recorded with the per-PCU scan, before the deferred loop scored one
+// untouched PCU per class.
+TEST(AdmissionGolden, ColdFleetDigestsMatchThePerPcuScan) {
+  Rng wrng(5);
+  const nn::Network lenet = nn::lenet5();
+  const nn::NetWeights lenet_w = nn::make_network_weights(lenet, wrng);
+  const nn::Network tiny = nn::tiny_cnn();
+  const nn::NetWeights tiny_w = nn::make_network_weights(tiny, wrng);
+  PcuSpec paper;
+  paper.config = PcnnaConfig::paper_defaults();
+  PcuSpec pinned = paper;
+  pinned.warmup = runtime::WarmupPolicy::kPinnedAfterFirst;
+  PcuSpec small = paper;
+  small.config = PcnnaConfig::small_core();
+
+  struct Fleet {
+    std::string name;
+    std::vector<PcuSpec> specs;
+    std::vector<std::size_t> pipeline; ///< tiny_cnn's group; empty: none
+    double rate;                       ///< arrivals per PCU 0 interval
+    std::size_t requests;
+    std::size_t min_active;
+  };
+  std::vector<Fleet> fleets;
+  fleets.push_back({"cold-512", std::vector<PcuSpec>(512, paper), {300, 301},
+                    32.0, 200, 128});
+  Fleet tie{"tie-192", {}, {}, 24.0, 300, 48};
+  for (std::size_t p = 0; p < 192; ++p)
+    tie.specs.push_back(p % 3 == 0 ? pinned : paper);
+  fleets.push_back(tie);
+  Fleet fast_high{"fast-high-192", std::vector<PcuSpec>(96, small), {}, 40.0,
+                  300, 97};
+  fast_high.specs.insert(fast_high.specs.end(), 96, paper);
+  fleets.push_back(fast_high);
+
+  const std::map<std::string, std::uint64_t> expected = {
+      {"cold-512/earliest-free/plain", 0x8682ec862ca0bb13ull},
+      {"cold-512/earliest-free/shed", 0x8682ec862ca0bb13ull},
+      {"cold-512/earliest-free/autoscaler", 0xf9a747afca68e5c8ull},
+      {"cold-512/earliest-free/blind-faults", 0xa29ec68a1721fed8ull},
+      {"cold-512/earliest-free/aware-faults", 0x406949a6c8a9f103ull},
+      {"cold-512/least-loaded/plain", 0xb4638ddd5ca410acull},
+      {"cold-512/least-loaded/shed", 0x9584d3344a385d33ull},
+      {"cold-512/least-loaded/autoscaler", 0xc2722763c2e8f593ull},
+      {"cold-512/least-loaded/blind-faults", 0x07ad2f6263dafa33ull},
+      {"cold-512/least-loaded/aware-faults", 0x9d1f49921759509full},
+      {"cold-512/capability-aware/plain", 0xb4638ddd5ca410acull},
+      {"cold-512/capability-aware/shed", 0x9584d3344a385d33ull},
+      {"cold-512/capability-aware/autoscaler", 0xc2722763c2e8f593ull},
+      {"cold-512/capability-aware/blind-faults", 0x07ad2f6263dafa33ull},
+      {"cold-512/capability-aware/aware-faults", 0x9d1f49921759509full},
+      {"cold-512/edf/plain", 0x9584d3344a385d33ull},
+      {"cold-512/edf/shed", 0x9584d3344a385d33ull},
+      {"cold-512/edf/autoscaler", 0xc2722763c2e8f593ull},
+      {"cold-512/edf/blind-faults", 0x07ad2f6263dafa33ull},
+      {"cold-512/edf/aware-faults", 0x9d1f49921759509full},
+      {"cold-512/model-affinity/plain", 0xcd1d9bdc70d70417ull},
+      {"cold-512/model-affinity/shed", 0xcd1d9bdc70d70417ull},
+      {"cold-512/model-affinity/autoscaler", 0x4005bea13396e0f7ull},
+      {"cold-512/model-affinity/blind-faults", 0x4f1dc04e05a37246ull},
+      {"cold-512/model-affinity/aware-faults", 0xace0e8d2f0d29735ull},
+      {"cold-512/pipeline/plain", 0x37e955bc79c1009full},
+      {"cold-512/pipeline/shed", 0x094b57c8791750d0ull},
+      {"cold-512/pipeline/autoscaler", 0xa19dfb7339fce8f5ull},
+      {"cold-512/pipeline/blind-faults", 0xd68fe28348c7ddc1ull},
+      {"cold-512/pipeline/aware-faults", 0x54dfea2a4a26668eull},
+      {"tie-192/earliest-free/plain", 0xc66a55647116893cull},
+      {"tie-192/earliest-free/shed", 0xc66a55647116893cull},
+      {"tie-192/earliest-free/autoscaler", 0xe22d91a79c42a436ull},
+      {"tie-192/earliest-free/blind-faults", 0x3de53093f848747cull},
+      {"tie-192/earliest-free/aware-faults", 0x4dccde3326df5005ull},
+      {"tie-192/least-loaded/plain", 0xa487043afaa2f2a9ull},
+      {"tie-192/least-loaded/shed", 0x370bf768a699cc3full},
+      {"tie-192/least-loaded/autoscaler", 0x488aab0df91d9d5full},
+      {"tie-192/least-loaded/blind-faults", 0x757e6a4eb8ab8f71ull},
+      {"tie-192/least-loaded/aware-faults", 0xba201e77e7f24d54ull},
+      {"tie-192/capability-aware/plain", 0xa487043afaa2f2a9ull},
+      {"tie-192/capability-aware/shed", 0x370bf768a699cc3full},
+      {"tie-192/capability-aware/autoscaler", 0x488aab0df91d9d5full},
+      {"tie-192/capability-aware/blind-faults", 0x757e6a4eb8ab8f71ull},
+      {"tie-192/capability-aware/aware-faults", 0xba201e77e7f24d54ull},
+      {"tie-192/edf/plain", 0x370bf768a699cc3full},
+      {"tie-192/edf/shed", 0x370bf768a699cc3full},
+      {"tie-192/edf/autoscaler", 0x488aab0df91d9d5full},
+      {"tie-192/edf/blind-faults", 0x757e6a4eb8ab8f71ull},
+      {"tie-192/edf/aware-faults", 0xba201e77e7f24d54ull},
+      {"tie-192/model-affinity/plain", 0xc045d52da125852bull},
+      {"tie-192/model-affinity/shed", 0xc045d52da125852bull},
+      {"tie-192/model-affinity/autoscaler", 0x935880fe2874eccbull},
+      {"tie-192/model-affinity/blind-faults", 0x14ebe960d7095a74ull},
+      {"tie-192/model-affinity/aware-faults", 0x748da9438f90f759ull},
+      {"tie-192/pipeline/plain", 0x370bf768a699cc3full},
+      {"tie-192/pipeline/shed", 0x370bf768a699cc3full},
+      {"tie-192/pipeline/autoscaler", 0x488aab0df91d9d5full},
+      {"tie-192/pipeline/blind-faults", 0x757e6a4eb8ab8f71ull},
+      {"tie-192/pipeline/aware-faults", 0xba201e77e7f24d54ull},
+      {"fast-high-192/earliest-free/plain", 0xd5000d4e3e4247ecull},
+      {"fast-high-192/earliest-free/shed", 0x6c498fb8c3231868ull},
+      {"fast-high-192/earliest-free/autoscaler", 0x684f9ce110028855ull},
+      {"fast-high-192/earliest-free/blind-faults", 0x800fd04e1d256050ull},
+      {"fast-high-192/earliest-free/aware-faults", 0x0fa127a6d3501cd9ull},
+      {"fast-high-192/least-loaded/plain", 0x90265c8f8c3eab7cull},
+      {"fast-high-192/least-loaded/shed", 0x1262449a25b9bd92ull},
+      {"fast-high-192/least-loaded/autoscaler", 0xa1fea0af4eee40c5ull},
+      {"fast-high-192/least-loaded/blind-faults", 0x6082eac3e8c7cba6ull},
+      {"fast-high-192/least-loaded/aware-faults", 0xd79d8161088217a5ull},
+      {"fast-high-192/capability-aware/plain", 0x90265c8f8c3eab7cull},
+      {"fast-high-192/capability-aware/shed", 0x1262449a25b9bd92ull},
+      {"fast-high-192/capability-aware/autoscaler", 0xe5778e995a6f6973ull},
+      {"fast-high-192/capability-aware/blind-faults", 0x6082eac3e8c7cba6ull},
+      {"fast-high-192/capability-aware/aware-faults", 0xd79d8161088217a5ull},
+      {"fast-high-192/edf/plain", 0x1262449a25b9bd92ull},
+      {"fast-high-192/edf/shed", 0x1262449a25b9bd92ull},
+      {"fast-high-192/edf/autoscaler", 0xa1fea0af4eee40c5ull},
+      {"fast-high-192/edf/blind-faults", 0x6082eac3e8c7cba6ull},
+      {"fast-high-192/edf/aware-faults", 0xd79d8161088217a5ull},
+      {"fast-high-192/model-affinity/plain", 0x715e9d28c7c99e4bull},
+      {"fast-high-192/model-affinity/shed", 0x715e9d28c7c99e4bull},
+      {"fast-high-192/model-affinity/autoscaler", 0xf381ccd85c4232deull},
+      {"fast-high-192/model-affinity/blind-faults", 0xfc2b0f1a2dc6e94dull},
+      {"fast-high-192/model-affinity/aware-faults", 0xaece2b3e91fe8a7bull},
+      {"fast-high-192/pipeline/plain", 0x1262449a25b9bd92ull},
+      {"fast-high-192/pipeline/shed", 0x1262449a25b9bd92ull},
+      {"fast-high-192/pipeline/autoscaler", 0xa1fea0af4eee40c5ull},
+      {"fast-high-192/pipeline/blind-faults", 0x6082eac3e8c7cba6ull},
+      {"fast-high-192/pipeline/aware-faults", 0xd79d8161088217a5ull},
+  };
+  for (const Fleet& f : fleets) {
+    PcuPool pool(f.specs, TimingFidelity::kFull, lenet, lenet_w);
+    pool.register_model(tiny, tiny_w);
+    if (!f.pipeline.empty())
+      pool.build_pipeline(/*model=*/1, f.pipeline, /*handoff_time=*/2.0e-6);
+    const std::vector<InferenceRequest> stream =
+        golden_stream(pool, f.requests, f.rate);
+    const double interval = pool.pcu(0).request_interval_overlapped(0);
+    const std::size_t n = f.specs.size();
+    runtime::FaultSchedule faults = golden_faults(
+        n, 40.0 * interval, stream.back().arrival_time, 10.0 * interval);
+    const std::vector<runtime::FaultEvent> early = {
+        {interval, n - 1, runtime::FaultKind::kCrash, 1.0},
+        {interval, n - 2, runtime::FaultKind::kDegrade, 1.5},
+        {interval, n - 3, runtime::FaultKind::kRecover, 1.0},
+        {2.0 * interval, n - 1, runtime::FaultKind::kRecover, 1.0}};
+    faults.insert(faults.end(), early.begin(), early.end());
+    sort_faults(faults);
+    for (const GoldenCase& c : golden_cases(faults, interval, f.min_active)) {
+      SCOPED_TRACE(f.name + "/" + c.name);
+      const AdmissionResult r = admit(pool, stream, c.options);
+      golden::expect_digest(expected, f.name + "/" + c.name,
+                            admission_digest(r, c.options.faults));
+      if (c.name != "edf/aware-faults") continue;
+      // The early events strike before any attempt starts on their PCU.
+      for (const runtime::FaultEvent& e : early) {
+        for (const ScheduledService& s : r.schedule)
+          EXPECT_FALSE(s.pcu == e.pcu && s.start <= e.time) << e.pcu;
+        for (const runtime::FaultedAttempt& a : r.fault.attempts)
+          EXPECT_FALSE(a.pcu == e.pcu && a.start <= e.time) << e.pcu;
+      }
+    }
   }
 }
 
