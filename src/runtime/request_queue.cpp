@@ -1,5 +1,7 @@
 #include "runtime/request_queue.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -23,6 +25,12 @@ void RequestQueue::push(InferenceRequest request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     PCNNA_CHECK_MSG(!closed_, "push() on a closed RequestQueue");
+    // An infinite arrival would never become due: admission would neither
+    // serve, shed nor lose it.
+    PCNNA_CHECK_MSG(
+        std::isfinite(request.arrival_time) && request.arrival_time >= 0.0,
+        "request " << request.id << " has invalid timestamp "
+                   << request.arrival_time);
     PCNNA_CHECK_MSG(
         request.arrival_time >= last_arrival_,
         "out-of-order push: request " << request.id << " arrives at t="

@@ -114,11 +114,12 @@ class RequestQueue {
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Enqueue one request. Throws pcnna::Error if the queue is closed, or
-  /// if the request's arrival_time precedes that of an earlier push: the
-  /// virtual-time interface below peeks the *front* of the FIFO as the
-  /// earliest pending arrival, so an out-of-order push (e.g. an unsorted
-  /// trace file) would silently corrupt virtual-time admission.
+  /// Enqueue one request. Throws pcnna::Error if the queue is closed, if
+  /// the request's arrival_time is negative or not finite, or if it
+  /// precedes that of an earlier push: the virtual-time interface below
+  /// peeks the *front* of the FIFO as the earliest pending arrival, so an
+  /// out-of-order push (e.g. an unsorted trace file) would silently
+  /// corrupt virtual-time admission.
   void push(InferenceRequest request);
 
   /// Block until a request is available or the queue is closed and drained.

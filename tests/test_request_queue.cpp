@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,6 +180,31 @@ TEST(RequestQueue, ShuffledTraceIsRejectedNotReordered) {
   EXPECT_TRUE(threw);
   // The queue keeps only the prefix pushed before the violation.
   EXPECT_EQ(2u, q.size());
+}
+
+TEST(RequestQueue, RejectsNonFiniteAndNegativeArrivals) {
+  // An infinite arrival never becomes due, so admission would neither
+  // serve, shed nor lose it; a NaN or negative one has no place in the
+  // virtual timeline. Each is refused on the first push, by id and value,
+  // not reported as out of order.
+  for (const double t : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    SCOPED_TRACE(t);
+    RequestQueue q;
+    InferenceRequest r = make_request(3);
+    r.arrival_time = t;
+    try {
+      q.push(std::move(r));
+      ADD_FAILURE() << "push accepted arrival_time " << t;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      std::ostringstream want;
+      want << "request 3 has invalid timestamp " << t;
+      EXPECT_NE(std::string::npos, what.find(want.str())) << what;
+      EXPECT_EQ(std::string::npos, what.find("out-of-order")) << what;
+    }
+    EXPECT_EQ(0u, q.size());
+  }
 }
 
 TEST(RequestQueue, OrderingPersistsAcrossPops) {
