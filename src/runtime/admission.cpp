@@ -3,9 +3,11 @@
 // per-run state and runs one event loop over it, reading the pool only
 // through its public API. Requests dispatched at admission and deferred
 // ones share the per-policy scorer and the commit; they differ only in
-// which PCUs are candidates (AdmissionRun::candidate). Deferred runs index
+// which PCUs are candidates (AdmissionRun::candidate). Every scorer reads
+// the PCUs' timing constants from a dense per-run table. Deferred runs index
 // the fleet by free time, so their scans over candidates touch only the
-// PCUs free at `now` (see AdmissionRun::set_free_at).
+// PCUs free at `now` (see AdmissionRun::set_free_at), and score only one
+// untouched PCU per class of equal static inputs (see AdmissionRun::touch).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -45,6 +47,23 @@ struct PendingRequest {
 /// first dispatch programs them as part of the normal pipeline fill, so no
 /// swap is charged — there is no outgoing model to tear down.
 constexpr std::uint32_t kNoModel = std::numeric_limits<std::uint32_t>::max();
+
+/// One PCU's timing constants for one model, copied from the Pcu accessors
+/// of the same names once per run.
+struct ModelTiming {
+  double request_time_serial;
+  double request_interval_overlapped;
+  double warmup_time;
+  double swap_time;
+};
+
+/// PCUs with equal static inputs (AdmissionRun::classify), ascending;
+/// members[next] is the lowest-index one still untouched.
+struct PcuClass {
+  std::vector<std::size_t> members;
+  std::size_t next = 0;
+  bool active = false; ///< every member's initial active_
+};
 
 /// Dispatch order of the pending set. Under kEdf: strict PriorityClass
 /// precedence, then earliest absolute deadline (class-partitioned EDF —
@@ -148,9 +167,17 @@ class AdmissionRun {
         pending_(UrgencyOrder{policy_ == DispatchPolicy::kEdf ||
                               policy_ == DispatchPolicy::kModelAffinity ||
                               pipelined_}) {
-    for (std::size_t p = 0; p < n_; ++p)
-      for (std::uint32_t m = 0; m < pool.num_models(); ++m)
+    timing_.reserve(n_ * models_);
+    for (std::size_t p = 0; p < n_; ++p) {
+      const Pcu& pcu = pool.pcu(p);
+      warmup_policy_[p] = pcu.warmup_policy();
+      for (std::uint32_t m = 0; m < models_; ++m) {
+        timing_.push_back({pcu.request_time_serial(m),
+                           pcu.request_interval_overlapped(m),
+                           pcu.warmup_time(m), pcu.swap_time(m)});
         if (capable(p, m)) capable_any_[p] = 1;
+      }
+    }
     for (std::size_t p = 0; p < active_count_; ++p) active_[p] = 1;
     if (pipelined_) {
       for (std::size_t g = 0; g < pool.num_pipelines(); ++g) {
@@ -168,10 +195,12 @@ class AdmissionRun {
     }
     result_.pipeline.groups = groups_.size();
     if (fault_active_) result_.fault.per_pcu.resize(n_);
-    // Every PCU starts free at t = 0.
+    // Every PCU starts free, and untouched, at t = 0.
     if (!at_admission_) {
       free_bits_.assign((n_ + 63) / 64, ~std::uint64_t{0});
       if (n_ % 64 != 0) free_bits_.back() >>= 64 - n_ % 64;
+      untouched_bits_ = free_bits_;
+      classify();
     }
   }
 
@@ -209,6 +238,10 @@ class AdmissionRun {
 
  private:
   // --- per-PCU queries ---
+
+  const ModelTiming& timing(std::size_t p, std::uint32_t m) const {
+    return timing_[p * models_ + m];
+  }
 
   /// Per-model capability: under kCapabilityAware (and kModelAffinity's
   /// least-loaded-capable fallback) a PCU must map the request's model
@@ -277,20 +310,28 @@ class AdmissionRun {
   }
 
   /// argmin over the candidates passing `filter`. At admission every PCU
-  /// is a candidate and this is the plain scan. Deferred, it walks only
-  /// the free set, in ascending index order, so the strict-< tie-break
-  /// picks the same PCU the full scan would.
+  /// is a candidate and this is the plain scan. Deferred, it walks the
+  /// touched free PCUs and the lowest-index untouched PCU of each class
+  /// that has one: untouched PCUs of a class filter and score bitwise
+  /// alike, so the full scan would pick none of the others. Candidates
+  /// come out of index order, so they combine under the full scan's two
+  /// rules: the lowest index among equal scores, and never a +inf score.
   template <class Filter, class Score>
   Pick argmin_candidate(Filter&& filter, Score&& score) const {
     if (at_admission_) return argmin(filter, score);
     Pick best{n_, kInf};
-    any_free([&](std::size_t p) {
-      if (filter(p)) {
-        const double s = score(p);
-        if (s < best.score) best = {p, s};
-      }
-      return false;
-    });
+    const auto consider = [&](std::size_t p) {
+      if (!filter(p)) return;
+      const double s = score(p);
+      if (s < best.score || (s == best.score && s < kInf && p < best.pcu))
+        best = {p, s};
+    };
+    for (std::size_t w = 0; w < free_bits_.size(); ++w)
+      for (std::uint64_t bits = free_bits_[w] & ~untouched_bits_[w]; bits != 0;
+           bits &= bits - 1)
+        consider(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    for (const std::size_t c : open_classes_)
+      consider(classes_[c].members[classes_[c].next]);
     PCNNA_DCHECK(same_pick(
         best,
         argmin([&](std::size_t p) { return candidate(p) && filter(p); },
@@ -327,10 +368,57 @@ class AdmissionRun {
     return kInf;
   }
 
+  bool is_untouched(std::size_t p) const {
+    return (untouched_bits_[p / 64] & bit(p)) != 0;
+  }
+
+  /// Group the PCUs by their static inputs: every model's timing row and
+  /// capability, the warmup policy, reservation and initial activity.
+  /// Untouched PCUs of one class filter and score bitwise alike.
+  void classify() {
+    std::map<std::vector<std::uint64_t>, std::size_t> ids;
+    std::vector<std::uint64_t> key;
+    for (std::size_t p = 0; p < n_; ++p) {
+      key.clear();
+      for (std::uint32_t m = 0; m < models_; ++m) {
+        const ModelTiming& t = timing(p, m);
+        for (const double v : {t.request_time_serial,
+                               t.request_interval_overlapped, t.warmup_time,
+                               t.swap_time})
+          key.push_back(std::bit_cast<std::uint64_t>(v));
+        key.push_back(capable(p, m));
+      }
+      key.push_back(static_cast<std::uint64_t>(warmup_policy_[p]));
+      key.push_back(reserved_[p]);
+      key.push_back(active_[p]);
+      const auto [it, fresh] = ids.try_emplace(key, classes_.size());
+      if (fresh) {
+        open_classes_.push_back(classes_.size());
+        classes_.push_back({{}, 0, active_[p] != 0});
+      }
+      classes_[it->second].members.push_back(p);
+      class_of_[p] = it->second;
+    }
+  }
+
+  /// Mark PCU p touched: it may leave its initial state, so from now on
+  /// the scan scores it on its own. Every writer of a per-PCU field calls
+  /// this first; a bit once cleared is never set again. Dispatching at
+  /// admission keeps no classes.
+  void touch(std::size_t p) {
+    if (at_admission_ || !is_untouched(p)) return;
+    untouched_bits_[p / 64] &= ~bit(p);
+    PcuClass& c = classes_[class_of_[p]];
+    while (c.next < c.members.size() && !is_untouched(c.members[c.next]))
+      ++c.next;
+    if (c.next == c.members.size()) std::erase(open_classes_, class_of_[p]);
+  }
+
   /// The one writer of free_at_ after construction. A deferred run keeps
   /// the index in step; dispatching at admission never reads it, so it
   /// skips the upkeep.
   void set_free_at(std::size_t p, double t) {
+    touch(p);
     if (!at_admission_) {
       if (is_free(p)) {
         free_bits_[p / 64] &= ~bit(p);
@@ -347,14 +435,22 @@ class AdmissionRun {
   }
 
   /// Debug oracle for the index: bit p set <=> free_at_[p] <= now_, no bit
-  /// past the fleet, and busy_ holds exactly (free_at_[p], p) for every
-  /// PCU whose bit is clear.
+  /// past the fleet, busy_ holds exactly (free_at_[p], p) for every PCU
+  /// whose bit is clear, and every untouched PCU still holds the initial
+  /// value of every per-PCU field the filters and scorers read.
   bool index_consistent() const {
     if (n_ % 64 != 0 && (free_bits_.back() >> (n_ % 64)) != 0) return false;
     std::size_t busy = 0;
     for (std::size_t p = 0; p < n_; ++p) {
       if (is_free(p) != (free_at_[p] <= now_)) return false;
       busy += is_free(p) ? 0 : 1;
+      if (is_untouched(p) &&
+          (free_at_[p] != 0.0 || served_[p] != 0 ||
+           programmed_[p] != kNoModel || force_cold_[p] ||
+           degrade_mult_[p] != 1.0 || excluded_[p] ||
+           health_[p] != HealthState::kHealthy ||
+           (active_[p] != 0) != classes_[class_of_[p]].active))
+        return false;
     }
     if (busy != busy_.size()) return false;
     for (const auto& [t, p] : busy_)
@@ -377,7 +473,7 @@ class AdmissionRun {
   double warmup_charge(std::size_t p, std::uint32_t m, double start) const {
     if (!options_.double_buffer) return 0.0;
     bool cold = true;
-    switch (pool_.pcu(p).warmup_policy()) {
+    switch (warmup_policy_[p]) {
       case WarmupPolicy::kRechargeAfterIdle:
         // An idle gap drains the double-buffer pipeline, so the next
         // request pays the pipeline-fill warmup again; within a
@@ -394,7 +490,7 @@ class AdmissionRun {
         cold = true;
         break;
     }
-    return (cold || force_cold_[p]) ? pool_.pcu(p).warmup_time(m) : 0.0;
+    return (cold || force_cold_[p]) ? timing(p, m).warmup_time : 0.0;
   }
 
   /// True when dispatching model m to PCU p would reprogram its banks from
@@ -417,13 +513,13 @@ class AdmissionRun {
   /// agree on a single-model stream.
   double service(std::size_t p, std::uint32_t m, double start,
                  bool swap_aware) const {
-    const Pcu& pcu = pool_.pcu(p);
+    const ModelTiming& t = timing(p, m);
     if (!options_.double_buffer)
-      return pcu.request_time_serial(m) * degrade_mult_[p];
+      return t.request_time_serial * degrade_mult_[p];
     const double fill = swap_aware && would_swap(p, m)
-                            ? pcu.swap_time(m)
+                            ? t.swap_time
                             : warmup_charge(p, m, start);
-    return (pcu.request_interval_overlapped(m) + fill) * degrade_mult_[p];
+    return (t.request_interval_overlapped + fill) * degrade_mult_[p];
   }
 
   // --- dispatch ---
@@ -526,7 +622,7 @@ class AdmissionRun {
               return eligible(p) && programmed_[p] == m && !candidate(p);
             },
             [&](std::size_t p) {
-              return free_at_[p] + pool_.pcu(p).request_interval_overlapped(m) *
+              return free_at_[p] + timing(p, m).request_interval_overlapped *
                                        degrade_mult_[p];
             });
         best = argmin_candidate(eligible, truthful);
@@ -558,7 +654,7 @@ class AdmissionRun {
         start + service(p, r.model, start, /*swap_aware=*/true);
     if (shed_late(r, completion)) return;
     const bool swapped = would_swap(p, r.model);
-    const double swap = swapped ? pool_.pcu(p).swap_time(r.model) : 0.0;
+    const double swap = swapped ? timing(p, r.model).swap_time : 0.0;
     const double warmup = swapped ? 0.0 : warmup_charge(p, r.model, start);
     occupy(p, r.model, completion);
     commit({r.id, p, r.arrival, start, completion, warmup, r.tenant,
@@ -861,6 +957,7 @@ class AdmissionRun {
       if (!active_[i] || reserved_[i]) continue;
       const double idle_from = std::max(free_at_[i], activated_at_[i]);
       if (now_ - idle_from >= scaler_.shrink_after_idle) {
+        touch(i);
         active_[i] = 0;
         active_count_ -= 1;
         result_.autoscaler.scale_downs += 1;
@@ -906,6 +1003,7 @@ class AdmissionRun {
   /// Activation forces a cold start: the pipeline of a parked PCU has
   /// drained no matter its WarmupPolicy.
   void activate(std::size_t p) {
+    touch(p);
     active_[p] = 1;
     force_cold_[p] = 1;
     activated_at_[p] = now_;
@@ -964,6 +1062,7 @@ class AdmissionRun {
 
   /// Fire the pending health-system timer of PCU p at its due time t.
   void fire_timer(std::size_t p, double t) {
+    touch(p);
     const TimerKind kind = timer_kind_[p];
     set_timer(p, TimerKind::kNone, kInf);
     switch (kind) {
@@ -987,7 +1086,7 @@ class AdmissionRun {
             programmed_[p] == kNoModel ? 0u : programmed_[p];
         const double repair_start = std::max(t, free_at_[p]);
         const double repair_end =
-            repair_start + faults_.repair_time + pool_.pcu(p).swap_time(m);
+            repair_start + faults_.repair_time + timing(p, m).swap_time;
         result_.fault.repair_time += repair_end - repair_start;
         set_free_at(p, std::max(free_at_[p], repair_end));
         set_timer(p, TimerKind::kRepairDone, repair_end);
@@ -1013,6 +1112,7 @@ class AdmissionRun {
       case FaultKind::kDegrade:
         if (health_[p] == HealthState::kFailed) return; // dead already
         result_.fault.per_pcu[p].degrades += 1;
+        touch(p);
         degrade_mult_[p] = std::max(degrade_mult_[p], e.severity);
         if (health_[p] == HealthState::kHealthy)
           enter_health(p, HealthState::kDegraded, e.time);
@@ -1093,6 +1193,7 @@ class AdmissionRun {
   /// after a quarantine repair or a kRecover: the next dispatch
   /// recalibrates from cold.
   void rejoin(std::size_t p, double t) {
+    touch(p);
     enter_health(p, HealthState::kHealthy, t);
     excluded_[p] = 0;
     degrade_mult_[p] = 1.0;
@@ -1105,6 +1206,7 @@ class AdmissionRun {
   /// Move PCU p into `state` at time t, closing the dwell bucket of the
   /// state it leaves.
   void enter_health(std::size_t p, HealthState state, double t) {
+    touch(p);
     const double dt = t - health_since_[p];
     if (dt > 0.0) {
       PcuHealthStats& hs = result_.fault.per_pcu[p];
@@ -1180,10 +1282,9 @@ class AdmissionRun {
       const double fastest =
           argmin([](std::size_t) { return true; },
                  [&](std::size_t p) {
-                   const Pcu& pcu = pool_.pcu(p);
-                   return options_.double_buffer
-                              ? pcu.request_interval_overlapped(req.model)
-                              : pcu.request_time_serial(req.model);
+                   const ModelTiming& t = timing(p, req.model);
+                   return options_.double_buffer ? t.request_interval_overlapped
+                                                 : t.request_time_serial;
                  })
               .score;
       ready = std::max(detect, std::min(ready, req.deadline - fastest));
@@ -1208,11 +1309,16 @@ class AdmissionRun {
   const bool at_admission_;
   const std::size_t min_active_;
   const std::size_t max_active_;
+  const std::uint32_t models_ = pool_.num_models();
 
   AdmissionResult result_;
 
   template <class T>
   using PerPcu = std::vector<T>;
+  /// timing(p, m): row p * models_ + m.
+  std::vector<ModelTiming> timing_;
+  PerPcu<WarmupPolicy> warmup_policy_ =
+      PerPcu<WarmupPolicy>(n_, WarmupPolicy::kRechargeAfterIdle);
   PerPcu<unsigned char> capable_any_ = PerPcu<unsigned char>(n_, 0);
   /// When each PCU finishes its committed work; written only through
   /// set_free_at.
@@ -1267,6 +1373,14 @@ class AdmissionRun {
   /// every other PCU, soonest first.
   std::vector<std::uint64_t> free_bits_;
   std::set<std::pair<double, std::size_t>> busy_;
+  /// Untouched PCUs of a deferred run: bit p stays set until touch(p),
+  /// before the first write to any of PCU p's fields, so a set bit means
+  /// p holds its initial state (and is free).
+  std::vector<std::uint64_t> untouched_bits_;
+  std::vector<PcuClass> classes_;
+  PerPcu<std::size_t> class_of_ = PerPcu<std::size_t>(n_, 0);
+  /// Classes with an untouched member.
+  std::vector<std::size_t> open_classes_;
   double now_ = 0.0;
   double last_event_ = 0.0;
   double active_integral_ = 0.0; ///< ∫ active count dt, for mean_active
