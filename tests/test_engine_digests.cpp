@@ -10,8 +10,12 @@
 // bit. The networks are LeNet-5, tiny_cnn and a wide 64x64x4 two-conv net;
 // the configs are ideal(), paper_defaults(), small_core(), paper_defaults()
 // with 5 % stuck heaters, and paper_defaults() with 50 pm fabrication
-// disorder. Every digest must hold at engine_threads 1 and 4 alike. On a
-// mismatch the failure message is the map entry to paste.
+// disorder. LeNet-5 and tiny_cnn also run with their FC layers offloaded
+// (accelerate_fc) under ideal(), a quiet faulty chip (paper_defaults()
+// without noise, with 5 % stuck heaters and 50 pm disorder),
+// paper_defaults() and small_core(). Every digest must hold at
+// engine_threads 1 and 4 alike. On a mismatch the failure message is the
+// map entry to paste.
 //
 // The engine's noise (Box-Muller: log, sqrt, cos) and its ring model go
 // through the C math library; the digests were recorded with glibc 2.36 on
@@ -56,11 +60,23 @@ std::map<std::string, PcnnaConfig> digest_configs() {
   stuck.stuck_ring_rate = 0.05;
   PcnnaConfig disorder = PcnnaConfig::paper_defaults();
   disorder.bank.ring.fab_sigma = 0.05e-9;
+  PcnnaConfig quiet_faulty = PcnnaConfig::paper_defaults();
+  quiet_faulty.enable_noise = false;
+  quiet_faulty.stuck_ring_rate = 0.05;
+  quiet_faulty.bank.ring.fab_sigma = 0.05e-9;
+  const auto fc = [](PcnnaConfig config) {
+    config.accelerate_fc = true;
+    return config;
+  };
   return {{"ideal", PcnnaConfig::ideal()},
           {"paper_defaults", PcnnaConfig::paper_defaults()},
           {"small_core", PcnnaConfig::small_core()},
           {"stuck_5pct", stuck},
-          {"disorder_50pm", disorder}};
+          {"disorder_50pm", disorder},
+          {"fc_ideal", fc(PcnnaConfig::ideal())},
+          {"fc_quiet_faulty", fc(quiet_faulty)},
+          {"fc_paper_defaults", fc(PcnnaConfig::paper_defaults())},
+          {"fc_small_core", fc(PcnnaConfig::small_core())}};
 }
 
 void hash_tensor(Fnv1a& h, const nn::Tensor& t) {
@@ -149,14 +165,22 @@ Digests engine_digests(const nn::Network& net, PcnnaConfig config,
 
 /// EngineStats and EngineWork of every case: recorded with the engine's
 /// noise drawn from one sequential stream per request, and unchanged by
-/// keying it per (request, op, pass, pixel).
+/// keying it per (request, op, pass, pixel). The fc_ cases went in later.
 const std::map<std::string, std::uint64_t> kExpectedWork = {
     {"lenet5/disorder_50pm", 0x60c4daba572059eaull},
+    {"lenet5/fc_ideal", 0xa900a5e161b06adcull},
+    {"lenet5/fc_paper_defaults", 0x5f045278a7e62f17ull},
+    {"lenet5/fc_quiet_faulty", 0x4cf70bf6bc7feab8ull},
+    {"lenet5/fc_small_core", 0x0b92cb5be08b4709ull},
     {"lenet5/ideal", 0xdfb73bb8c1a8989eull},
     {"lenet5/paper_defaults", 0x9ecccbb2b8e2063aull},
     {"lenet5/small_core", 0xc01aaf0470f5269dull},
     {"lenet5/stuck_5pct", 0xa1b27f4315c02e4bull},
     {"tiny_cnn/disorder_50pm", 0xc0dcef89372fcf5cull},
+    {"tiny_cnn/fc_ideal", 0xab809dc81c2bb88cull},
+    {"tiny_cnn/fc_paper_defaults", 0xd6b04e5fb3a37a23ull},
+    {"tiny_cnn/fc_quiet_faulty", 0xc71595dfe5aac9eeull},
+    {"tiny_cnn/fc_small_core", 0xd76b30f11a11e915ull},
     {"tiny_cnn/ideal", 0x1870a47f887bcecaull},
     {"tiny_cnn/paper_defaults", 0x6ab1682cd42b4d22ull},
     {"tiny_cnn/small_core", 0x84a0c2e98b807eb5ull},
@@ -170,14 +194,22 @@ const std::map<std::string, std::uint64_t> kExpectedWork = {
 
 /// Output bits of every case. Keying the noise per (request, op, pass,
 /// pixel) re-recorded every case but the three ideal ones, which draw no
-/// noise.
+/// noise. The fc_ cases went in later.
 const std::map<std::string, std::uint64_t> kExpectedOutputs = {
     {"lenet5/disorder_50pm", 0xec8da82524aa452dull},
+    {"lenet5/fc_ideal", 0x95cbe49ec53f13d1ull},
+    {"lenet5/fc_paper_defaults", 0x09c24da041e48fa5ull},
+    {"lenet5/fc_quiet_faulty", 0x01d7da47a3baa979ull},
+    {"lenet5/fc_small_core", 0xf25bc663a6e80ca1ull},
     {"lenet5/ideal", 0x6761feba17e6c685ull},
     {"lenet5/paper_defaults", 0x945b533218cc0d2dull},
     {"lenet5/small_core", 0xaab26a84a67b2531ull},
     {"lenet5/stuck_5pct", 0xb592011cd796fe11ull},
     {"tiny_cnn/disorder_50pm", 0x940faff3de11edf5ull},
+    {"tiny_cnn/fc_ideal", 0x8e855d3353542865ull},
+    {"tiny_cnn/fc_paper_defaults", 0x5d32a54db9ceeaddull},
+    {"tiny_cnn/fc_quiet_faulty", 0xf5a43e908aa0e641ull},
+    {"tiny_cnn/fc_small_core", 0x608c6a8cc499f525ull},
     {"tiny_cnn/ideal", 0x7c7f7771189784b9ull},
     {"tiny_cnn/paper_defaults", 0x6584db62dc2b46ddull},
     {"tiny_cnn/small_core", 0x8c3614e4cd2a7ff5ull},
@@ -209,14 +241,25 @@ TEST_P(EngineGolden, DigestMatches) {
   }
 }
 
+std::string case_name(
+    const ::testing::TestParamInfo<EngineGolden::ParamType>& info) {
+  return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Networks, EngineGolden,
     ::testing::Combine(::testing::Values("lenet5", "tiny_cnn", "widefm"),
                        ::testing::Values("ideal", "paper_defaults",
                                          "small_core", "stuck_5pct",
                                          "disorder_50pm")),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
-    });
+    case_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    OffloadedFc, EngineGolden,
+    ::testing::Combine(::testing::Values("lenet5", "tiny_cnn"),
+                       ::testing::Values("fc_ideal", "fc_quiet_faulty",
+                                         "fc_paper_defaults",
+                                         "fc_small_core")),
+    case_name);
 
 } // namespace
