@@ -63,45 +63,50 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
   const EnergyModel energy(config());
   NetworkRunReport report;
   nn::Tensor x = input;
-  // Offload one layer to the optical core: price its plan, simulate it (or
-  // run the golden layer in its place), compare the two only when asked,
-  // and add the layer to the totals.
-  const auto offload = [&](const nn::ConvLayerParams& params,
-                           const auto& simulate, const auto& golden) {
-    LayerRunReport layer;
-    layer.layer_name = params.name;
-    layer.timing = timing.layer_time(params);
-    layer.energy = energy.layer_energy(scheduler.plan(params), layer.timing);
-    if (simulate_values) {
-      nn::Tensor sim_out = simulate(layer.engine);
-      if (compare_reference) compare_layer(sim_out, golden(), layer);
-      x = std::move(sim_out);
-    } else {
-      x = golden();
-    }
-    report.total_optical_core_time += layer.timing.optical_core_time;
-    report.total_full_system_time += layer.timing.full_system_time;
-    report.total_energy += layer.energy.total();
-    return layer;
-  };
-
   for (std::size_t i = op_begin; i < op_end; ++i) {
     const nn::LayerOp& op = net.ops()[i];
     const nn::Tensor& w = weights.weight[i];
     const nn::Tensor& b = weights.bias[i];
-    const auto golden_fc = [&] { return nn::fully_connected(x, w, b); };
-    const std::optional<nn::ConvLayerParams> offloaded =
-        offloaded_layer(config(), net, i);
-    if (offloaded) engine_.reseed_rng(derive_seed(seed_, i));
+    const auto golden = [&] {
+      return op.kind == nn::OpKind::kConv
+                 ? nn::conv2d_direct(x, w, b, op.conv.s, op.conv.p)
+                 : nn::fully_connected(x, w, b);
+    };
+    // Offload the layer to the optical core: price its plan, simulate it (or
+    // run the golden layer in its place), compare the two only when asked,
+    // and add the layer to the totals. An FC layer runs as the 1x1 conv it
+    // is priced as, on its input as a [1, in, 1, 1] map.
+    if (const std::optional<nn::ConvLayerParams> params =
+            offloaded_layer(config(), net, i)) {
+      const nn::Shape4 map{1, params->nc, params->n, params->n};
+      if (x.shape() != map)
+        x = nn::Tensor(map, {x.data().begin(), x.data().end()});
+      LayerRunReport layer;
+      layer.layer_name = params->name;
+      layer.timing = timing.layer_time(*params);
+      layer.energy =
+          energy.layer_energy(scheduler.plan(*params), layer.timing);
+      if (simulate_values) {
+        engine_.reseed_rng(derive_seed(seed_, i));
+        nn::Tensor sim_out =
+            engine_.conv2d(x, w, b, params->s, params->p, &layer.engine,
+                           programs.empty() ? nullptr : &programs[i]);
+        if (compare_reference) compare_layer(sim_out, golden(), layer);
+        x = std::move(sim_out);
+      } else {
+        x = golden();
+      }
+      report.total_optical_core_time += layer.timing.optical_core_time;
+      report.total_full_system_time += layer.timing.full_system_time;
+      report.total_energy += layer.energy.total();
+      (op.kind == nn::OpKind::kConv ? report.conv_layers : report.fc_layers)
+          .push_back(std::move(layer));
+      continue;
+    }
     switch (op.kind) {
-      case nn::OpKind::kConv:
-        report.conv_layers.push_back(offload(
-            *offloaded,
-            [&](EngineStats& st) {
-              return engine_.conv2d(x, w, b, op.conv.s, op.conv.p, &st,
-                                    programs.empty() ? nullptr : &programs[i]);
-            },
-            [&] { return nn::conv2d_direct(x, w, b, op.conv.s, op.conv.p); }));
+      case nn::OpKind::kConv: // offloaded above, whatever the config
+      case nn::OpKind::kFullyConnected:
+        x = golden();
         break;
       case nn::OpKind::kReLU:
         x = nn::relu(x);
@@ -114,18 +119,6 @@ NetworkRunReport Accelerator::run_ops(const nn::Network& net,
         break;
       case nn::OpKind::kLRN:
         x = nn::lrn(x, op.lrn.size, op.lrn.alpha, op.lrn.beta, op.lrn.k);
-        break;
-      case nn::OpKind::kFullyConnected:
-        if (!offloaded) {
-          x = golden_fc();
-          break;
-        }
-        report.fc_layers.push_back(offload(
-            *offloaded,
-            [&](EngineStats& st) {
-              return engine_.fully_connected(x, w, b, &st);
-            },
-            golden_fc));
         break;
       case nn::OpKind::kSoftmax:
         x = nn::softmax(x);

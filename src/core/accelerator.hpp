@@ -3,7 +3,9 @@
 // Runs a whole CNN the way the paper's architecture does (SS IV): conv
 // layers execute on the (virtually reused) optical core, layer by layer,
 // with feature maps round-tripping through off-chip DRAM; everything else
-// (ReLU, pooling, LRN, FC, softmax) runs in the electronic domain. Produces
+// (ReLU, pooling, LRN, FC, softmax) runs in the electronic domain, except
+// that PcnnaConfig::accelerate_fc runs each FC layer on the core as a 1x1
+// conv. Both kinds go through the one OpticalConvEngine::conv2d. Produces
 // per-layer timing, energy, and engine statistics, plus numerical-fidelity
 // metrics against the golden CPU reference. The engine holds the chip's
 // only PcnnaConfig; each run prices its layers with a Scheduler,
@@ -44,7 +46,7 @@ struct LayerRunReport {
 struct NetworkRunReport {
   std::vector<LayerRunReport> conv_layers;
   /// Filled when PcnnaConfig::accelerate_fc is set: FC layers offloaded to
-  /// the optical core (modeled as 1x1 convs on a 1x1 feature map).
+  /// the optical core, run and priced as 1x1 convs on a 1x1 feature map.
   std::vector<LayerRunReport> fc_layers;
   nn::Tensor output;          ///< network output (simulated path)
   nn::Tensor reference_output;///< golden CPU output (when compared)
@@ -85,14 +87,14 @@ class Accelerator {
 
   /// Run a network end to end.
   ///
-  /// `simulate_values == true` pushes every conv through the photonic
-  /// functional model (slow, exact error accounting); `false` computes conv
-  /// values with the golden CPU path but still produces the full timing /
-  /// energy / plan reports (fast, for large nets).
+  /// `simulate_values == true` pushes every offloaded layer through the
+  /// photonic functional model (slow, exact error accounting); `false`
+  /// computes its values with the golden CPU path but still produces the
+  /// full timing / energy / plan reports (fast, for large nets).
   /// `compare_reference` additionally runs the pure CPU reference and fills
   /// the fidelity metrics: the whole-network ones, and with simulated
   /// values each layer's LayerRunReport::*_vs_reference, which costs one
-  /// golden conv per layer. Without it no golden layer runs beside a
+  /// golden layer per offloaded layer. Without it no golden layer runs beside a
   /// simulated one and those per-layer metrics stay zero; the output bits
   /// are the same either way. Throws if `weights` do not fit `net`
   /// (nn::validate_weights).
@@ -110,8 +112,9 @@ class Accelerator {
   ///
   /// `programs`, when given, holds one LayerProgram per op of `net` for
   /// these weights on this accelerator's chip (runtime::Pcu keeps them):
-  /// each simulated conv fills its op's program on first use and reads it
-  /// in place after. Without them every conv programs its banks afresh.
+  /// each simulated offloaded layer fills its op's program on first use and
+  /// reads it in place after. Without them every such layer programs its
+  /// banks afresh.
   /// Outputs and EngineStats are the same bits either way.
   NetworkRunReport run_range(const nn::Network& net,
                              const nn::NetWeights& weights,

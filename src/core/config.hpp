@@ -85,7 +85,8 @@ struct PcnnaConfig {
   bool enable_noise = true;       ///< RIN + shot + thermal noise
   bool enable_quantization = true;///< DAC/ADC value quantization
   /// Run fully-connected layers on the optical core too (the original
-  /// broadcast-and-weight use case; the paper's PCNNA only offloads conv).
+  /// broadcast-and-weight use case; the paper's PCNNA only offloads conv),
+  /// each as the 1x1 conv it is priced as, under `allocation` like any conv.
   bool accelerate_fc = false;
   /// Failure injection: probability that any given ring's heater is stuck
   /// at its parked (zero-weight) drive. Calibration works around healthy
@@ -107,8 +108,8 @@ struct PcnnaConfig {
   /// threads sweeping kernel locations of one conv layer (1 = sequential).
   /// Outputs are bit-identical for any value — pixels are partitioned into
   /// fixed tiles, per-pixel accumulation order is unchanged, and with noise
-  /// enabled each tile draws from its own generator, skipped ahead to its
-  /// first draw in sequential pixel order. Purely a host-simulation knob;
+  /// enabled each pixel draws from its own keyed generator, whichever tile
+  /// holds it. Purely a host-simulation knob;
   /// no modeled hardware quantity depends on it. The serving runtime
   /// multiplies this by its per-PCU worker threads, so keep the product
   /// within the host core budget.

@@ -874,120 +874,4 @@ nn::Tensor OpticalConvEngine::run_conv(const LayerPlan& plan,
   return out;
 }
 
-nn::Tensor OpticalConvEngine::fully_connected(const nn::Tensor& input,
-                                              const nn::Tensor& weights,
-                                              const nn::Tensor& bias,
-                                              EngineStats* stats) {
-  const std::size_t in = input.size();
-  const std::size_t out_n = weights.shape().n;
-  PCNNA_CHECK_MSG(weights.shape().c == in && weights.shape().h == 1 &&
-                      weights.shape().w == 1,
-                  "FC weights must be [out, in, 1, 1] with in == input size");
-  PCNNA_CHECK_MSG(input.min() >= 0.0,
-                  "photonic amplitude encoding requires non-negative inputs");
-  if (!bias.empty()) PCNNA_CHECK(bias.size() == out_n);
-
-  EngineStats local;
-  EngineStats& st = stats ? *stats : local;
-  st = EngineStats{};
-  st.locations = 1;
-  st.recalibrations = 1;
-
-  const std::size_t group_size =
-      std::min<std::size_t>(config_.max_wavelengths, in);
-  const double x_scale = input.abs_max();
-  if (x_scale == 0.0) return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
-  const WeightScale scale = scale_weights(config_, weights, group_size);
-  if (scale.w_absmax == 0.0)
-    return bias_only(nn::Shape4{1, out_n, 1, 1}, bias);
-  const double recover = x_scale * scale.w_absmax / scale.denom;
-
-  const AnalogChain chain = make_chain(config_, out_n);
-  const phot::LaserDiode laser(config_.laser);
-  const phot::MachZehnderModulator mzm(config_.mzm);
-  const phot::BalancedPhotodiode pd(config_.bank.photodiode);
-  const elec::Dac input_dac(config_.input_dac);
-  const elec::Dac weight_dac(config_.weight_dac);
-  elec::AdcConfig adc_cfg = config_.adc;
-  adc_cfg.full_scale = 1.0;
-  const elec::Adc adc(adc_cfg);
-
-  st.wavelengths_used = group_size;
-  st.weight_dac_conversions = weights.size();
-  st.dac_conversions = in;
-  st.rings_used = out_n * in;
-
-  const double bw = config_.enable_noise ? config_.fast_clock : 0.0;
-  const double adc_fs =
-      adc_full_scale(config_.adc_headroom, in,
-                     mean_square_scaled(input.data(), x_scale), scale.mean_w_sq);
-
-  Rng rng(key_);
-  CalibrationError cal_err;
-  std::vector<double> acc(out_n, 0.0);
-  std::vector<double> powers, targets;
-  std::vector<phot::WeightBank::ChannelSplit> splits;
-  // One bank, sized for the widest group; fabricate_bank rebuilds it in
-  // place as each position.
-  Rng sizing;
-  phot::WeightBank bank(phot::WdmGrid(group_size), config_.bank, sizing);
-  for (std::size_t begin = 0; begin < in; begin += group_size) {
-    const std::size_t end = std::min(begin + group_size, in);
-    const std::size_t width = end - begin;
-    const phot::WdmGrid grid(width);
-
-    // Modulate this input slice once; all banks share the broadcast bundle.
-    powers.resize(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      double x = input[begin + i] / x_scale;
-      if (config_.enable_quantization) x = input_dac.convert(x);
-      powers[i] = mzm.modulate(laser.emit(bw, rng) * chain.bcast, x);
-    }
-
-    targets.resize(width);
-    splits.resize(width);
-    for (std::size_t o = 0; o < out_n; ++o) {
-      st.stuck_rings +=
-          fabricate_bank(config_, begin / group_size * out_n + o, grid, bank);
-      for (std::size_t i = 0; i < width; ++i) {
-        double w = weights[o * in + begin + i] / scale.w_absmax * scale.denom;
-        if (config_.enable_quantization) w = quantize_weight(weight_dac, w);
-        targets[i] = w;
-      }
-      // One probe sweep: the achieved weight is drop - thru.
-      bank.tune(targets);
-      bank.channel_splits_into(splits);
-      for (std::size_t i = 0; i < width; ++i)
-        cal_err.add(std::abs((splits[i].drop - splits[i].thru) - targets[i]));
-      ++st.banks_built;
-      st.total_heater_power += bank.total_heater_power();
-      st.total_ring_area += bank.total_area();
-
-      double p_drop = 0.0, p_thru = 0.0, base = 0.0;
-      for (std::size_t i = 0; i < width; ++i) {
-        p_drop += powers[i] * splits[i].drop;
-        p_thru += powers[i] * splits[i].thru;
-        base += chain.dark_power * (splits[i].drop - splits[i].thru);
-      }
-      const double current = pd.detect(p_drop, p_thru, bw, rng);
-      acc[o] += (current - chain.resp * base) / chain.denom_current;
-    }
-    ++st.optical_passes;
-  }
-
-  nn::Tensor out(nn::Shape4{1, out_n, 1, 1});
-  for (std::size_t o = 0; o < out_n; ++o) {
-    double v = acc[o];
-    if (config_.enable_quantization) v = adc.convert(v / adc_fs) * adc_fs;
-    ++st.adc_conversions;
-    out[o] = v * recover + (bias.empty() ? 0.0 : bias[o]);
-  }
-
-  if (cal_err.count > 0) {
-    st.mean_calibration_error = cal_err.sum / static_cast<double>(cal_err.count);
-    st.max_calibration_error = cal_err.max;
-  }
-  return out;
-}
-
 } // namespace pcnna::core

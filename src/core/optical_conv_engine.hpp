@@ -6,7 +6,9 @@
 // balanced photodiodes (with RIN/shot/thermal noise), digitized by the ADC,
 // and rescaled electronically. Under PcnnaConfig::ideal() the result matches
 // the golden CPU convolution to near machine precision; under
-// paper_defaults() it quantifies the analog error budget.
+// paper_defaults() it quantifies the analog error budget. A fully-connected
+// layer runs as the 1x1 conv it is priced as: conv2d on its input as a
+// [1, in, 1, 1] map with weights [out, in, 1, 1] (core::offloaded_layer).
 //
 // Execution follows the paper SS IV exactly, as one loop for both ring
 // allocations: program the weight banks with the layer's kernels (once per
@@ -102,8 +104,7 @@ struct EngineStats {
 // A PcnnaConfig describes one chip, fabricated once from PcnnaConfig::seed
 // (paper SS IV: the rings are built once and only retuned per layer). Every
 // bank the engine programs is a fixed position on it: bank g * K + k of a
-// conv layer (group g, kernel k; per-channel passes retune the same
-// positions), bank g * out + o of an FC layer (input group g, output o),
+// layer (group g, kernel k; per-channel passes retune the same positions)
 // and kProbeBank for the usable-range probe. Each position owns two
 // generators derived from (seed, position) with derive_seed: the disorder
 // stream draws one normal per ring in ascending ring order when
@@ -121,10 +122,10 @@ struct EngineStats {
 // `pixel` of pass `pass` of a conv call draws its laser RIN and
 // photodiode noise from pixel_noise(key, pass, pixel), in the order of the
 // reference engine's per-pixel body; a dual-rail call runs its negative
-// rail as a call under derive_seed(key, kNegativeRail). A fully-connected
-// call draws from Rng(key). No call changes the key, so a call's noise is
-// a pure function of (key, layer, input): the same at every thread count
-// and tile size, and whatever the engine ran before.
+// rail as a call under derive_seed(key, kNegativeRail). No call changes the
+// key, so a call's noise is a pure function of (key, layer, input): the
+// same at every thread count and tile size, and whatever the engine ran
+// before.
 
 /// Bank position of the usable-range probe, apart from every layer bank.
 inline constexpr std::uint64_t kProbeBank = ~std::uint64_t{0};
@@ -187,7 +188,7 @@ struct WeightScale {
   double mean_w_sq = 0.0;
 };
 
-/// The program of one offloaded conv layer on one chip: every bank's
+/// The program of one offloaded layer on one chip: every bank's
 /// calibrated response and what programming it contributes to EngineStats.
 /// It depends only on (config, weights), because fabrication reads the
 /// chip stream and tuning draws nothing, so a layer served again reads it
@@ -309,16 +310,6 @@ class OpticalConvEngine {
                     const nn::Tensor& bias, std::size_t stride,
                     std::size_t pad, EngineStats* stats = nullptr,
                     LayerProgram* program = nullptr);
-
-  /// Photonic fully-connected layer (the original broadcast-and-weight use
-  /// case, Tait et al.): `weights` [out, in, 1, 1], `bias` [1, out, 1, 1]
-  /// (optional), input flattened and non-negative. The input vector maps
-  /// onto WDM channel groups; one bank per output neuron; group partial
-  /// sums wire-sum in analog before one ADC sample per output.
-  nn::Tensor fully_connected(const nn::Tensor& input,
-                             const nn::Tensor& weights,
-                             const nn::Tensor& bias,
-                             EngineStats* stats = nullptr);
 
   /// Set the key of later calls' noise streams (initially
   /// PcnnaConfig::seed). core::Accelerator keys each op by request seed and

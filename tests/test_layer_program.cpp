@@ -1,4 +1,4 @@
-// Layer programs: a conv layer's banks are programmed once per (chip,
+// Layer programs: an offloaded layer's banks are programmed once per (chip,
 // weights) and read in place after. Every call that reads a kept program
 // must give the bits of a call that programs afresh: outputs and every
 // EngineStats field, at every thread count, through the Accelerator and
@@ -113,7 +113,7 @@ TEST(LayerProgram, CachedRunRangeMatchesUncached) {
         expect_reports_equal(want, got);
       }
       for (std::size_t op = 0; op < ops; ++op)
-        EXPECT_EQ(w.net.ops()[op].kind == nn::OpKind::kConv,
+        EXPECT_EQ(core::offloaded_layer(cfg, w.net, op).has_value(),
                   programs[op].filled)
             << "op " << op;
 

@@ -1,4 +1,6 @@
 // Photonic fully-connected layers (broadcast-and-weight's original use).
+// The engine runs an FC layer as the 1x1 conv it is priced as: conv2d on
+// its input as a [1, in, 1, 1] map with weights [out, in, 1, 1].
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -39,7 +41,7 @@ FcData make_fc(std::size_t in, std::size_t out, std::uint64_t seed = 21) {
 TEST(OpticalFc, IdealMatchesGolden) {
   OpticalConvEngine engine(PcnnaConfig::ideal());
   const FcData d = make_fc(37, 11);
-  const Tensor out = engine.fully_connected(d.input, d.weights, d.bias);
+  const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
   const Tensor ref = nn::fully_connected(d.input, d.weights, d.bias);
   EXPECT_LT(nn::max_abs_diff(out, ref), 1e-6);
 }
@@ -50,7 +52,7 @@ TEST(OpticalFc, WdmSegmentationOverWideInputs) {
   OpticalConvEngine engine(cfg);
   const FcData d = make_fc(100, 8); // 7 passes of <=16 channels
   EngineStats stats;
-  const Tensor out = engine.fully_connected(d.input, d.weights, d.bias, &stats);
+  const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0, &stats);
   const Tensor ref = nn::fully_connected(d.input, d.weights, d.bias);
   EXPECT_LT(nn::max_abs_diff(out, ref), 1e-6);
   EXPECT_EQ(7u, stats.optical_passes);
@@ -62,7 +64,7 @@ TEST(OpticalFc, WdmSegmentationOverWideInputs) {
 TEST(OpticalFc, PaperDefaultsBoundedError) {
   OpticalConvEngine engine(PcnnaConfig::paper_defaults());
   const FcData d = make_fc(64, 16);
-  const Tensor out = engine.fully_connected(d.input, d.weights, d.bias);
+  const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0);
   const Tensor ref = nn::fully_connected(d.input, d.weights, d.bias);
   EXPECT_LT(nn::max_abs_diff(out, ref), 0.2 * ref.abs_max());
 }
@@ -71,10 +73,10 @@ TEST(OpticalFc, RejectsNegativeInputsAndBadShapes) {
   OpticalConvEngine engine(PcnnaConfig::ideal());
   FcData d = make_fc(8, 4);
   d.input[0] = -0.1;
-  EXPECT_THROW(engine.fully_connected(d.input, d.weights, d.bias), Error);
+  EXPECT_THROW(engine.conv2d(d.input, d.weights, d.bias, 1, 0), Error);
   const FcData ok = make_fc(8, 4);
   Tensor bad_w(Shape4{4, 9, 1, 1});
-  EXPECT_THROW(engine.fully_connected(ok.input, bad_w, {}), Error);
+  EXPECT_THROW(engine.conv2d(ok.input, bad_w, {}, 1, 0), Error);
 }
 
 // All-zero weights yield the bias and build no bank, although a nonzero
@@ -87,7 +89,7 @@ TEST(OpticalFc, ZeroWeightsYieldBias) {
   FcData d = make_fc(8, 4);
   d.weights.fill(0.0);
   EngineStats stats;
-  const Tensor out = engine.fully_connected(d.input, d.weights, d.bias, &stats);
+  const Tensor out = engine.conv2d(d.input, d.weights, d.bias, 1, 0, &stats);
   EXPECT_EQ(0u, stats.banks_built);
   for (std::size_t o = 0; o < 4; ++o) EXPECT_DOUBLE_EQ(d.bias[o], out[o]);
 }
@@ -131,6 +133,55 @@ TEST(OpticalFc, LenetEndToEndFullyPhotonic) {
   ASSERT_EQ(2u, report.fc_layers.size());
   EXPECT_TRUE(report.argmax_match);
   EXPECT_LT(report.output_max_abs_err, 1e-6);
+}
+
+// A noisy offloaded FC layer draws like any conv call and counts its draws:
+// one laser RIN draw per input and one photodiode draw per branch, output
+// and 96-channel group, in + 2 * out * G.
+TEST(OpticalFc, NoisyFcCountsItsDraws) {
+  PcnnaConfig cfg = PcnnaConfig::paper_defaults();
+  cfg.accelerate_fc = true;
+  core::Accelerator acc(cfg);
+  Rng rng(35);
+  const nn::Network net = nn::lenet5();
+  const auto weights = nn::make_network_weights(net, rng);
+  const auto input = nn::make_network_input(net, rng);
+  const auto report = acc.run(net, weights, input, /*simulate_values=*/true,
+                              /*compare_reference=*/false);
+  ASSERT_EQ(2u, report.fc_layers.size());
+  EXPECT_EQ(120u + 2u * 84u * 2u, report.fc_layers[0].engine.noise_draws);
+  EXPECT_EQ(84u + 2u * 10u * 1u, report.fc_layers[1].engine.noise_draws);
+}
+
+// Under the per-channel allocation an FC layer runs as TimingModel prices
+// it, in passes of one ring per output: its EngineStats match its plan.
+TEST(OpticalFc, PerChannelFcStatsMatchItsPlan) {
+  PcnnaConfig cfg = PcnnaConfig::small_core();
+  cfg.accelerate_fc = true;
+  core::Accelerator acc(cfg);
+  Rng rng(36);
+  const nn::Network net = nn::lenet5();
+  const auto weights = nn::make_network_weights(net, rng);
+  const auto input = nn::make_network_input(net, rng);
+  const auto report = acc.run(net, weights, input, /*simulate_values=*/true,
+                              /*compare_reference=*/false);
+  ASSERT_EQ(2u, report.fc_layers.size());
+  const core::Scheduler scheduler(cfg);
+  std::size_t fc = 0;
+  for (std::size_t i = 0; i < net.ops().size(); ++i) {
+    if (net.ops()[i].kind != nn::OpKind::kFullyConnected) continue;
+    SCOPED_TRACE(::testing::Message() << "op " << i);
+    const core::LayerPlan plan =
+        scheduler.plan(*core::offloaded_layer(cfg, net, i));
+    const EngineStats& stats = report.fc_layers[fc++].engine;
+    EXPECT_EQ(plan.layer.nc, stats.recalibrations);
+    EXPECT_EQ(plan.layer.K, stats.rings_used);
+    EXPECT_EQ(plan.layer.K * plan.layer.nc, stats.adc_conversions);
+    EXPECT_EQ(plan.recalibrations, stats.recalibrations);
+    EXPECT_EQ(plan.rings_total, stats.rings_used);
+    EXPECT_EQ(plan.adc_conversions, stats.adc_conversions);
+  }
+  EXPECT_EQ(120u * 84u, report.fc_layers[0].engine.adc_conversions);
 }
 
 // Serving prices exactly the layers the Accelerator offloads: under
