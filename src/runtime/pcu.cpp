@@ -161,29 +161,24 @@ RequestResult Pcu::serve(const InferenceRequest& request,
   // The request's own seed keys its noise, so the output is identical
   // whether this request is the first thing this PCU ever ran or the
   // thousandth.
-  accelerator_.reseed_engine(request.seed);
-  core::NetworkRunReport run = accelerator_.run_range(
-      *slot.net, *slot.weights, request.input, 0, slot.net->ops().size(),
-      simulate_values, programs(request.model_id, simulate_values));
+  StageHandoff run =
+      serve_stage(request.model_id, 0, slot.net->ops().size(), request.input,
+                  request.seed, 0.0, simulate_values);
 
   RequestResult result;
   result.id = request.id;
   result.pcu_index = index_;
-  result.output = std::move(run.output);
+  result.output = std::move(run.activation);
   result.service_time_serial = slot.whole.serial;
   result.service_time_overlapped = slot.whole.interval;
-  result.energy = run.total_energy;
+  result.energy = run.energy;
   result.model_id = request.model_id;
   result.tenant = request.tenant;
-  for (const core::LayerRunReport& l : run.conv_layers)
-    result.work.add(l.engine);
-  for (const core::LayerRunReport& l : run.fc_layers)
-    result.work.add(l.engine);
+  result.work = run.work;
 
   stats_.requests_served += 1;
   stats_.busy_time_serial += slot.whole.serial;
   stats_.busy_time_overlapped += slot.whole.interval;
-  stats_.energy += run.total_energy;
   return result;
 }
 

@@ -212,10 +212,10 @@ class Pcu {
 
   /// Serve one request: key the engine's noise to the request's seed (so
   /// the result does not depend on what this PCU served before), run the
-  /// request's model (request.model_id), and price it. The run reads
-  /// this PCU's layer programs of the model; the first request that
-  /// reaches a conv op fills its program. `simulate_values` as in
-  /// core::Accelerator::run.
+  /// request's model (request.model_id), and price it: serve_stage over
+  /// the whole model. The run reads this PCU's layer programs of the model;
+  /// the first request that reaches an offloaded op fills its program.
+  /// `simulate_values` as in core::Accelerator::run.
   ///
   /// Preconditions: request.model_id < num_models() and the request's
   /// input matches that model's input shape (throws pcnna::Error
@@ -334,9 +334,9 @@ class Pcu {
   PcuStats stats_;
   std::vector<ModelSlot> models_;
   /// The layer programs of each registered model, one per op once the
-  /// model is first served: the first request that runs a conv op fills
-  /// its program and later ones read it (core::LayerProgram; 16 B per
-  /// weight). Apart from models_, whose timing constants the admission
+  /// model is first served: the first request that runs an offloaded op
+  /// fills its program and later ones read it (core::LayerProgram; 16 B
+  /// per weight). Apart from models_, whose timing constants the admission
   /// loop reads from other threads: only the thread that owns this Pcu
   /// touches these.
   std::vector<std::vector<core::LayerProgram>> programs_;
