@@ -172,22 +172,6 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
 // ---------------------------------------------------------------------------
 // Telemetry
 
-const char* span_kind_name(SpanKind kind) {
-  switch (kind) {
-    case SpanKind::kQueueWait: return "queue-wait";
-    case SpanKind::kService: return "service";
-    case SpanKind::kSwap: return "swap";
-    case SpanKind::kWarmup: return "warmup";
-    case SpanKind::kStage: return "stage";
-    case SpanKind::kStagePin: return "pin";
-    case SpanKind::kStageHandoff: return "handoff";
-    case SpanKind::kLostAttempt: return "lost-attempt";
-    case SpanKind::kShed: return "shed";
-    case SpanKind::kFailed: return "failed";
-  }
-  throw Error("invalid SpanKind");
-}
-
 Telemetry::Telemetry() {
   dispatches_ = &registry_.counter(
       "pcnna_dispatches_total",
@@ -455,14 +439,6 @@ void Telemetry::write_chrome_trace(std::ostream& os) const {
                                      priority_class_name(s.priority))});
     }
     switch (s.kind) {
-      case SpanKind::kQueueWait:
-        writer.complete(kTenantPid, s.tenant, "queue", "queue", s.start,
-                        s.end,
-                        {TraceArg::num("id", static_cast<double>(s.id)),
-                         TraceArg::num("model", s.model),
-                         TraceArg::str("priority",
-                                       priority_class_name(s.priority))});
-        break;
       case SpanKind::kService:
         writer.complete(
             kFleetPid, pcu_tid, "req " + std::to_string(s.id), "service",
@@ -491,16 +467,6 @@ void Telemetry::write_chrome_trace(std::ostream& os) const {
                           {TraceArg::num("id", static_cast<double>(s.id))});
         }
         break;
-      case SpanKind::kSwap:
-        writer.complete(kFleetPid, pcu_tid, "swap", "overhead", s.start,
-                        s.end,
-                        {TraceArg::num("id", static_cast<double>(s.id))});
-        break;
-      case SpanKind::kWarmup:
-        writer.complete(kFleetPid, pcu_tid, "warmup", "overhead", s.start,
-                        s.end,
-                        {TraceArg::num("id", static_cast<double>(s.id))});
-        break;
       case SpanKind::kStage:
         writer.complete(
             kFleetPid, pcu_tid,
@@ -527,18 +493,6 @@ void Telemetry::write_chrome_trace(std::ostream& os) const {
                           {TraceArg::num("id", static_cast<double>(s.id)),
                            TraceArg::num("stage", s.stage)});
         }
-        break;
-      case SpanKind::kStagePin:
-        writer.complete(kFleetPid, pcu_tid, "pin", "overhead", s.start,
-                        s.end,
-                        {TraceArg::num("id", static_cast<double>(s.id)),
-                         TraceArg::num("stage", s.stage)});
-        break;
-      case SpanKind::kStageHandoff:
-        writer.complete(kFleetPid, pcu_tid, "handoff", "overhead", s.start,
-                        s.end,
-                        {TraceArg::num("id", static_cast<double>(s.id)),
-                         TraceArg::num("stage", s.stage)});
         break;
       case SpanKind::kLostAttempt:
         writer.complete(kFleetPid, pcu_tid, "lost attempt", "fault", s.start,

@@ -144,19 +144,12 @@ class MetricsRegistry {
 
 /// What one RequestSpan describes.
 enum class SpanKind : unsigned char {
-  kQueueWait,    ///< arrival -> service start (tenant track)
-  kService,      ///< whole-request service span on its PCU
-  kSwap,         ///< weight-bank swap charge at the head of a service span
-  kWarmup,       ///< pipeline-fill charge at the head of a service span
-  kStage,        ///< one pipeline stage span on its PCU
-  kStagePin,     ///< one-time stage bank pin at the head of a stage span
-  kStageHandoff, ///< inter-stage activation hand-off
-  kLostAttempt,  ///< PCU time destroyed by a fault
-  kShed,         ///< load-shed decision (instant, tenant track)
-  kFailed,       ///< permanent fault loss (instant, tenant track)
+  kService,     ///< whole-request service span on its PCU
+  kStage,       ///< one pipeline stage span on its PCU
+  kLostAttempt, ///< PCU time destroyed by a fault
+  kShed,        ///< load-shed decision (instant, tenant track)
+  kFailed,      ///< permanent fault loss (instant, tenant track)
 };
-
-const char* span_kind_name(SpanKind kind);
 
 /// One virtual-time span (or instant: start == end), derived from the
 /// AdmissionResult after the run. Recording stores one span per service /
@@ -175,7 +168,7 @@ struct RequestSpan {
   std::uint32_t model = 0;
   PriorityClass priority = PriorityClass::kStandard;
   std::uint32_t attempts = 1;
-  std::uint32_t stage = 0; ///< stage index (kStage/kStagePin/kStageHandoff)
+  std::uint32_t stage = 0; ///< stage index (kStage)
   /// Request arrival time; with `start` it yields the queue-wait span.
   double arrival = 0.0;
   double start = 0.0;
