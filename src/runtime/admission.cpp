@@ -110,6 +110,11 @@ bool any_span(const ScheduledService& s, F&& f) {
 }
 
 void validate_options(const PcuPool& pool, const AdmissionOptions& options) {
+  const auto check = [](double value, double min, const char* what) {
+    PCNNA_CHECK_MSG(std::isfinite(value) && value >= min,
+                    what << " must be finite and >= " << min << ", got "
+                         << value);
+  };
   const AutoscalerPolicy& scaler = options.autoscaler;
   if (scaler.enabled) {
     const std::size_t max_active =
@@ -118,6 +123,11 @@ void validate_options(const PcuPool& pool, const AdmissionOptions& options) {
     PCNNA_CHECK_MSG(scaler.min_active >= 1 && scaler.min_active <= max_active,
                     "autoscaler needs 1 <= min_active <= max_active, got ["
                         << scaler.min_active << ", " << max_active << "]");
+    check(scaler.backlog_per_pcu, 0.0, "autoscaler backlog_per_pcu");
+    // A threshold <= 0 means never shrink, as does +inf.
+    PCNNA_CHECK_MSG(!std::isnan(scaler.shrink_after_idle),
+                    "autoscaler shrink_after_idle must not be NaN, got "
+                        << scaler.shrink_after_idle);
   }
   const FaultOptions& faults = options.faults;
   if (!faults.enabled()) return;
@@ -129,11 +139,6 @@ void validate_options(const PcuPool& pool, const AdmissionOptions& options) {
                                    << " but the fleet has " << pool.size()
                                    << " PCUs");
   }
-  const auto check = [](double value, double min, const char* what) {
-    PCNNA_CHECK_MSG(std::isfinite(value) && value >= min,
-                    what << " must be finite and >= " << min << ", got "
-                         << value);
-  };
   check(faults.detection_latency, 0.0, "fault detection latency");
   check(faults.repair_time, 0.0, "fault repair time");
   check(faults.retry.backoff_base, 0.0, "retry backoff base");

@@ -390,6 +390,38 @@ TEST(Autoscaler, RejectsInvalidEnvelope) {
   admission.autoscaler.min_active = 3;
   admission.autoscaler.max_active = 2;
   EXPECT_THROW(admit(pool, {timing_request(0, 0.0)}, admission), Error);
+
+  // Each bad knob is named with its value. Unchecked, a NaN or infinite
+  // backlog_per_pcu never grew the fleet (every request on PCU 0), and a
+  // negative one woke every PCU at once.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto error = [&](double backlog, double shrink) {
+    AdmissionOptions o;
+    o.autoscaler.enabled = true;
+    o.autoscaler.backlog_per_pcu = backlog;
+    o.autoscaler.shrink_after_idle = shrink;
+    try {
+      admit(pool, {timing_request(0, 0.0)}, o);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  for (const double backlog : {nan, inf, -inf, -1.0}) {
+    std::ostringstream got;
+    got << "got " << backlog;
+    const std::string what = error(backlog, 0.0);
+    EXPECT_NE(std::string::npos, what.find("backlog_per_pcu")) << what;
+    EXPECT_NE(std::string::npos, what.find(got.str())) << what;
+  }
+  const std::string what = error(2.0, nan);
+  EXPECT_NE(std::string::npos, what.find("shrink_after_idle")) << what;
+  EXPECT_NE(std::string::npos, what.find("got nan")) << what;
+  // A threshold <= 0 means "never shrink", as does one no idle time reaches.
+  for (const double shrink : {0.0, -1.0, -inf, inf})
+    EXPECT_EQ("", error(2.0, shrink)) << "shrink_after_idle " << shrink;
+  EXPECT_EQ("", error(0.0, 0.0)) << "grow whenever a request waits";
 }
 
 // --- Tenant mixes (runtime/arrival.hpp) ---
