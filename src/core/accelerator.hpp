@@ -94,10 +94,10 @@ class Accelerator {
   /// `compare_reference` additionally runs the pure CPU reference and fills
   /// the fidelity metrics: the whole-network ones, and with simulated
   /// values each layer's LayerRunReport::*_vs_reference, which costs one
-  /// golden layer per offloaded layer. Without it no golden layer runs beside a
-  /// simulated one and those per-layer metrics stay zero; the output bits
-  /// are the same either way. Throws if `weights` do not fit `net`
-  /// (nn::validate_weights).
+  /// golden layer per offloaded layer. Without it no golden layer runs
+  /// beside a simulated one and those per-layer metrics stay zero; the
+  /// output bits are the same either way. Throws if `weights` do not fit
+  /// `net` (nn::validate_weights).
   NetworkRunReport run(const nn::Network& net, const nn::NetWeights& weights,
                        const nn::Tensor& input, bool simulate_values = true,
                        bool compare_reference = true);

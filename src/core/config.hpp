@@ -109,10 +109,9 @@ struct PcnnaConfig {
   /// Outputs are bit-identical for any value — pixels are partitioned into
   /// fixed tiles, per-pixel accumulation order is unchanged, and with noise
   /// enabled each pixel draws from its own keyed generator, whichever tile
-  /// holds it. Purely a host-simulation knob;
-  /// no modeled hardware quantity depends on it. The serving runtime
-  /// multiplies this by its per-PCU worker threads, so keep the product
-  /// within the host core budget.
+  /// holds it. Purely a host-simulation knob; no modeled hardware quantity
+  /// depends on it. The serving runtime multiplies this by its per-PCU
+  /// worker threads, so keep the product within the host core budget.
   std::size_t engine_threads = 1;
 
   /// The configuration used throughout the paper's evaluation.
